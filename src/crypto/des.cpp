@@ -121,29 +121,9 @@ std::uint64_t crypt_ref(std::uint64_t block, const KeySchedule& ks, bool decrypt
   return permute<64, 64>(preout, kFP);
 }
 
-// Lazily built SP tables: S-box output already run through the P
-// permutation and positioned in the 32-bit word.
-const std::array<std::array<std::uint32_t, 64>, 8>& sp_tables() {
-  static const auto tables = [] {
-    std::array<std::array<std::uint32_t, 64>, 8> t{};
-    for (int box = 0; box < 8; ++box) {
-      for (int v = 0; v < 64; ++v) {
-        const std::uint32_t s = sbox_lookup(box, static_cast<std::uint8_t>(v));
-        // Place the 4-bit S-box output at its position in the 32-bit
-        // pre-permutation word, then permute.
-        const std::uint32_t positioned = s << (28 - 4 * box);
-        t[box][v] =
-            static_cast<std::uint32_t>(permute<32, 32>(positioned, kP));
-      }
-    }
-    return t;
-  }();
-  return tables;
-}
-
 std::uint32_t feistel_sp(std::uint32_t r, std::uint64_t k48) {
   const std::uint64_t e = permute<48, 32>(r, kE) ^ k48;
-  const auto& sp = sp_tables();
+  const auto& sp = fast_tables().sp;
   std::uint32_t out = 0;
   for (int i = 0; i < 8; ++i) {
     out |= sp[i][(e >> (42 - 6 * i)) & 0x3f];
@@ -151,18 +131,47 @@ std::uint32_t feistel_sp(std::uint32_t r, std::uint64_t k48) {
   return out;
 }
 
-std::uint64_t crypt_sp(std::uint64_t block, const KeySchedule& ks, bool decrypt) {
-  const std::uint64_t ip = permute<64, 64>(block, kIP);
+// 16 Feistel rounds, two per iteration so the halves never swap: on exit
+// (l, r) = (L16, R16).  Decryption runs the subkeys in reverse.
+void stage16(std::uint32_t& l, std::uint32_t& r, const KeySchedule& ks,
+             bool decrypt, const FastTables& t) {
+  if (decrypt) {
+    for (int i = 15; i > 0; i -= 2) {
+      l ^= feistel_fast(r, ks.k6[i].data(), t);
+      r ^= feistel_fast(l, ks.k6[i - 1].data(), t);
+    }
+  } else {
+    for (int i = 0; i < 16; i += 2) {
+      l ^= feistel_fast(r, ks.k6[i].data(), t);
+      r ^= feistel_fast(l, ks.k6[i + 1].data(), t);
+    }
+  }
+}
+
+std::uint64_t crypt_fast(std::uint64_t block, const KeySchedule& ks,
+                         bool decrypt) {
+  const FastTables& t = fast_tables();
+  const std::uint64_t ip = scatter(t.ip, block);
   std::uint32_t l = static_cast<std::uint32_t>(ip >> 32);
   std::uint32_t r = static_cast<std::uint32_t>(ip);
-  for (int round = 0; round < 16; ++round) {
-    const std::uint64_t k = ks.k48[decrypt ? 15 - round : round];
-    const std::uint32_t nl = r;
-    r = l ^ feistel_sp(r, k);
-    l = nl;
-  }
-  const std::uint64_t preout = (static_cast<std::uint64_t>(r) << 32) | l;
-  return permute<64, 64>(preout, kFP);
+  stage16(l, r, ks, decrypt, t);
+  return scatter(t.fp, (static_cast<std::uint64_t>(r) << 32) | l);
+}
+
+// Fused EDE: each stage's pre-output swap feeds the next stage's IP
+// through an FP.IP pair that cancels, so the only thing left between
+// stages is the half swap — expressed by exchanging the (l, r) roles.
+std::uint64_t crypt_3des(std::uint64_t block, const KeySchedule& a,
+                         const KeySchedule& b, const KeySchedule& c,
+                         bool decrypt) {
+  const FastTables& t = fast_tables();
+  const std::uint64_t ip = scatter(t.ip, block);
+  std::uint32_t l = static_cast<std::uint32_t>(ip >> 32);
+  std::uint32_t r = static_cast<std::uint32_t>(ip);
+  stage16(l, r, a, decrypt, t);
+  stage16(r, l, b, !decrypt, t);
+  stage16(l, r, c, decrypt, t);
+  return scatter(t.fp, (static_cast<std::uint64_t>(r) << 32) | l);
 }
 
 std::uint32_t rotl28(std::uint32_t v, int n) {
@@ -181,6 +190,9 @@ KeySchedule key_schedule(std::uint64_t key) {
     d = rotl28(d, kShifts[round]);
     const std::uint64_t cd = (static_cast<std::uint64_t>(c) << 28) | d;
     ks.k48[round] = permute<48, 56>(cd, kPC2);
+    for (int i = 0; i < 8; ++i) {
+      ks.k6[round][i] = static_cast<std::uint8_t>((ks.k48[round] >> (42 - 6 * i)) & 0x3f);
+    }
   }
   return ks;
 }
@@ -192,10 +204,10 @@ std::uint64_t decrypt_block_ref(std::uint64_t block, const KeySchedule& ks) {
   return crypt_ref(block, ks, true);
 }
 std::uint64_t encrypt_block(std::uint64_t block, const KeySchedule& ks) {
-  return crypt_sp(block, ks, false);
+  return crypt_fast(block, ks, false);
 }
 std::uint64_t decrypt_block(std::uint64_t block, const KeySchedule& ks) {
-  return crypt_sp(block, ks, true);
+  return crypt_fast(block, ks, true);
 }
 
 TripleKeySchedule triple_key_schedule(std::uint64_t key1, std::uint64_t key2,
@@ -205,10 +217,10 @@ TripleKeySchedule triple_key_schedule(std::uint64_t key1, std::uint64_t key2,
 }
 
 std::uint64_t encrypt_block_3des(std::uint64_t block, const TripleKeySchedule& ks) {
-  return encrypt_block(decrypt_block(encrypt_block(block, ks.k1), ks.k2), ks.k3);
+  return crypt_3des(block, ks.k1, ks.k2, ks.k3, false);
 }
 std::uint64_t decrypt_block_3des(std::uint64_t block, const TripleKeySchedule& ks) {
-  return decrypt_block(encrypt_block(decrypt_block(block, ks.k3), ks.k2), ks.k1);
+  return crypt_3des(block, ks.k3, ks.k2, ks.k1, true);
 }
 
 namespace {
@@ -263,7 +275,7 @@ std::vector<std::uint8_t> decrypt_cbc(const std::vector<std::uint8_t>& data,
 }
 
 const std::array<std::uint32_t, 64>& sp_table(int sbox) {
-  return sp_tables()[static_cast<std::size_t>(sbox)];
+  return fast_tables().sp[static_cast<std::size_t>(sbox)];
 }
 
 std::uint8_t sbox(int i, std::uint8_t v) { return sbox_lookup(i, v); }
@@ -277,6 +289,30 @@ std::uint64_t initial_permutation(std::uint64_t block) {
 }
 std::uint64_t final_permutation(std::uint64_t block) {
   return permute<64, 64>(block, kFP);
+}
+
+const FastTables& fast_tables() {
+  static const FastTables tabs = [] {
+    FastTables t{};
+    for (int p = 0; p < 8; ++p) {
+      for (int v = 0; v < 256; ++v) {
+        const std::uint64_t x = static_cast<std::uint64_t>(v) << (56 - 8 * p);
+        t.ip[p][v] = initial_permutation(x);
+        t.fp[p][v] = final_permutation(x);
+      }
+    }
+    for (int box = 0; box < 8; ++box) {
+      for (int v = 0; v < 64; ++v) {
+        const std::uint32_t sv = sbox_lookup(box, static_cast<std::uint8_t>(v));
+        // Place the 4-bit S-box output at its position in the 32-bit
+        // pre-permutation word, then permute.
+        const std::uint32_t positioned = sv << (28 - 4 * box);
+        t.sp[box][v] = static_cast<std::uint32_t>(permute<32, 32>(positioned, kP));
+      }
+    }
+    return t;
+  }();
+  return tabs;
 }
 
 std::uint64_t load_be64(const std::uint8_t* p) {

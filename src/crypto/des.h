@@ -3,11 +3,15 @@
 // Two functionally identical block implementations are provided:
 //  * a reference implementation that applies every FIPS-46 permutation
 //    bit by bit (used as ground truth), and
-//  * a fast implementation using combined S-box+P-permutation (SP) lookup
-//    tables — the classic well-optimized software structure that the
-//    paper's baseline measurements represent.
-// The SP tables and key schedules are exported so the XR32 kernels
-// (src/kernels/des_kernel.*) can place them in simulator memory.
+//  * a fast table-driven implementation: IP/FP through 8x256 byte-scatter
+//    tables, E as shifted windows of one rotate, and combined S-box +
+//    P-permutation (SP) lookup tables — the classic well-optimized software
+//    structure that the paper's baseline measurements represent.  3DES runs
+//    fused: one IP, 48 rounds, one FP.
+// The fast round structure (FastTables, scatter, feistel_fast) is the one
+// copy shared with the lane-interleaved des_mb kernels.  The SP tables and
+// key schedules are exported so the XR32 kernels (src/kernels/des_kernel.*)
+// can place them in simulator memory.
 #pragma once
 
 #include <array>
@@ -16,10 +20,14 @@
 
 namespace wsp::des {
 
-/// 16 subkeys of 48 bits each, kept as 8 x 6-bit groups packed into two
-/// 32-bit halves (24 bits used in each) for the fast/kernels path.
+/// The 16 round subkeys in round order.  Each k48 value holds 48
+/// significant bits; bits 47..42 are XOR'd into S-box 1's input, ...,
+/// bits 5..0 into S-box 8's.  k6 holds the same subkeys split into those
+/// eight 6-bit chunks (k6[r][i] = (k48[r] >> (42 - 6i)) & 0x3f), the form
+/// the fast rounds consume.
 struct KeySchedule {
   std::array<std::uint64_t, 16> k48;  ///< subkeys, 48 significant bits each
+  std::array<std::array<std::uint8_t, 8>, 16> k6;  ///< k48 as S-box chunks
 };
 
 /// Expands a 64-bit key (parity bits ignored) into 16 subkeys.
@@ -29,11 +37,12 @@ KeySchedule key_schedule(std::uint64_t key);
 std::uint64_t encrypt_block_ref(std::uint64_t block, const KeySchedule& ks);
 std::uint64_t decrypt_block_ref(std::uint64_t block, const KeySchedule& ks);
 
-/// Fast single-block encrypt/decrypt (SP-table implementation).
+/// Fast single-block encrypt/decrypt (table-driven implementation).
 std::uint64_t encrypt_block(std::uint64_t block, const KeySchedule& ks);
 std::uint64_t decrypt_block(std::uint64_t block, const KeySchedule& ks);
 
-/// 3DES EDE with three independent keys.
+/// 3DES EDE with three independent keys (fast, fused: the interior FP.IP
+/// pairs cancel, so one IP, three 16-round stages, one FP).
 struct TripleKeySchedule {
   KeySchedule k1, k2, k3;
 };
@@ -68,6 +77,48 @@ std::uint32_t f_function(std::uint32_t r, std::uint64_t k48);
 /// exported for kernel validation).
 std::uint64_t initial_permutation(std::uint64_t block);
 std::uint64_t final_permutation(std::uint64_t block);
+
+// --- Table-driven round structure ------------------------------------------
+// Shared by the scalar block functions above and the des_mb kernels, which
+// interleave it across lanes.  Every table is synthesized from the bitwise
+// FIPS-46 permutations and S-boxes, never transcribed.
+
+struct FastTables {
+  /// A bit permutation distributes over OR of disjoint-support inputs, so
+  /// ip[p][v] = initial_permutation(uint64(v) << (56 - 8p)) and the OR over
+  /// the eight input bytes reproduces the full permutation (fp likewise).
+  std::uint64_t ip[8][256];
+  std::uint64_t fp[8][256];
+  std::array<std::array<std::uint32_t, 64>, 8> sp;  ///< sp[i] is sp_table(i)
+};
+const FastTables& fast_tables();
+
+/// Applies an 8x256 byte-scatter permutation table.
+inline std::uint64_t scatter(const std::uint64_t (&tab)[8][256],
+                             std::uint64_t v) {
+  return tab[0][(v >> 56) & 0xff] | tab[1][(v >> 48) & 0xff] |
+         tab[2][(v >> 40) & 0xff] | tab[3][(v >> 32) & 0xff] |
+         tab[4][(v >> 24) & 0xff] | tab[5][(v >> 16) & 0xff] |
+         tab[6][(v >> 8) & 0xff] | tab[7][v & 0xff];
+}
+
+/// f_function without the E permute: with ro = rotr32(r, 1) the eight
+/// 6-bit E groups are consecutive windows of ro — group i (0..6) is
+/// (ro >> (26 - 4i)) & 0x3f and group 7 wraps as rotl32(ro, 2) & 0x3f.
+/// Each window is XOR'd with the matching 6-bit subkey chunk k[i]
+/// (KeySchedule::k6).
+inline std::uint32_t feistel_fast(std::uint32_t r, const std::uint8_t k[8],
+                                  const FastTables& t) {
+  const std::uint32_t ro = (r >> 1) | (r << 31);
+  return t.sp[0][((ro >> 26) & 0x3f) ^ k[0]] ^
+         t.sp[1][((ro >> 22) & 0x3f) ^ k[1]] ^
+         t.sp[2][((ro >> 18) & 0x3f) ^ k[2]] ^
+         t.sp[3][((ro >> 14) & 0x3f) ^ k[3]] ^
+         t.sp[4][((ro >> 10) & 0x3f) ^ k[4]] ^
+         t.sp[5][((ro >> 6) & 0x3f) ^ k[5]] ^
+         t.sp[6][((ro >> 2) & 0x3f) ^ k[6]] ^
+         t.sp[7][(((ro << 2) | (ro >> 30)) & 0x3f) ^ k[7]];
+}
 
 /// Big-endian conversion helpers (DES blocks are big-endian byte streams).
 std::uint64_t load_be64(const std::uint8_t* p);

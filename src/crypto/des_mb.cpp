@@ -1,14 +1,10 @@
 // Lane-interleaved DES/3DES-CBC.
 //
-// Fast E expansion: with ro = rotr32(R, 1), the eight 6-bit E groups are
-// consecutive windows of ro — group i (0..6) is (ro >> (26 - 4i)) & 0x3f
-// and group 7 wraps as ((ro & 0xF) << 2) | (ro >> 30).  Subkeys are
-// pre-split into eight 6-bit chunks per round so the round body is eight
-// shift/xor/lookup chains with no 48-bit permute.
-//
-// IP/FP: a bit permutation is linear over OR of disjoint-support inputs,
-// so tab[p][v] = perm(uint64(v) << (56 - 8p)) gives an 8x256 scatter
-// table whose per-byte OR reproduces the exact des.cpp permutation.
+// The round structure is des.cpp's table-driven one (des::fast_tables,
+// des::scatter, des::feistel_fast) with the round loop outermost and a lane
+// loop innermost.  Each lane's subkey chunks (KeySchedule::k6) are
+// flattened into execution order (48 rounds for 3DES, 16 for DES), so the
+// round body is the same for every lane.
 //
 // 3DES fusion: encrypt = FP.R16(k3).IP . FP.R16rev(k2).IP . FP.R16(k1).IP
 // where the crypt core's pre-output swaps halves; the interior FP.IP pairs
@@ -17,7 +13,6 @@
 #include "des_mb.h"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <vector>
 
@@ -27,68 +22,12 @@ namespace {
 using des::KeySchedule;
 using des::TripleKeySchedule;
 
-struct PermTabs {
-  std::uint64_t ip[8][256];
-  std::uint64_t fp[8][256];
-};
-
-const PermTabs& perm_tabs() {
-  static const PermTabs tabs = [] {
-    PermTabs t{};
-    for (int p = 0; p < 8; ++p) {
-      for (int v = 0; v < 256; ++v) {
-        const std::uint64_t x = std::uint64_t(v) << (56 - 8 * p);
-        t.ip[p][v] = des::initial_permutation(x);
-        t.fp[p][v] = des::final_permutation(x);
-      }
-    }
-    return t;
-  }();
-  return tabs;
-}
-
-std::uint64_t apply_tab(const std::uint64_t (*tab)[256], std::uint64_t v) {
-  return tab[0][(v >> 56) & 0xff] | tab[1][(v >> 48) & 0xff] |
-         tab[2][(v >> 40) & 0xff] | tab[3][(v >> 32) & 0xff] |
-         tab[4][(v >> 24) & 0xff] | tab[5][(v >> 16) & 0xff] |
-         tab[6][(v >> 8) & 0xff] | tab[7][v & 0xff];
-}
-
-struct SpTabs {
-  const std::uint32_t* sp[8];
-};
-
-const SpTabs& sp_tabs() {
-  static const SpTabs tabs = [] {
-    SpTabs t{};
-    for (int i = 0; i < 8; ++i) t.sp[i] = des::sp_table(i).data();
-    return t;
-  }();
-  return tabs;
-}
-
-inline std::uint32_t feistel_fast(std::uint32_t r, const std::uint8_t k[8],
-                                  const SpTabs& t) {
-  const std::uint32_t ro = (r >> 1) | (r << 31);
-  return t.sp[0][((ro >> 26) & 0x3f) ^ k[0]] ^
-         t.sp[1][((ro >> 22) & 0x3f) ^ k[1]] ^
-         t.sp[2][((ro >> 18) & 0x3f) ^ k[2]] ^
-         t.sp[3][((ro >> 14) & 0x3f) ^ k[3]] ^
-         t.sp[4][((ro >> 10) & 0x3f) ^ k[4]] ^
-         t.sp[5][((ro >> 6) & 0x3f) ^ k[5]] ^
-         t.sp[6][((ro >> 2) & 0x3f) ^ k[6]] ^
-         t.sp[7][((((ro & 0xFu) << 2) | (ro >> 30)) & 0x3f) ^ k[7]];
-}
-
-// Flatten one 16-round stage into 6-bit subkey chunks, optionally in
-// reverse round order (the decrypt direction).
-void flatten_stage(const KeySchedule& ks, bool reverse,
-                   std::uint8_t out[][8]) {
+// Flatten one 16-round stage's subkey chunks, optionally in reverse round
+// order (the decrypt direction).
+void flatten_stage(const KeySchedule& ks, bool reverse, std::uint8_t out[][8]) {
   for (int r = 0; r < 16; ++r) {
-    const std::uint64_t k48 = ks.k48[reverse ? 15 - r : r];
-    for (int i = 0; i < 8; ++i) {
-      out[r][i] = std::uint8_t((k48 >> (42 - 6 * i)) & 0x3f);
-    }
+    const auto& k = ks.k6[static_cast<std::size_t>(reverse ? 15 - r : r)];
+    std::copy(k.begin(), k.end(), out[r]);
   }
 }
 
@@ -150,8 +89,7 @@ struct Group {
 // (1 for DES, 3 for 3DES) so the swap points are uniform.
 template <int Lanes>
 void crypt_group(Group<Lanes>& g, int stages, bool encrypt) {
-  const PermTabs& pt = perm_tabs();
-  const SpTabs& sp = sp_tabs();
+  const des::FastTables& t = des::fast_tables();
   std::uint32_t l[Lanes], r[Lanes];
   std::uint64_t x[Lanes];
   while (g.active > 0) {
@@ -160,7 +98,7 @@ void crypt_group(Group<Lanes>& g, int stages, bool encrypt) {
       std::uint64_t b = des::load_be64(g.in[j]);
       if (encrypt) b ^= g.c[j];  // CBC xor before the cipher
       x[j] = b;                  // decrypt keeps the raw ciphertext for chaining
-      const std::uint64_t ip = apply_tab(pt.ip, encrypt ? b : x[j]);
+      const std::uint64_t ip = des::scatter(t.ip, b);
       l[j] = std::uint32_t(ip >> 32);
       r[j] = std::uint32_t(ip);
     }
@@ -169,7 +107,7 @@ void crypt_group(Group<Lanes>& g, int stages, bool encrypt) {
       for (int round = 0; round < 16; ++round) {
         for (int j = 0; j < a; ++j) {
           const std::uint32_t nl = r[j];
-          r[j] = l[j] ^ feistel_fast(r[j], g.kc[j][base + round], sp);
+          r[j] = l[j] ^ des::feistel_fast(r[j], g.kc[j][base + round], t);
           l[j] = nl;
         }
       }
@@ -179,7 +117,7 @@ void crypt_group(Group<Lanes>& g, int stages, bool encrypt) {
     }
     for (int j = 0; j < a; ++j) {
       const std::uint64_t preout = (std::uint64_t(r[j]) << 32) | l[j];
-      std::uint64_t y = apply_tab(pt.fp, preout);
+      std::uint64_t y = des::scatter(t.fp, preout);
       if (encrypt) {
         g.c[j] = y;  // residue = ciphertext just produced
       } else {

@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "crypto/batch.h"
 #include "server/checkpoint.h"
@@ -657,10 +658,25 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       rep.dropped += csh.dropped;
     }
     latencies = cp.latencies;
+    // Check every entry before the first parked session is pushed: a throw
+    // from the loop below would unwind while workers still pump sessions
+    // that live in this frame.  A repeated parked id would make
+    // SessionTable::insert throw there, so it is rejected here too.
+    std::unordered_set<std::uint64_t> parked_ids;
     for (const CheckpointEntry& e : cp.entries) {
       if (e.event.shard != static_cast<std::uint32_t>(e.event.id % shards)) {
         bad("entry shard disagrees with its session id");
       }
+      if (!e.parked) continue;
+      if (phased && e.parked_info.phase >= scenario.phases.size()) {
+        bad("parked phase out of range");
+      }
+      if (!phased && e.parked_info.phase != 0) {
+        bad("parked phase on a flat scenario");
+      }
+      if (!parked_ids.insert(e.event.id).second) bad("duplicate parked session id");
+    }
+    for (const CheckpointEntry& e : cp.entries) {
       slots.push_back(
           Slot{e.event.id, e.event.shard, 0, 0, 0, 0, 0, false, false});
       Slot* slot = &slots.back();
@@ -675,10 +691,6 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
         continue;
       }
       const ParkedSession& p = e.parked_info;
-      if (phased && p.phase >= scenario.phases.size()) {
-        bad("parked phase out of range");
-      }
-      if (!phased && p.phase != 0) bad("parked phase on a flat scenario");
       const FaultConfig& pfc = phased ? phase_faults[p.phase] : config_.faults;
       SessionConfig cfg;
       cfg.id = e.event.id;

@@ -62,9 +62,9 @@ struct SecureChannel::Impl {
   std::uint64_t seq_out = 0, seq_in = 0;
   std::unique_ptr<Rc4> rc4_enc, rc4_dec;  // stream state persists across records
 
-  // Cached key schedules for the batched two-phase path only: the scalar
-  // seal()/open() path below keeps deriving per record, so batch_lanes == 1
-  // remains byte- and work-identical to the historical data plane.
+  // Key schedules, derived on first use and shared by both directions and
+  // both data planes (scalar encrypt()/decrypt() and the batched two-phase
+  // path): the cipher key is fixed for the channel's lifetime.
   std::unique_ptr<aes::KeySchedule> aes_ks_cache;
   std::unique_ptr<des::TripleKeySchedule> des3_ks_cache;
 
@@ -77,6 +77,7 @@ struct SecureChannel::Impl {
 
   const des::TripleKeySchedule& cached_des3_ks() {
     if (!des3_ks_cache) {
+      // EDE with the key split in three 8-byte parts.
       des3_ks_cache = std::make_unique<des::TripleKeySchedule>(des::triple_key_schedule(
           load64({cipher_key.begin(), cipher_key.begin() + 8}),
           load64({cipher_key.begin() + 8, cipher_key.begin() + 16}),
@@ -99,10 +100,7 @@ struct SecureChannel::Impl {
   std::vector<std::uint8_t> encrypt(const std::vector<std::uint8_t>& plain) {
     switch (cipher) {
       case Cipher::kTripleDesCbc: {
-        // EDE with the key split in three 8-byte parts.
-        const auto ks = des::triple_key_schedule(load64({cipher_key.begin(), cipher_key.begin() + 8}),
-                                                 load64({cipher_key.begin() + 8, cipher_key.begin() + 16}),
-                                                 load64({cipher_key.begin() + 16, cipher_key.begin() + 24}));
+        const des::TripleKeySchedule& ks = cached_des3_ks();
         auto padded = cbc_pad(plain, 8);
         std::vector<std::uint8_t> out(padded.size());
         std::uint64_t chain = load64(iv_enc);
@@ -115,7 +113,7 @@ struct SecureChannel::Impl {
         return out;
       }
       case Cipher::kAes128Cbc: {
-        const auto ks = aes::key_schedule(cipher_key);
+        const aes::KeySchedule& ks = cached_aes_ks();
         std::array<std::uint8_t, 16> aiv{};
         std::copy(iv_enc.begin(), iv_enc.begin() + 16, aiv.begin());
         const auto out = aes::encrypt_cbc(cbc_pad(plain, 16), ks, aiv);
@@ -134,9 +132,7 @@ struct SecureChannel::Impl {
     switch (cipher) {
       case Cipher::kTripleDesCbc: {
         if (ct.size() % 8 != 0) throw std::runtime_error("ssl: bad record length");
-        const auto ks = des::triple_key_schedule(load64({cipher_key.begin(), cipher_key.begin() + 8}),
-                                                 load64({cipher_key.begin() + 8, cipher_key.begin() + 16}),
-                                                 load64({cipher_key.begin() + 16, cipher_key.begin() + 24}));
+        const des::TripleKeySchedule& ks = cached_des3_ks();
         std::vector<std::uint8_t> out(ct.size());
         std::uint64_t chain = load64(iv_dec);
         for (std::size_t i = 0; i < ct.size(); i += 8) {
@@ -154,7 +150,7 @@ struct SecureChannel::Impl {
         // with ct.end() - 16 out of range; reject it with the same error
         // cbc_unpad raises for a decrypted-to-nothing record.
         if (ct.empty()) throw std::runtime_error("ssl: empty CBC plaintext");
-        const auto ks = aes::key_schedule(cipher_key);
+        const aes::KeySchedule& ks = cached_aes_ks();
         std::array<std::uint8_t, 16> aiv{};
         std::copy(iv_dec.begin(), iv_dec.begin() + 16, aiv.begin());
         auto out = aes::decrypt_cbc(ct, ks, aiv);

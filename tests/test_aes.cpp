@@ -47,6 +47,22 @@ TEST(Aes, TTableMatchesReference) {
   }
 }
 
+TEST(Aes, InverseTablesMatchReference) {
+  // decrypt_block (InvSubBytes gather + InvMixColumns tables) against the
+  // byte-oriented reference inverse cipher, for every key size.
+  Rng rng(76);
+  for (std::size_t klen : {16u, 24u, 32u}) {
+    const auto ks = aes::key_schedule(rng.bytes(klen));
+    for (int i = 0; i < 200; ++i) {
+      const auto block = rng.bytes(16);
+      std::uint8_t a[16], b[16];
+      aes::decrypt_block_ref(block.data(), a, ks);
+      aes::decrypt_block(block.data(), b, ks);
+      EXPECT_EQ(to_hex(a, 16), to_hex(b, 16)) << "klen=" << klen;
+    }
+  }
+}
+
 TEST(Aes, SboxIsPermutationWithKnownFixedValues) {
   const auto& sb = aes::sbox();
   const auto& inv = aes::inv_sbox();

@@ -6,6 +6,7 @@
 // CRC-valid-but-lying checkpoints (stale slab handles, tampered digests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -283,6 +284,25 @@ TEST(CheckpointCrash, RestoreRejectsWrongScenarioStructurally) {
   auto other = crash_mix(43, 8);  // fewer sessions than the checkpoint offered
   server::Engine engine(engine_cfg(1));
   EXPECT_THROW((void)engine.run(other, cps.back()), std::logic_error);
+}
+
+TEST(CheckpointCrash, CorruptEntryRejectedBeforeParkedSessionsRun) {
+  // A lanes-8 checkpoint parks cohort members; restoring it at lanes 1
+  // pushes each parked session to a worker.  A bad entry after them must be
+  // rejected before any push, or the throw unwinds under running workers.
+  const auto scenario = crash_mix(44, 48);
+  const auto cps = capture_checkpoints(scenario, 2, 8, 1.0e7);
+  const auto it = std::find_if(cps.begin(), cps.end(), [](const auto& cp) {
+    return cp.entries.size() >= 2 &&
+           std::any_of(cp.entries.begin(), cp.entries.end() - 1,
+                       [](const auto& e) { return e.parked; });
+  });
+  ASSERT_NE(it, cps.end()) << "no checkpoint parks a session before its last entry";
+  server::EngineCheckpoint cp = *it;
+  server::SessionEvent& last = cp.entries.back().event;
+  last.shard = (last.shard + 1) % 4;
+  server::Engine engine(engine_cfg(2, 1));
+  EXPECT_THROW((void)engine.run(scenario, cp), std::logic_error);
 }
 
 // --- config validation ------------------------------------------------------

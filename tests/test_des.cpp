@@ -60,14 +60,44 @@ TEST(Des, IpFpAreInverses) {
   }
 }
 
+// FIPS-46 E expansion and P permutation, transcribed here (1-based bit
+// positions from the MSB) so the oracle below shares nothing with des.cpp
+// but the raw S-boxes.
+constexpr int kE[48] = {32, 1,  2,  3,  4,  5,  4,  5,  6,  7,  8,  9,
+                        8,  9,  10, 11, 12, 13, 12, 13, 14, 15, 16, 17,
+                        16, 17, 18, 19, 20, 21, 20, 21, 22, 23, 24, 25,
+                        24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1};
+constexpr int kP[32] = {16, 7, 20, 21, 29, 12, 28, 17, 1,  15, 23, 26, 5,  18, 31, 10,
+                        2,  8, 24, 14, 32, 27, 3,  9,  19, 13, 30, 6,  22, 11, 4,  25};
+
+// The Feistel F function as the standard states it: E, key mix, the eight
+// S-boxes, P — one bit at a time.
+std::uint32_t f_bitwise(std::uint32_t r, std::uint64_t k48) {
+  std::uint64_t e = 0;
+  for (int src : kE) e = (e << 1) | ((r >> (32 - src)) & 1u);
+  e ^= k48;
+  std::uint32_t s = 0;
+  for (int i = 0; i < 8; ++i) {
+    s = (s << 4) | des::sbox(i, static_cast<std::uint8_t>((e >> (42 - 6 * i)) & 0x3f));
+  }
+  std::uint32_t p = 0;
+  for (int src : kP) p = (p << 1) | ((s >> (32 - src)) & 1u);
+  return p;
+}
+
 TEST(Des, FFunctionMatchesSpTables) {
-  // f_function must agree with the per-S-box composition.
+  // Both the exported f_function (SP tables) and the fast-E round helper
+  // the block functions run must equal the bitwise composition.
   Rng rng(64);
-  for (int i = 0; i < 50; ++i) {
+  const des::FastTables& t = des::fast_tables();
+  for (int i = 0; i < 2000; ++i) {
     const std::uint32_t r = rng.next_u32();
     const std::uint64_t k = rng.next_u64() & 0xFFFFFFFFFFFFull;
-    const std::uint32_t f = des::f_function(r, k);
-    EXPECT_EQ(des::f_function(r, k), f);  // deterministic
+    const std::uint32_t want = f_bitwise(r, k);
+    EXPECT_EQ(des::f_function(r, k), want) << std::hex << r << " " << k;
+    std::uint8_t chunks[8];
+    for (int j = 0; j < 8; ++j) chunks[j] = static_cast<std::uint8_t>((k >> (42 - 6 * j)) & 0x3f);
+    EXPECT_EQ(des::feistel_fast(r, chunks, t), want) << std::hex << r << " " << k;
   }
 }
 
@@ -80,6 +110,35 @@ TEST(TripleDes, KnownStructure) {
   for (int i = 0; i < 20; ++i) {
     const std::uint64_t block = rng.next_u64();
     EXPECT_EQ(des::encrypt_block_3des(block, triple), des::encrypt_block(block, single));
+  }
+}
+
+TEST(TripleDes, FusedMatchesReferenceEde) {
+  // The fused 3DES (one IP, 48 rounds, one FP) against the EDE composition
+  // of the bitwise reference blocks.
+  Rng rng(69);
+  const auto check = [&rng](std::uint64_t k1, std::uint64_t k2, std::uint64_t k3) {
+    const auto ks = des::triple_key_schedule(k1, k2, k3);
+    for (int i = 0; i < 40; ++i) {
+      const std::uint64_t block = rng.next_u64();
+      const std::uint64_t ede = des::encrypt_block_ref(
+          des::decrypt_block_ref(des::encrypt_block_ref(block, ks.k1), ks.k2), ks.k3);
+      const std::uint64_t ded = des::decrypt_block_ref(
+          des::encrypt_block_ref(des::decrypt_block_ref(block, ks.k3), ks.k2), ks.k1);
+      EXPECT_EQ(des::encrypt_block_3des(block, ks), ede);
+      EXPECT_EQ(des::decrypt_block_3des(block, ks), ded);
+    }
+  };
+  for (int i = 0; i < 25; ++i) check(rng.next_u64(), rng.next_u64(), rng.next_u64());
+  const std::uint64_t key = rng.next_u64();
+  check(key, key, key);
+  // k1 = k2 = k3 collapses to single DES.
+  const auto single = des::key_schedule(key);
+  const auto triple = des::triple_key_schedule(key, key, key);
+  for (int i = 0; i < 40; ++i) {
+    const std::uint64_t block = rng.next_u64();
+    EXPECT_EQ(des::encrypt_block_3des(block, triple), des::encrypt_block_ref(block, single));
+    EXPECT_EQ(des::decrypt_block_3des(block, triple), des::decrypt_block_ref(block, single));
   }
 }
 

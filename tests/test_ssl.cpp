@@ -2,6 +2,9 @@
 // cipher suites, tamper detection, and the transaction cost model.
 #include <gtest/gtest.h>
 
+#include "crypto/aes.h"
+#include "crypto/des.h"
+#include "crypto/hmac.h"
 #include "ssl/ssl.h"
 #include "ssl/workload.h"
 
@@ -97,6 +100,85 @@ INSTANTIATE_TEST_SUITE_P(Ciphers, SslCipherTest,
                            }
                            return "?";
                          });
+
+// --- record layer against the reference block functions --------------------
+
+// The CBC plaintext of one record as the record layer builds it: payload,
+// HMAC-SHA1 over (sequence, type 0x17, length, payload), then padding to the
+// block size with the pad length as every pad byte.
+std::vector<std::uint8_t> reference_record_plain(const std::vector<std::uint8_t>& mac_key,
+                                                 std::uint64_t seq,
+                                                 const std::vector<std::uint8_t>& payload,
+                                                 std::size_t block) {
+  std::vector<std::uint8_t> mac_in;
+  for (int i = 7; i >= 0; --i) mac_in.push_back(static_cast<std::uint8_t>(seq >> (8 * i)));
+  mac_in.push_back(0x17);
+  mac_in.push_back(static_cast<std::uint8_t>(payload.size() >> 8));
+  mac_in.push_back(static_cast<std::uint8_t>(payload.size()));
+  mac_in.insert(mac_in.end(), payload.begin(), payload.end());
+  std::vector<std::uint8_t> plain = payload;
+  const auto mac = hmac_sha1(mac_key, mac_in);
+  plain.insert(plain.end(), mac.begin(), mac.end());
+  const std::size_t pad = block - plain.size() % block;
+  plain.insert(plain.end(), pad, static_cast<std::uint8_t>(pad));
+  return plain;
+}
+
+// Seals many records on one channel and checks every one against CBC built
+// from the *_ref blocks, with the IV residue carried between records.  This
+// pins the per-channel key-schedule cache and the fast block bodies byte
+// for byte; the same channel then opens its own records.
+void expect_records_match_reference(Cipher cipher, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto profile = ssl::cipher_profile(cipher);
+  const auto key = rng.bytes(profile.key_len);
+  const auto mac_key = rng.bytes(20);
+  auto chain = rng.bytes(profile.iv_len);
+  ssl::SecureChannel channel(cipher, key, mac_key, chain);
+  const auto load = [](const std::uint8_t* p) { return des::load_be64(p); };
+  const des::TripleKeySchedule des3 =
+      cipher == Cipher::kTripleDesCbc
+          ? des::triple_key_schedule(load(key.data()), load(key.data() + 8),
+                                     load(key.data() + 16))
+          : des::TripleKeySchedule{};
+  const aes::KeySchedule aes_ks =
+      cipher == Cipher::kAes128Cbc ? aes::key_schedule(key) : aes::KeySchedule{};
+  std::vector<std::vector<std::uint8_t>> payloads, records;
+  for (std::uint64_t seq = 0; seq < 60; ++seq) {
+    const auto payload = rng.bytes(static_cast<std::size_t>(rng.below(701)));
+    const auto plain = reference_record_plain(mac_key, seq, payload, profile.iv_len);
+    std::vector<std::uint8_t> want(plain.size());
+    for (std::size_t i = 0; i < plain.size(); i += profile.iv_len) {
+      std::uint8_t x[16];
+      for (std::size_t b = 0; b < profile.iv_len; ++b) x[b] = plain[i + b] ^ chain[b];
+      if (cipher == Cipher::kTripleDesCbc) {
+        std::uint64_t c = des::encrypt_block_ref(load(x), des3.k1);
+        c = des::decrypt_block_ref(c, des3.k2);
+        c = des::encrypt_block_ref(c, des3.k3);
+        des::store_be64(c, want.data() + i);
+      } else {
+        aes::encrypt_block_ref(x, want.data() + i, aes_ks);
+      }
+      chain.assign(want.begin() + static_cast<std::ptrdiff_t>(i),
+                   want.begin() + static_cast<std::ptrdiff_t>(i + profile.iv_len));
+    }
+    const auto sealed = channel.seal(payload);
+    ASSERT_EQ(sealed, want) << ssl::to_string(cipher) << " record " << seq;
+    payloads.push_back(payload);
+    records.push_back(sealed);
+  }
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(channel.open(records[i]), payloads[i]) << "record " << i;
+  }
+}
+
+TEST(SslRecordOracle, TripleDesRecordsMatchReferenceCbc) {
+  expect_records_match_reference(Cipher::kTripleDesCbc, 441);
+}
+
+TEST(SslRecordOracle, AesRecordsMatchReferenceCbc) {
+  expect_records_match_reference(Cipher::kAes128Cbc, 442);
+}
 
 TEST(SslKdf, DeterministicAndLengthExact) {
   const std::vector<std::uint8_t> secret(48, 0x11), r1(32, 0x22), r2(32, 0x33);
