@@ -6,9 +6,11 @@
 #include "crypto/aes.h"
 #include "crypto/des.h"
 #include "crypto/hmac.h"
+#include "crypto/md5.h"
 #include "crypto/rsa.h"
 #include "crypto/sha1.h"
 #include "mp/modexp.h"
+#include "ssl/ssl.h"
 #include "support/random.h"
 
 namespace {
@@ -119,6 +121,48 @@ void BM_HmacSha1(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_HmacSha1);
+
+void BM_Md5(benchmark::State& state) {
+  Rng rng(11);
+  const auto data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Md5::hash(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Md5)->Arg(4096);
+
+// The record layer's MAC: one key object reused for every record, each MAC
+// over the 11-byte sequence/type/length header and the payload.
+void BM_HmacSha1Record(benchmark::State& state) {
+  Rng rng(12);
+  const HmacSha1 key(rng.bytes(20));
+  const auto header = rng.bytes(11);
+  const auto payload = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    Sha1 inner = key.start();
+    inner.update(header);
+    inner.update(payload);
+    benchmark::DoNotOptimize(key.finish(inner));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_HmacSha1Record)->Arg(256);
+
+// SSLv3 key expansion of one RC4 key block (2 x (20-byte MAC key +
+// 16-byte key) = 72 bytes) from a 48-byte master secret.
+void BM_SslKdf(benchmark::State& state) {
+  Rng rng(13);
+  const auto master = rng.bytes(48);
+  const auto r1 = rng.bytes(32);
+  const auto r2 = rng.bytes(32);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ssl::kdf_ssl3(master, r1, r2, 72));
+  }
+}
+BENCHMARK(BM_SslKdf);
 
 void BM_ModexpConfig(benchmark::State& state) {
   static const auto key = [] {

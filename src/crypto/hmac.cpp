@@ -1,36 +1,55 @@
 #include "crypto/hmac.h"
 
-#include "crypto/md5.h"
-#include "crypto/sha1.h"
+#include <algorithm>
 
 namespace wsp {
+
+template <typename Hash>
+HmacKey<Hash>::HmacKey(const std::vector<std::uint8_t>& key) {
+  // Keys longer than a block are hashed first; shorter ones are zero-padded.
+  std::uint8_t k[Hash::kBlockSize] = {};
+  if (key.size() > Hash::kBlockSize) {
+    const auto d = Hash::hash(key);
+    std::copy(d.begin(), d.end(), k);
+  } else {
+    std::copy(key.begin(), key.end(), k);
+  }
+  std::uint8_t pad[Hash::kBlockSize];
+  for (std::size_t i = 0; i < Hash::kBlockSize; ++i) {
+    pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+  }
+  inner_.update(pad, Hash::kBlockSize);
+  for (std::size_t i = 0; i < Hash::kBlockSize; ++i) {
+    pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+  }
+  outer_.update(pad, Hash::kBlockSize);
+}
+
+template <typename Hash>
+typename HmacKey<Hash>::Tag HmacKey<Hash>::finish(Hash& inner) const {
+  const auto inner_digest = inner.digest();
+  Hash outer = outer_;
+  outer.update(inner_digest.data(), inner_digest.size());
+  return outer.digest();
+}
+
+template <typename Hash>
+typename HmacKey<Hash>::Tag HmacKey<Hash>::mac(const std::uint8_t* data,
+                                               std::size_t n) const {
+  Hash inner = start();
+  inner.update(data, n);
+  return finish(inner);
+}
+
+template class HmacKey<Sha1>;
+template class HmacKey<Md5>;
 
 namespace {
 
 template <typename Hash>
 std::vector<std::uint8_t> hmac(const std::vector<std::uint8_t>& key,
                                const std::vector<std::uint8_t>& data) {
-  std::vector<std::uint8_t> k = key;
-  if (k.size() > Hash::kBlockSize) {
-    const auto d = Hash::hash(k);
-    k.assign(d.begin(), d.end());
-  }
-  k.resize(Hash::kBlockSize, 0);
-
-  std::vector<std::uint8_t> ipad(Hash::kBlockSize), opad(Hash::kBlockSize);
-  for (std::size_t i = 0; i < Hash::kBlockSize; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
-  }
-  Hash inner;
-  inner.update(ipad);
-  inner.update(data);
-  const auto inner_digest = inner.digest();
-
-  Hash outer;
-  outer.update(opad);
-  outer.update(inner_digest.data(), inner_digest.size());
-  const auto tag = outer.digest();
+  const auto tag = HmacKey<Hash>(key).mac(data.data(), data.size());
   return std::vector<std::uint8_t>(tag.begin(), tag.end());
 }
 

@@ -1,5 +1,9 @@
 #include "crypto/md5.h"
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
 namespace wsp {
 
 namespace {
@@ -24,6 +28,52 @@ constexpr int kShift[64] = {7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 
 
 std::uint32_t rotl(std::uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
 
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+// One step i of the compression, with the working variables renamed
+// instead of shifted: the caller rotates the argument order every step.
+// The round function, message word, constant and shift all follow from
+// the template argument, so an instantiation is straight-line code.
+template <int i>
+inline void step(std::uint32_t& a, std::uint32_t b, std::uint32_t c, std::uint32_t d,
+                 const std::uint32_t (&m)[16]) {
+  if constexpr (i < 16) {
+    a = b + rotl(a + (d ^ (b & (c ^ d))) + kK[i] + m[i], kShift[i]);
+  } else if constexpr (i < 32) {
+    a = b + rotl(a + (c ^ (d & (b ^ c))) + kK[i] + m[(5 * i + 1) % 16], kShift[i]);
+  } else if constexpr (i < 48) {
+    a = b + rotl(a + (b ^ c ^ d) + kK[i] + m[(3 * i + 5) % 16], kShift[i]);
+  } else {
+    a = b + rotl(a + (c ^ (b | ~d)) + kK[i] + m[(7 * i) % 16], kShift[i]);
+  }
+}
+
+// Four steps bring the renamed variables back to their starting roles.
+template <int i>
+inline void four_steps(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
+                       std::uint32_t& d, const std::uint32_t (&m)[16]) {
+  step<i>(a, b, c, d, m);
+  step<i + 1>(d, a, b, c, m);
+  step<i + 2>(c, d, a, b, m);
+  step<i + 3>(b, c, d, a, m);
+}
+
+void compress(std::uint32_t (&h)[4], const std::uint8_t* block) {
+  std::uint32_t m[16];
+  for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
+  std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+  [&]<int... g>(std::integer_sequence<int, g...>) {
+    (four_steps<4 * g>(a, b, c, d, m), ...);
+  }(std::make_integer_sequence<int, 16>{});
+  h[0] += a;
+  h[1] += b;
+  h[2] += c;
+  h[3] += d;
+}
+
 }  // namespace
 
 Md5::Md5() {
@@ -33,67 +83,37 @@ Md5::Md5() {
   h_[3] = 0x10325476;
 }
 
-void Md5::process_block(const std::uint8_t* block) {
-  std::uint32_t m[16];
-  for (int i = 0; i < 16; ++i) {
-    m[i] = static_cast<std::uint32_t>(block[4 * i]) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 8) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 3]) << 24);
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | ((~b) & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | ((~d) & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | (~d));
-      g = (7 * i) % 16;
-    }
-    const std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + rotl(a + f + kK[i] + m[g], kShift[i]);
-    a = tmp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-}
-
 void Md5::update(const std::uint8_t* data, std::size_t n) {
+  if (n == 0) return;
   total_ += n;
-  while (n > 0) {
+  if (buf_len_ > 0) {
     const std::size_t take = std::min(n, kBlockSize - buf_len_);
-    for (std::size_t i = 0; i < take; ++i) buf_[buf_len_ + i] = data[i];
+    std::memcpy(buf_ + buf_len_, data, take);
     buf_len_ += take;
     data += take;
     n -= take;
-    if (buf_len_ == kBlockSize) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
+    if (buf_len_ < kBlockSize) return;
+    compress(h_, buf_);
+    buf_len_ = 0;
   }
+  // Whole blocks are hashed straight from the caller's buffer.
+  for (; n >= kBlockSize; n -= kBlockSize, data += kBlockSize) compress(h_, data);
+  if (n > 0) std::memcpy(buf_, data, n);
+  buf_len_ = n;
 }
 
 std::array<std::uint8_t, Md5::kDigestSize> Md5::digest() {
   const std::uint64_t bit_len = total_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(&zero, 1);
-  std::uint8_t len_le[8];
-  for (int i = 0; i < 8; ++i) len_le[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  update(len_le, 8);
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > kBlockSize - 8) {
+    // No room for the length: pad this block out and start another.
+    std::memset(buf_ + buf_len_, 0, kBlockSize - buf_len_);
+    compress(h_, buf_);
+    buf_len_ = 0;
+  }
+  std::memset(buf_ + buf_len_, 0, kBlockSize - 8 - buf_len_);
+  for (int i = 0; i < 8; ++i) buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  compress(h_, buf_);
   std::array<std::uint8_t, kDigestSize> out{};
   for (int i = 0; i < 4; ++i) {
     out[static_cast<std::size_t>(4 * i)] = static_cast<std::uint8_t>(h_[i]);

@@ -21,8 +21,6 @@ class Md5 {
   static std::array<std::uint8_t, kDigestSize> hash(const std::vector<std::uint8_t>& data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::uint32_t h_[4];
   std::uint64_t total_ = 0;
   std::uint8_t buf_[kBlockSize];

@@ -23,8 +23,6 @@ class Sha1 {
   static std::array<std::uint8_t, kDigestSize> hash(const std::vector<std::uint8_t>& data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::uint32_t h_[5];
   std::uint64_t total_ = 0;
   std::uint8_t buf_[kBlockSize];

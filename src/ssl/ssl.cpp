@@ -1,5 +1,7 @@
 #include "ssl/ssl.h"
 
+#include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "support/trace.h"
@@ -86,15 +88,53 @@ struct SecureChannel::Impl {
     return *des3_ks_cache;
   }
 
-  std::vector<std::uint8_t> mac_input(std::uint64_t sequence,
-                                      const std::vector<std::uint8_t>& payload) {
-    std::vector<std::uint8_t> in;
-    for (int i = 7; i >= 0; --i) in.push_back(static_cast<std::uint8_t>(sequence >> (8 * i)));
-    in.push_back(0x17);  // application-data type
-    in.push_back(static_cast<std::uint8_t>(payload.size() >> 8));
-    in.push_back(static_cast<std::uint8_t>(payload.size()));
-    in.insert(in.end(), payload.begin(), payload.end());
-    return in;
+  // The MAC key state, built on first use like the key schedules above.
+  std::optional<HmacSha1> mac_cache;
+
+  const HmacSha1& cached_mac() {
+    if (!mac_cache) mac_cache.emplace(mac_key);
+    return *mac_cache;
+  }
+
+  // HMAC-SHA1 of one record: the 11-byte header (sequence number, type,
+  // payload length) and the payload, fed straight into a copy of the
+  // channel's keyed inner context.
+  HmacSha1::Tag record_mac(std::uint64_t sequence, const std::uint8_t* payload,
+                           std::size_t n) {
+    std::uint8_t header[11];
+    for (int i = 0; i < 8; ++i) header[i] = static_cast<std::uint8_t>(sequence >> (56 - 8 * i));
+    header[8] = 0x17;  // application-data type
+    header[9] = static_cast<std::uint8_t>(n >> 8);
+    header[10] = static_cast<std::uint8_t>(n);
+    const HmacSha1& key = cached_mac();
+    Sha1 inner = key.start();
+    inner.update(header, sizeof header);
+    inner.update(payload, n);
+    return key.finish(inner);
+  }
+
+  // Seal side: the payload with its MAC under the next outbound sequence
+  // number appended.
+  std::vector<std::uint8_t> append_mac(const std::vector<std::uint8_t>& payload) {
+    WSP_TRACE_SPAN("ssl.record", "seal/mac");
+    std::vector<std::uint8_t> plain = payload;
+    const auto mac = record_mac(seq_out++, payload.data(), payload.size());
+    plain.insert(plain.end(), mac.begin(), mac.end());
+    return plain;
+  }
+
+  // Open side: checks the trailing MAC under the next inbound sequence
+  // number (consumed even when the check fails) and strips it.
+  std::vector<std::uint8_t> verify_mac(std::vector<std::uint8_t> plain) {
+    if (plain.size() < Sha1::kDigestSize) throw std::runtime_error("ssl: short record");
+    WSP_TRACE_SPAN("ssl.record", "open/mac");
+    const std::size_t n = plain.size() - Sha1::kDigestSize;
+    const auto expect = record_mac(seq_in++, plain.data(), n);
+    if (!ct::equal(plain.data() + n, expect.data(), expect.size())) {
+      throw std::runtime_error("ssl: MAC verification failed");
+    }
+    plain.resize(n);
+    return plain;
   }
 
   std::vector<std::uint8_t> encrypt(const std::vector<std::uint8_t>& plain) {
@@ -170,6 +210,11 @@ SecureChannel::SecureChannel(Cipher cipher, std::vector<std::uint8_t> cipher_key
                              std::vector<std::uint8_t> mac_key,
                              std::vector<std::uint8_t> iv)
     : impl_(std::make_shared<Impl>()) {
+  // The record layer reads exactly the suite's key and IV lengths.
+  const CipherProfile profile = cipher_profile(cipher);
+  if (cipher_key.size() != profile.key_len || iv.size() != profile.iv_len) {
+    throw std::invalid_argument("ssl: key or IV size does not match the cipher suite");
+  }
   impl_->cipher = cipher;
   impl_->cipher_key = std::move(cipher_key);
   impl_->mac_key = std::move(mac_key);
@@ -179,14 +224,7 @@ SecureChannel::SecureChannel(Cipher cipher, std::vector<std::uint8_t> cipher_key
 
 std::vector<std::uint8_t> SecureChannel::seal(const std::vector<std::uint8_t>& payload) {
   WSP_TRACE_SPAN("ssl.record", "seal");
-  std::vector<std::uint8_t> plain = payload;
-  {
-    WSP_TRACE_SPAN("ssl.record", "seal/mac");
-    const auto mac =
-        hmac_sha1(impl_->mac_key, impl_->mac_input(impl_->seq_out, payload));
-    ++impl_->seq_out;
-    plain.insert(plain.end(), mac.begin(), mac.end());
-  }
+  const std::vector<std::uint8_t> plain = impl_->append_mac(payload);
   WSP_TRACE_SPAN("ssl.record", "seal/encrypt");
   return impl_->encrypt(plain);
 }
@@ -198,15 +236,7 @@ std::vector<std::uint8_t> SecureChannel::open(const std::vector<std::uint8_t>& r
     WSP_TRACE_SPAN("ssl.record", "open/decrypt");
     plain = impl_->decrypt(record);
   }
-  if (plain.size() < Sha1::kDigestSize) throw std::runtime_error("ssl: short record");
-  WSP_TRACE_SPAN("ssl.record", "open/mac");
-  const std::vector<std::uint8_t> payload(plain.begin(),
-                                          plain.end() - Sha1::kDigestSize);
-  const std::vector<std::uint8_t> mac(plain.end() - Sha1::kDigestSize, plain.end());
-  const auto expect = hmac_sha1(impl_->mac_key, impl_->mac_input(impl_->seq_in, payload));
-  ++impl_->seq_in;
-  if (!ct::equal(mac, expect)) throw std::runtime_error("ssl: MAC verification failed");
-  return payload;
+  return impl_->verify_mac(std::move(plain));
 }
 
 // ---------------------------------------------------------------------------
@@ -239,14 +269,7 @@ SecureChannel::Pending SecureChannel::seal_submit(
   st.impl = impl_;
   st.is_seal = true;
   // MAC and sequence consumption happen now, in scalar seal() order.
-  std::vector<std::uint8_t> plain = payload;
-  {
-    WSP_TRACE_SPAN("ssl.record", "seal/mac");
-    const auto mac =
-        hmac_sha1(impl_->mac_key, impl_->mac_input(impl_->seq_out, payload));
-    ++impl_->seq_out;
-    plain.insert(plain.end(), mac.begin(), mac.end());
-  }
+  std::vector<std::uint8_t> plain = impl_->append_mac(payload);
   switch (impl_->cipher) {
     case Cipher::kTripleDesCbc: {
       st.in = cbc_pad(std::move(plain), 8);
@@ -353,29 +376,25 @@ std::vector<std::uint8_t> SecureChannel::open_complete(Pending pending) {
   } else {
     plain = cbc_unpad(std::move(st.out));
   }
-  if (plain.size() < Sha1::kDigestSize) throw std::runtime_error("ssl: short record");
-  WSP_TRACE_SPAN("ssl.record", "open/mac");
-  const std::vector<std::uint8_t> payload(plain.begin(),
-                                          plain.end() - Sha1::kDigestSize);
-  const std::vector<std::uint8_t> mac(plain.end() - Sha1::kDigestSize, plain.end());
-  const auto expect = hmac_sha1(impl.mac_key, impl.mac_input(impl.seq_in, payload));
-  ++impl.seq_in;
-  if (!ct::equal(mac, expect)) throw std::runtime_error("ssl: MAC verification failed");
-  return payload;
+  return impl.verify_mac(std::move(plain));
 }
 
 std::vector<std::uint8_t> kdf_ssl3(const std::vector<std::uint8_t>& secret,
                                    const std::vector<std::uint8_t>& r1,
                                    const std::vector<std::uint8_t>& r2,
                                    std::size_t out_len) {
+  // Round r salts with r copies of the r-th letter, so 'Z' ends the scheme.
+  constexpr std::size_t kMaxRounds = 26;
+  if (out_len > kMaxRounds * Md5::kDigestSize) {
+    throw std::invalid_argument("ssl: kdf_ssl3 output longer than 26 MD5 blocks");
+  }
   std::vector<std::uint8_t> out;
-  int round = 0;
-  while (out.size() < out_len) {
-    ++round;
+  out.reserve(out_len + Md5::kDigestSize);
+  std::uint8_t salt[kMaxRounds];
+  for (std::size_t round = 1; out.size() < out_len; ++round) {
+    std::memset(salt, 'A' + static_cast<int>(round) - 1, round);
     Sha1 inner;
-    const std::vector<std::uint8_t> salt(static_cast<std::size_t>(round),
-                                         static_cast<std::uint8_t>('A' + round - 1));
-    inner.update(salt);
+    inner.update(salt, round);
     inner.update(secret);
     inner.update(r1);
     inner.update(r2);

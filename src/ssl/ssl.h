@@ -37,6 +37,8 @@ CipherProfile cipher_profile(Cipher cipher);
 /// Keys and state for one direction of a record-layer connection.
 class SecureChannel {
  public:
+  /// Throws std::invalid_argument unless `cipher_key` and `iv` have the
+  /// sizes cipher_profile(cipher) gives.
   SecureChannel(Cipher cipher, std::vector<std::uint8_t> cipher_key,
                 std::vector<std::uint8_t> mac_key, std::vector<std::uint8_t> iv);
 
@@ -120,6 +122,8 @@ Handshake perform_handshake(const rsa::PrivateKey& server_key, Cipher cipher,
 
 /// SSLv3-style pseudo-random expansion:
 /// block = MD5(secret || SHA1('A' || secret || r1 || r2)) || MD5(... 'BB' ...) || ...
+/// The salts run out at 'Z' (26 rounds), so `out_len` above 416 throws
+/// std::invalid_argument.
 std::vector<std::uint8_t> kdf_ssl3(const std::vector<std::uint8_t>& secret,
                                    const std::vector<std::uint8_t>& r1,
                                    const std::vector<std::uint8_t>& r2,

@@ -5,6 +5,9 @@
 #include "crypto/aes.h"
 #include "crypto/des.h"
 #include "crypto/hmac.h"
+#include "crypto/md5.h"
+#include "crypto/rc4.h"
+#include "crypto/sha1.h"
 #include "ssl/ssl.h"
 #include "ssl/workload.h"
 
@@ -103,13 +106,11 @@ INSTANTIATE_TEST_SUITE_P(Ciphers, SslCipherTest,
 
 // --- record layer against the reference block functions --------------------
 
-// The CBC plaintext of one record as the record layer builds it: payload,
-// HMAC-SHA1 over (sequence, type 0x17, length, payload), then padding to the
-// block size with the pad length as every pad byte.
-std::vector<std::uint8_t> reference_record_plain(const std::vector<std::uint8_t>& mac_key,
-                                                 std::uint64_t seq,
-                                                 const std::vector<std::uint8_t>& payload,
-                                                 std::size_t block) {
+// The plaintext of one record as the record layer builds it: payload, then
+// HMAC-SHA1 over (sequence, type 0x17, length, payload).
+std::vector<std::uint8_t> reference_mac_plain(const std::vector<std::uint8_t>& mac_key,
+                                              std::uint64_t seq,
+                                              const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> mac_in;
   for (int i = 7; i >= 0; --i) mac_in.push_back(static_cast<std::uint8_t>(seq >> (8 * i)));
   mac_in.push_back(0x17);
@@ -119,6 +120,16 @@ std::vector<std::uint8_t> reference_record_plain(const std::vector<std::uint8_t>
   std::vector<std::uint8_t> plain = payload;
   const auto mac = hmac_sha1(mac_key, mac_in);
   plain.insert(plain.end(), mac.begin(), mac.end());
+  return plain;
+}
+
+// The CBC plaintext: the MAC'd payload padded to the block size with the
+// pad length as every pad byte.
+std::vector<std::uint8_t> reference_record_plain(const std::vector<std::uint8_t>& mac_key,
+                                                 std::uint64_t seq,
+                                                 const std::vector<std::uint8_t>& payload,
+                                                 std::size_t block) {
+  std::vector<std::uint8_t> plain = reference_mac_plain(mac_key, seq, payload);
   const std::size_t pad = block - plain.size() % block;
   plain.insert(plain.end(), pad, static_cast<std::uint8_t>(pad));
   return plain;
@@ -178,6 +189,85 @@ TEST(SslRecordOracle, TripleDesRecordsMatchReferenceCbc) {
 
 TEST(SslRecordOracle, AesRecordsMatchReferenceCbc) {
   expect_records_match_reference(Cipher::kAes128Cbc, 442);
+}
+
+// RC4 records: payload || MAC XOR'd with one keystream that continues
+// across records.  This pins the per-channel MAC key state (its sequence
+// numbers and its reuse across records) against a fresh hmac_sha1 per
+// record; the same channel then opens its own records.
+TEST(SslRecordOracle, Rc4RecordsMatchReference) {
+  Rng rng(443);
+  const auto key = rng.bytes(ssl::cipher_profile(Cipher::kRc4).key_len);
+  const auto mac_key = rng.bytes(20);
+  ssl::SecureChannel channel(Cipher::kRc4, key, mac_key, {});
+  Rc4 keystream(key);
+  std::vector<std::vector<std::uint8_t>> payloads, records;
+  for (std::uint64_t seq = 0; seq < 60; ++seq) {
+    const auto payload = rng.bytes(static_cast<std::size_t>(rng.below(601)));
+    const auto want = keystream.process(reference_mac_plain(mac_key, seq, payload));
+    const auto sealed = channel.seal(payload);
+    ASSERT_EQ(sealed, want) << "record " << seq;
+    payloads.push_back(payload);
+    records.push_back(sealed);
+  }
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(channel.open(records[i]), payloads[i]) << "record " << i;
+  }
+}
+
+// Key material of the wrong size used to be accepted and then read past
+// its end on the first seal; the constructor now rejects it up front.
+TEST(SslChannelKeySizes, WrongKeyOrIvSizeRejected) {
+  Rng rng(444);
+  const auto mac_key = rng.bytes(20);
+  for (const Cipher cipher : {Cipher::kTripleDesCbc, Cipher::kAes128Cbc, Cipher::kRc4}) {
+    SCOPED_TRACE(ssl::to_string(cipher));
+    const auto profile = ssl::cipher_profile(cipher);
+    const auto key = rng.bytes(profile.key_len);
+    const auto iv = rng.bytes(profile.iv_len);
+    EXPECT_THROW(ssl::SecureChannel(cipher, rng.bytes(profile.key_len - 1), mac_key, iv),
+                 std::invalid_argument);
+    EXPECT_THROW(ssl::SecureChannel(cipher, rng.bytes(profile.key_len + 1), mac_key, iv),
+                 std::invalid_argument);
+    if (profile.iv_len > 0) {
+      EXPECT_THROW(ssl::SecureChannel(cipher, key, mac_key, rng.bytes(profile.iv_len - 1)),
+                   std::invalid_argument);
+    }
+    EXPECT_THROW(ssl::SecureChannel(cipher, key, mac_key, rng.bytes(profile.iv_len + 1)),
+                 std::invalid_argument);
+    ssl::SecureChannel channel(cipher, key, mac_key, iv);
+    const std::vector<std::uint8_t> payload = {1, 2, 3};
+    EXPECT_EQ(channel.open(channel.seal(payload)), payload);
+  }
+}
+
+// kdf_ssl3 against the SSLv3 formula written out one round at a time:
+// block r = MD5(secret || SHA1(salt_r || secret || r1 || r2)), salt_r being
+// r copies of the r-th capital letter.
+TEST(SslKdf, MatchesSsl3Formula) {
+  Rng rng(445);
+  const auto secret = rng.bytes(48), r1 = rng.bytes(32), r2 = rng.bytes(32);
+  std::vector<std::uint8_t> chain;
+  for (int round = 1; round <= 26; ++round) {
+    std::vector<std::uint8_t> inner(static_cast<std::size_t>(round),
+                                    static_cast<std::uint8_t>('A' + round - 1));
+    inner.insert(inner.end(), secret.begin(), secret.end());
+    inner.insert(inner.end(), r1.begin(), r1.end());
+    inner.insert(inner.end(), r2.begin(), r2.end());
+    const auto inner_digest = Sha1::hash(inner);
+    std::vector<std::uint8_t> outer = secret;
+    outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+    const auto block = Md5::hash(outer);
+    chain.insert(chain.end(), block.begin(), block.end());
+  }
+  ASSERT_EQ(chain.size(), 416u);
+  for (const std::size_t len : {1, 48, 72, 104, 416}) {
+    const std::vector<std::uint8_t> want(chain.begin(),
+                                         chain.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_EQ(ssl::kdf_ssl3(secret, r1, r2, len), want) << "length " << len;
+  }
+  // Round 27 would salt past 'Z': no longer SSLv3, so it is refused.
+  EXPECT_THROW(ssl::kdf_ssl3(secret, r1, r2, 417), std::invalid_argument);
 }
 
 TEST(SslKdf, DeterministicAndLengthExact) {

@@ -3,7 +3,9 @@
 #   1. ASan/UBSan over the tier-1 correctness core (now including the server
 #      lifecycle + fault/recovery tests), the observability tests, and the
 #      server determinism + overload/chaos-soak suites (bounded queue memory
-#      under over-admission, no session leaks under fault injection).
+#      under over-admission, no session leaks under fault injection).  The
+#      tree is built with -D_GLIBCXX_ASSERTIONS, so every std::vector/array
+#      index and iterator range in those runs is bounds-checked too.
 #   2. A short TSan pass over the record scheduler: the determinism and
 #      chaos tests drive the sharded session table, batched scheduler and
 #      fault-containment path from multiple worker threads, which is
@@ -30,7 +32,8 @@ BUILD_DIR="${1:-build-asan}"
 SRC_DIR="$(cd "$(dirname "$0")/../.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DWSP_SANITIZE=address,undefined
+cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DWSP_SANITIZE=address,undefined \
+      -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
