@@ -15,10 +15,7 @@
 //   --sessions N    arrivals per scenario (default 96)
 //   --shards N      table/scheduler/service shards (default 4)
 //   --queue-cap N   per-shard waiting room for the steady/closed runs
-//   --batch-lanes N batched data-plane lane width for the steady/overload/
-//                   closed/chaos/scale runs (1..8, default 1 = scalar; the
-//                   batch scenario sweeps 1/4/8 regardless)
-//   --scenario S    steady|overload|closed|chaos|crash|batch|scale|all
+//   --scenario S    steady|overload|closed|chaos|crash|scale|all
 //                   (default all)
 //   --scale-sessions N  arrivals for the scale scenario (default 100000)
 //   --scale-sweep   sweep the scale scenario 100k -> 1M (overrides
@@ -138,9 +135,6 @@ int main(int argc, char** argv) {
   const auto queue_cap = static_cast<std::size_t>(std::strtoull(
       bench::parse_string_flag(argc, argv, "--queue-cap", "64").c_str(),
       nullptr, 10));
-  const auto batch_lanes = static_cast<unsigned>(std::strtoul(
-      bench::parse_string_flag(argc, argv, "--batch-lanes", "1").c_str(),
-      nullptr, 10));
   const std::string which =
       bench::parse_string_flag(argc, argv, "--scenario", "all");
   const auto scale_sessions = static_cast<std::size_t>(std::strtoull(
@@ -233,7 +227,6 @@ int main(int argc, char** argv) {
   cfg.threads = threads;
   cfg.shards = shards;
   cfg.queue_capacity = queue_cap;
-  cfg.batch_lanes = batch_lanes;
 
   bench::BenchResult result;
   result.name = "server";
@@ -378,57 +371,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (which == "all" || which == "batch") {
-    // Batched data plane: the same CBC-heavy traffic at lanes 1, 4 and 8.
-    // The deterministic report is a hard gate — any divergence is a bug in
-    // the batching layer, not a tolerance matter — and the wall-time ratio
-    // is the host-side payoff the baseline tracks (batch/host_speedup_*).
-    const auto scenario = bench::batch_scenario(seed + 5, sessions);
-    const unsigned lane_pts[3] = {1, 4, 8};
-    server::RunReport reps[3];
-    for (int i = 0; i < 3; ++i) {
-      server::Engine engine(bench::batch_config(threads, lane_pts[i]));
-      reps[i] = engine.run(scenario);
-      // Best-of-2 wall: the first run also warms key caches and pages.
-      server::Engine again(bench::batch_config(threads, lane_pts[i]));
-      const auto rerun = again.run(scenario);
-      if (rerun.wall_ns < reps[i].wall_ns) reps[i] = rerun;
-      print_report(
-          ("batch (CBC mix, lanes " + std::to_string(lane_pts[i]) + ")")
-              .c_str(),
-          reps[i]);
-    }
-    for (int i = 1; i < 3; ++i) {
-      if (!bench::reports_deterministically_equal(reps[0], reps[i])) {
-        std::fprintf(stderr,
-                     "batch scenario: deterministic report diverged between "
-                     "lanes 1 and lanes %u\n",
-                     lane_pts[i]);
-        return 1;
-      }
-    }
-    bench::append_server_metrics(result, "batch/", reps[2]);
-    result.cycles["batch/lanes_mismatch"] = 0.0;
-    const double s4 = static_cast<double>(reps[0].wall_ns) /
-                      static_cast<double>(reps[1].wall_ns);
-    const double s8 = static_cast<double>(reps[0].wall_ns) /
-                      static_cast<double>(reps[2].wall_ns);
-    result.cycles["batch/host_speedup_4v1"] = s4;
-    result.cycles["batch/host_speedup_8v1"] = s8;
-    std::printf("\n  batch host speedup: lanes 4 %.2fx, lanes 8 %.2fx "
-                "(%llu batched records, %llu flushes at lanes 8)\n",
-                s4, s8,
-                static_cast<unsigned long long>(reps[2].batched_records),
-                static_cast<unsigned long long>(reps[2].batch_flushes));
-  }
-
   if (which == "all" || which == "scale") {
     // Million-session regime (docs/server.md): resumed sessions, RC4-only
     // short records, deep pinned-shard rings.  The headline "scale/" prefix
     // is always the --scale-sessions point so the regression gate compares
     // like with like; --scale-sweep adds labeled 100k/250k/1M points.
-    server::EngineConfig scfg = bench::scale_config(threads);
-    scfg.batch_lanes = batch_lanes;
+    const server::EngineConfig scfg = bench::scale_config(threads);
     std::vector<std::pair<std::string, std::size_t>> points;
     if (scale_sweep) {
       points = {{"scale_100k/", 100000},

@@ -80,38 +80,6 @@ inline server::TrafficScenario scale_scenario(std::uint64_t seed,
   return s;
 }
 
-/// Batched data-plane traffic (docs/server.md): resumed sessions so the
-/// wall time is the record ciphers rather than RSA, a CBC-only mix (the
-/// multi-buffer kernels' domain; RC4 stream state cannot cross lanes), and
-/// enough records per session that cohorts stay full.  The same scenario is
-/// run at batch_lanes 1/4/8 — the deterministic report must be identical,
-/// only the host wall time may move.
-inline server::TrafficScenario batch_scenario(std::uint64_t seed,
-                                              std::size_t sessions) {
-  server::TrafficScenario s;
-  s.seed = seed;
-  s.sessions = sessions;
-  s.model = server::ArrivalModel::kOpenLoop;
-  s.offered_load = 0.9;
-  s.resume_sessions = true;
-  s.ciphers = {ssl::Cipher::kTripleDesCbc, ssl::Cipher::kAes128Cbc};
-  s.transaction_sizes = {4096, 8192};
-  s.record_bytes = 512;
-  return s;
-}
-
-/// Engine shape for the batch run: pinned shards, roomy rings so admission
-/// is load-model-driven, and cohorts of a full record_batch of sessions.
-inline server::EngineConfig batch_config(unsigned threads, unsigned lanes) {
-  server::EngineConfig cfg;
-  cfg.threads = threads;
-  cfg.shards = 4;
-  cfg.queue_capacity = 256;
-  cfg.record_batch = 16;
-  cfg.batch_lanes = lanes;
-  return cfg;
-}
-
 /// Engine shape for the scale run: shard count pinned (determinism is per
 /// shard count), deep per-shard rings so arrivals stay on the lock-free
 /// path, and large record batches to amortize pump dispatch.
@@ -186,9 +154,9 @@ inline void append_server_metrics(BenchResult& r, const std::string& prefix,
 }
 
 /// True when two runs agree on every deterministic field the bench layer
-/// flattens, plus the per-shard replay event digests.  This is the batch
-/// scenario's hard gate: the same traffic at different batch_lanes (or
-/// --threads) must compare equal here, bit for bit.
+/// flattens, plus the per-shard replay event digests.  The same traffic at
+/// different --threads, or resumed from a checkpoint, must compare equal
+/// here, bit for bit.
 inline bool reports_deterministically_equal(const server::RunReport& a,
                                             const server::RunReport& b) {
   BenchResult ra, rb;

@@ -131,6 +131,15 @@ std::uint32_t feistel_sp(std::uint32_t r, std::uint64_t k48) {
   return out;
 }
 
+/// Applies an 8x256 byte-scatter permutation table.
+inline std::uint64_t scatter(const std::uint64_t (&tab)[8][256],
+                             std::uint64_t v) {
+  return tab[0][(v >> 56) & 0xff] | tab[1][(v >> 48) & 0xff] |
+         tab[2][(v >> 40) & 0xff] | tab[3][(v >> 32) & 0xff] |
+         tab[4][(v >> 24) & 0xff] | tab[5][(v >> 16) & 0xff] |
+         tab[6][(v >> 8) & 0xff] | tab[7][v & 0xff];
+}
+
 // 16 Feistel rounds, two per iteration so the halves never swap: on exit
 // (l, r) = (L16, R16).  Decryption runs the subkeys in reverse.
 void stage16(std::uint32_t& l, std::uint32_t& r, const KeySchedule& ks,

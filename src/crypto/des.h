@@ -8,10 +8,10 @@
 //    P-permutation (SP) lookup tables — the classic well-optimized software
 //    structure that the paper's baseline measurements represent.  3DES runs
 //    fused: one IP, 48 rounds, one FP.
-// The fast round structure (FastTables, scatter, feistel_fast) is the one
-// copy shared with the lane-interleaved des_mb kernels.  The SP tables and
-// key schedules are exported so the XR32 kernels (src/kernels/des_kernel.*)
-// can place them in simulator memory.
+// The fast round tables and Feistel function (FastTables, feistel_fast) are
+// exported so tests can check them against the bitwise oracle; the SP
+// tables and key schedules are exported so the XR32 kernels
+// (src/kernels/des_kernel.*) can place them in simulator memory.
 #pragma once
 
 #include <array>
@@ -79,9 +79,8 @@ std::uint64_t initial_permutation(std::uint64_t block);
 std::uint64_t final_permutation(std::uint64_t block);
 
 // --- Table-driven round structure ------------------------------------------
-// Shared by the scalar block functions above and the des_mb kernels, which
-// interleave it across lanes.  Every table is synthesized from the bitwise
-// FIPS-46 permutations and S-boxes, never transcribed.
+// Used by the fast block functions above.  Every table is synthesized from
+// the bitwise FIPS-46 permutations and S-boxes, never transcribed.
 
 struct FastTables {
   /// A bit permutation distributes over OR of disjoint-support inputs, so
@@ -92,15 +91,6 @@ struct FastTables {
   std::array<std::array<std::uint32_t, 64>, 8> sp;  ///< sp[i] is sp_table(i)
 };
 const FastTables& fast_tables();
-
-/// Applies an 8x256 byte-scatter permutation table.
-inline std::uint64_t scatter(const std::uint64_t (&tab)[8][256],
-                             std::uint64_t v) {
-  return tab[0][(v >> 56) & 0xff] | tab[1][(v >> 48) & 0xff] |
-         tab[2][(v >> 40) & 0xff] | tab[3][(v >> 32) & 0xff] |
-         tab[4][(v >> 24) & 0xff] | tab[5][(v >> 16) & 0xff] |
-         tab[6][(v >> 8) & 0xff] | tab[7][v & 0xff];
-}
 
 /// f_function without the E permute: with ro = rotr32(r, 1) the eight
 /// 6-bit E groups are consecutive windows of ro — group i (0..6) is

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <unordered_set>
 
 namespace wsp::server {
 
@@ -296,6 +297,67 @@ void validate_checkpoint(const EngineCheckpoint& cp) {
       reject("shard " + std::to_string(i) +
              " events digest does not match its entries — the checkpoint "
              "was altered after capture");
+    }
+  }
+}
+
+void check_checkpoint_fits(const EngineCheckpoint& cp,
+                           const TrafficScenario& scenario, unsigned shards) {
+  auto reject = [](const std::string& detail) {
+    throw ReplayError(ErrorKind::kMalformed, 0,
+                      "checkpoint does not fit this run: " + detail);
+  };
+  if (cp.shards.size() != shards) {
+    reject("checkpoint has " + std::to_string(cp.shards.size()) +
+           " shards, the run has " + std::to_string(shards));
+  }
+  const std::uint64_t total = scenario.total_sessions();
+  if (cp.offered > total) {
+    reject("checkpoint offered " + std::to_string(cp.offered) +
+           " arrivals, the scenario holds only " + std::to_string(total));
+  }
+
+  // The generator cursor: TrafficGenerator::next indexes scenario.phases
+  // with it, so it must be a state the scenario's own draws can reach.
+  const TrafficGeneratorState& g = cp.generator;
+  if (g.next_id > total) reject("generator cursor past the scenario end");
+  if (scenario.phased()) {
+    if (g.phase_idx >= scenario.phases.size()) {
+      reject("generator phase index " + std::to_string(g.phase_idx) +
+             " out of range");
+    }
+    const auto idx = static_cast<std::size_t>(g.phase_idx);
+    if (g.phase_done > scenario.phases[idx].sessions) {
+      reject("generator has drawn " + std::to_string(g.phase_done) +
+             " arrivals of phase " + std::to_string(idx) + ", which holds " +
+             std::to_string(scenario.phases[idx].sessions));
+    }
+    std::uint64_t before = 0;
+    for (std::size_t i = 0; i < idx; ++i) before += scenario.phases[i].sessions;
+    if (g.next_id != before + g.phase_done) {
+      reject("generator id cursor " + std::to_string(g.next_id) +
+             " disagrees with its phase cursor (" + std::to_string(before) +
+             " + " + std::to_string(g.phase_done) + ")");
+    }
+  } else if (g.phase_idx != 0) {
+    reject("generator phase index nonzero for a flat scenario");
+  }
+
+  std::unordered_set<std::uint64_t> parked_ids;
+  for (const CheckpointEntry& e : cp.entries) {
+    if (e.event.shard != e.event.id % shards) {
+      reject("entry for session " + std::to_string(e.event.id) +
+             " names shard " + std::to_string(e.event.shard) +
+             ", routing places it on " + std::to_string(e.event.id % shards));
+    }
+    if (!e.parked) continue;
+    const std::uint64_t phase = e.parked_info.phase;
+    if (scenario.phased() ? phase >= scenario.phases.size() : phase != 0) {
+      reject("parked session " + std::to_string(e.event.id) + " names phase " +
+             std::to_string(phase) + ", which the scenario does not have");
+    }
+    if (!parked_ids.insert(e.event.id).second) {
+      reject("duplicate parked session id " + std::to_string(e.event.id));
     }
   }
 }

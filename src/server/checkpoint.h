@@ -2,15 +2,11 @@
 // barrier, and its wsp-replay-v1 chunk codec (docs/recovery.md).
 //
 // A checkpoint is taken by Engine::run between two arrivals, after the
-// RecordScheduler has quiesced: every pushed work item has executed, so the
-// only live sessions are parked cohort members (batch_lanes > 1) that were
-// staged but not yet flushed — all still kPending, never touched by a
-// worker.  That makes the captured state exact and thread-invariant:
+// RecordScheduler has quiesced: every pushed work item has executed and
+// every admitted session has finalized, so the session table is empty and
+// the captured state is exact and thread-invariant:
 //
-//   * every finalized session's outcome (a SessionEvent) in arrival order;
-//   * every parked session as its admission config (phase, cipher, size,
-//     seed, resume flag) plus its slab handle — a kPending session is a
-//     pure function of its config, so no key material is serialized;
+//   * every admitted session's outcome (a SessionEvent) in arrival order;
 //   * the virtual queueing model (per-shard busy_until + pending
 //     completions, counters, latencies, degrade state);
 //   * the traffic generator's full state, snapshotted BEFORE the draw of
@@ -19,9 +15,16 @@
 //     cross-check the resume path recomputes and compares, so a trace
 //     corrupted in a CRC-preserving way still fails loudly.
 //
+// Traces of earlier builds, whose batched record plane staged sessions in
+// cohorts, may also hold PARKED entries: a session admitted but not yet
+// run, stored as its admission config (phase, cipher, size, seed, resume
+// flag) plus its slab handle.  A kPending session is a pure function of
+// its config, so no key material is serialized.  Such entries still
+// decode, validate and resume: the restore path runs them on the pump.
+//
 // Restoring a checkpoint into Engine::run(scenario, checkpoint) and letting
 // the run finish produces a RunReport bit-identical to the uninterrupted
-// run on every deterministic field, for any --threads × batch_lanes pair.
+// run on every deterministic field, for any --threads value.
 //
 // Wire format: one kCheckpoint chunk per barrier, appended to the trace
 // after the input chunks (server/record.h).  Legacy readers skip unknown
@@ -53,7 +56,8 @@ struct CheckpointShard {
   bool operator==(const CheckpointShard&) const = default;
 };
 
-/// A parked (staged-but-unflushed) cohort member: everything needed to
+/// A parked session (written only by earlier builds: a staged-but-unflushed
+/// cohort member of the deleted batched plane): everything needed to
 /// re-admit it on resume.  The fault schedule and handshake budget are NOT
 /// stored — both are re-derived from (scenario seed, id, phase) exactly as
 /// at original admission.
@@ -126,5 +130,18 @@ EngineCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& payload);
 /// replay::ReplayError(kMalformed) on any violation — this is what stands
 /// between a CRC-valid-but-corrupt checkpoint and the engine.
 void validate_checkpoint(const EngineCheckpoint& cp);
+
+/// The checkpoint-vs-run fit rules: the shard count matches `shards`, no
+/// more arrivals were offered than the scenario holds, every entry sits on
+/// the shard its id routes to, parked entries name an existing phase and
+/// distinct ids, and the generator cursor is one the scenario can reach
+/// (for a program: phase_idx in range, phase_done within that phase, and
+/// next_id equal to the sessions of the earlier phases plus phase_done).
+/// Throws replay::ReplayError(kMalformed) on the first misfit.  Both
+/// resume paths call it before any session is pushed: resume_run lets the
+/// typed error through, Engine::run(scenario, checkpoint) rethrows it as
+/// std::logic_error.
+void check_checkpoint_fits(const EngineCheckpoint& cp,
+                           const TrafficScenario& scenario, unsigned shards);
 
 }  // namespace wsp::server

@@ -1,17 +1,13 @@
 #include "server/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <deque>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "crypto/batch.h"
 #include "server/checkpoint.h"
 #include "server/session_table.h"
 #include "support/trace.h"
@@ -152,10 +148,6 @@ Engine::Engine(const EngineConfig& config) : config_(config) {
   if (config_.rsa_bits < 512) {
     throw std::invalid_argument(
         "server: EngineConfig.rsa_bits must be >= 512");
-  }
-  if (config_.batch_lanes < 1 || config_.batch_lanes > crypto::kMaxBatchLanes) {
-    throw std::invalid_argument(
-        "server: EngineConfig.batch_lanes must be in [1, 8]");
   }
   config_.faults.validate();
   if (!std::isfinite(config_.checkpoint_every) ||
@@ -314,11 +306,11 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
   std::vector<double> latencies;
   bool degraded = false;
 
-  // Shared by the scalar closure and the batched cohorts: the handshake
-  // retry ladder (returns true when the session aborted instead of
-  // establishing) and the slot/table finalization every session gets
-  // exactly once.  Both are called from worker threads; `table` is sharded
-  // and a shard's sessions are pumped FIFO on one worker (scheduler.h).
+  // Used by the pump task below: the handshake retry ladder (returns true
+  // when the session aborted instead of establishing) and the slot/table
+  // finalization every session gets exactly once.  Both are called from
+  // worker threads; `table` is sharded and a shard's sessions are pumped
+  // FIFO on one worker (scheduler.h).
   // `resume` and `hs_budget` are per session now: a program phase sets its
   // own resume fraction and may override the fault budgets.
   auto establish = [server_key](Session* session, bool resume,
@@ -362,124 +354,9 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     table.erase(handle);
   };
 
-  // Batched data plane (batch_lanes > 1): sessions are collected into
-  // per-shard cohorts and drained three-phase — every member stages one
-  // record's seal, one dispatcher flush runs the cipher passes
-  // lane-interleaved, then the opens, then verification — so the kernels
-  // see `batch_lanes` records from distinct sessions side by side.  All
-  // per-session state advances in the same order pump() uses, so the
-  // deterministic report is bit-identical to the scalar plane.
-  struct CohortMember {
-    Slot* slot;
-    Session* session;
-    SessionHandle handle;
-    bool resume;          ///< this session's establishment path
-    unsigned hs_budget;   ///< its phase's handshake retry budget
-    std::uint32_t phase;  ///< scenario phase it arrived in (checkpointing:
-                          ///< restore re-derives its schedule from this)
-  };
-  const unsigned lanes = config_.batch_lanes;
-  const std::size_t cohort_cap =
-      std::max<std::size_t>(lanes, config_.record_batch);
-  std::vector<std::vector<CohortMember>> cohort_staging(lanes > 1 ? shards : 0);
-  std::atomic<std::uint64_t> batched_records{0};
-  std::atomic<std::uint64_t> batch_flushes{0};
-  auto run_cohort = [&establish, &finalize, lanes, &batched_records,
-                     &batch_flushes](std::vector<CohortMember>& members) {
-    crypto::BatchDispatcher dispatcher(lanes);
-    struct Active {
-      CohortMember m;
-      Session::Staged st;
-      bool finished = false;  ///< transaction complete, teardown pending
-      bool dead = false;      ///< aborted mid-stream
-    };
-    std::vector<Active> live;
-    live.reserve(members.size());
-    for (CohortMember& m : members) {
-      bool aborted;
-      try {
-        aborted = establish(m.session, m.resume, m.hs_budget);
-      } catch (...) {
-        m.session->abort();
-        aborted = true;
-      }
-      if (aborted) {
-        finalize(m.session, m.handle, m.slot, /*aborted=*/true);
-      } else {
-        live.push_back(Active{m, Session::Staged{}, false, false});
-      }
-    }
-    try {
-      while (!live.empty()) {
-        // Phase 1: stage every member's next seal, then run the encrypt
-        // passes in one batched flush.
-        for (Active& a : live) {
-          try {
-            if (!a.m.session->stage_seal(a.st, dispatcher)) a.finished = true;
-          } catch (...) {
-            a.m.session->abort();
-            a.dead = true;
-          }
-        }
-        dispatcher.flush();
-        // Phase 2: complete seals, tamper/account, stage the opens.
-        for (Active& a : live) {
-          if (a.finished || a.dead) continue;
-          try {
-            a.m.session->stage_open(a.st, dispatcher);
-          } catch (...) {
-            a.m.session->abort();
-            a.dead = true;
-          }
-        }
-        dispatcher.flush();
-        // Phase 3: verify; failures run the scalar repair ladder, which
-        // throws SessionError(kAborted) when exhausted — same as pump().
-        for (Active& a : live) {
-          if (a.finished || a.dead) continue;
-          try {
-            a.m.session->finish_staged(a.st);
-          } catch (...) {
-            a.m.session->abort();
-            a.dead = true;
-          }
-        }
-        // Retire finished and dead members; the rest stage another record.
-        std::size_t w = 0;
-        for (Active& a : live) {
-          if (a.finished) {
-            try {
-              a.m.session->teardown();
-              a.m.slot->completed = true;
-              finalize(a.m.session, a.m.handle, a.m.slot, /*aborted=*/false);
-            } catch (...) {
-              a.m.session->abort();
-              finalize(a.m.session, a.m.handle, a.m.slot, /*aborted=*/true);
-            }
-          } else if (a.dead) {
-            finalize(a.m.session, a.m.handle, a.m.slot, /*aborted=*/true);
-          } else {
-            live[w++] = std::move(a);
-          }
-        }
-        live.resize(w);
-      }
-    } catch (...) {
-      // A dispatcher-level failure (never expected for well-formed jobs):
-      // preserve the leak invariant — every admitted session finalizes.
-      for (Active& a : live) {
-        a.m.session->abort();
-        finalize(a.m.session, a.m.handle, a.m.slot, /*aborted=*/true);
-      }
-    }
-    batched_records.fetch_add(dispatcher.jobs_submitted(),
-                              std::memory_order_relaxed);
-    batch_flushes.fetch_add(dispatcher.flushes(), std::memory_order_relaxed);
-  };
-
-  // The scalar data plane as one reusable push — the classic per-session
-  // pump task.  Shared by the admission loop and the checkpoint-restore
-  // path so a re-admitted parked session runs byte-identical code.
+  // The data plane as one reusable push — the per-session pump task.
+  // Shared by the admission loop and the checkpoint-restore path so a
+  // re-admitted parked session runs byte-identical code.
   auto push_scalar = [&sched, &establish, &finalize](
                          unsigned shard, Slot* slot, Session* session,
                          SessionHandle handle, bool resume, unsigned hs_budget,
@@ -532,37 +409,13 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
   auto quiesce_checkpoint = [&](double cp_time) {
     WSP_TRACE_SPAN("server", "checkpoint");
     // Quiesce: every pushed work item has executed (proven by the
-    // scheduler, not assumed).  The only live sessions left are
-    // staged-but-unflushed cohort members, all still kPending — the walk
-    // below verifies exactly that before anything is serialized.
+    // scheduler, not assumed), and every executed session finalized and
+    // left the table — so the table must be empty.
     sched.quiesce();
-    std::unordered_map<const Slot*, const CohortMember*> parked;
-    for (const auto& staged : cohort_staging) {
-      for (const CohortMember& m : staged) parked.emplace(m.slot, &m);
-    }
-    std::size_t live = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-      table.for_each_live(s, [&](SessionHandle, Session& session) {
-        ++live;
-        if (session.state() != SessionState::kPending) {
-          throw std::logic_error(
-              "server: quiesce barrier found a live session past kPending — "
-              "the data plane did not quiesce");
-        }
-      });
-    }
-    if (live != parked.size()) {
+    if (table.size() != 0) {
       throw std::logic_error(
-          "server: quiesce barrier live-session count disagrees with the "
-          "staged cohorts");
-    }
-    for (const auto& [slot_ptr, m] : parked) {
-      (void)slot_ptr;
-      if (table.get(m->handle) != m->session) {
-        throw std::logic_error(
-            "server: staged cohort member's handle went stale before the "
-            "barrier");
-      }
+          "server: quiesce barrier found live sessions — the data plane did "
+          "not quiesce");
     }
 
     EngineCheckpoint cp;
@@ -592,28 +445,15 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       CheckpointEntry e;
       e.event.id = slot.id;
       e.event.shard = slot.shard;
-      const auto it = parked.find(&slot);
-      if (it != parked.end()) {
-        const CohortMember& m = *it->second;
-        const SessionConfig& mc = m.session->config();
-        e.parked = true;
-        e.parked_info.phase = m.phase;
-        e.parked_info.cipher = mc.cipher;
-        e.parked_info.transaction_bytes = mc.transaction_bytes;
-        e.parked_info.session_seed = mc.seed;
-        e.parked_info.resume = m.resume;
-        e.parked_info.handle = m.handle.ref;
-      } else {
-        e.event.wire_bytes = slot.wire_bytes;
-        e.event.records = slot.records;
-        e.event.retries = slot.retries;
-        e.event.repairs = slot.repairs;
-        e.event.faults = slot.faults;
-        e.event.completed = slot.completed;
-        CheckpointShard& csh = cp.shards[slot.shard];
-        csh.events_digest =
-            (csh.events_digest ^ e.event.digest()) * 1099511628211ULL + 1;
-      }
+      e.event.wire_bytes = slot.wire_bytes;
+      e.event.records = slot.records;
+      e.event.retries = slot.retries;
+      e.event.repairs = slot.repairs;
+      e.event.faults = slot.faults;
+      e.event.completed = slot.completed;
+      CheckpointShard& csh = cp.shards[slot.shard];
+      csh.events_digest =
+          (csh.events_digest ^ e.event.digest()) * 1099511628211ULL + 1;
       cp.entries.push_back(std::move(e));
     }
     cp.generator = pre_draw;
@@ -622,20 +462,19 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
 
   // Checkpoint restore: re-arm the virtual queueing model, counters and
   // latency ledger; refill the slot ledger in arrival order (finalized
-  // outcomes verbatim, parked sessions re-admitted through the normal
-  // staging/pump machinery); rewind the generator to the pre-draw state.
-  // Structural mismatches throw std::logic_error — the typed-error
-  // validation of untrusted traces lives in server/record.h's resume path,
-  // which runs before this is reached.
+  // outcomes verbatim; parked sessions, which only traces of earlier builds
+  // carry, re-admitted through the pump task); rewind the generator to the
+  // pre-draw state.  Every fit rule is checked before the first session is
+  // pushed — a throw from the loop below would unwind while workers still
+  // pump sessions that live in this frame — and a misfit throws
+  // std::logic_error.  The typed-error validation of untrusted traces lives
+  // in server/record.h's resume path, which runs the same rules first.
   if (restore != nullptr) {
     const EngineCheckpoint& cp = *restore;
-    auto bad = [](const std::string& what) {
-      throw std::logic_error("server: checkpoint does not fit this run: " +
-                             what);
-    };
-    if (cp.shards.size() != shards) bad("shard count mismatch");
-    if (cp.offered > scenario.total_sessions()) {
-      bad("offered count exceeds the scenario's total sessions");
+    try {
+      check_checkpoint_fits(cp, scenario, shards);
+    } catch (const replay::ReplayError& e) {
+      throw std::logic_error(std::string("server: ") + e.what());
     }
     rep.offered = cp.offered;
     rep.shed = cp.shed;
@@ -658,24 +497,6 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       rep.dropped += csh.dropped;
     }
     latencies = cp.latencies;
-    // Check every entry before the first parked session is pushed: a throw
-    // from the loop below would unwind while workers still pump sessions
-    // that live in this frame.  A repeated parked id would make
-    // SessionTable::insert throw there, so it is rejected here too.
-    std::unordered_set<std::uint64_t> parked_ids;
-    for (const CheckpointEntry& e : cp.entries) {
-      if (e.event.shard != static_cast<std::uint32_t>(e.event.id % shards)) {
-        bad("entry shard disagrees with its session id");
-      }
-      if (!e.parked) continue;
-      if (phased && e.parked_info.phase >= scenario.phases.size()) {
-        bad("parked phase out of range");
-      }
-      if (!phased && e.parked_info.phase != 0) {
-        bad("parked phase on a flat scenario");
-      }
-      if (!parked_ids.insert(e.event.id).second) bad("duplicate parked session id");
-    }
     for (const CheckpointEntry& e : cp.entries) {
       slots.push_back(
           Slot{e.event.id, e.event.shard, 0, 0, 0, 0, 0, false, false});
@@ -701,23 +522,13 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       cfg.faults =
           (phased ? phase_plans[p.phase] : plan).schedule_for(e.event.id);
       const SessionTable::Inserted ins = table.insert(cfg);
-      if (lanes > 1) {
-        // Parked members rejoin the staging area; the continued arrival
-        // stream tops the cohorts up and flushes them exactly like the
-        // original admission path (or the post-loop partial flush does).
-        cohort_staging[e.event.shard].push_back(
-            CohortMember{slot, ins.session, ins.handle, p.resume,
-                         pfc.handshake_retry_budget, p.phase});
-      } else {
-        // Resuming a lanes>1 checkpoint on the scalar plane: the parked
-        // session runs the classic pump.  The batch quantum is a host-side
-        // knob, so deciding it from the restored degrade flag is safe.
-        const std::size_t batch =
-            degraded ? std::max<std::size_t>(1, config_.record_batch / 2)
-                     : config_.record_batch;
-        push_scalar(e.event.shard, slot, ins.session, ins.handle, p.resume,
-                    pfc.handshake_retry_budget, batch);
-      }
+      // The record batch is a host-side quantum, so deciding it from the
+      // restored degrade flag is safe.
+      const std::size_t batch =
+          degraded ? std::max<std::size_t>(1, config_.record_batch / 2)
+                   : config_.record_batch;
+      push_scalar(e.event.shard, slot, ins.session, ins.handle, p.resume,
+                  pfc.handshake_retry_budget, batch);
     }
     gen.restore(cp.generator);
     checkpoint_seq = cp.seq + 1;
@@ -834,21 +645,6 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     WSP_TRACE_COUNTER("server", "live_sessions",
                       static_cast<double>(table.size()));
 
-    if (lanes > 1) {
-      // Batched plane: collect into the shard's cohort; a full cohort
-      // becomes one scheduler task draining all its members three-phase.
-      cohort_staging[shard].push_back(
-          CohortMember{slot, session, handle, resume,
-                       fc.handshake_retry_budget, arrival->phase});
-      if (cohort_staging[shard].size() >= cohort_cap) {
-        auto members = std::make_shared<std::vector<CohortMember>>(
-            std::move(cohort_staging[shard]));
-        cohort_staging[shard].clear();
-        sched.push(shard, [members, &run_cohort] { run_cohort(*members); });
-      }
-      continue;
-    }
-
     // Sessions admitted while degraded run at half the record batch: finer
     // quanta interleave shard work and cap how long one session can hold
     // the pump.  Decided here, on the virtual timeline, so it is
@@ -858,14 +654,6 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
                  : config_.record_batch;
     push_scalar(shard, slot, session, handle, resume,
                 fc.handshake_retry_budget, batch);
-  }
-
-  // Flush the partial cohorts the arrival stream left behind.
-  for (unsigned s = 0; s < static_cast<unsigned>(cohort_staging.size()); ++s) {
-    if (cohort_staging[s].empty()) continue;
-    auto members = std::make_shared<std::vector<CohortMember>>(
-        std::move(cohort_staging[s]));
-    sched.push(s, [members, &run_cohort] { run_cohort(*members); });
   }
 
   sched.drain();
@@ -940,9 +728,6 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     rep.equivalent_speedup =
         rep.platform_cycles_base / rep.platform_cycles_optimized;
   }
-  rep.batched_records = batched_records.load(std::memory_order_relaxed);
-  rep.batch_flushes = batch_flushes.load(std::memory_order_relaxed);
-  rep.batch_lanes = config_.batch_lanes;
   rep.wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count());

@@ -190,11 +190,6 @@ std::vector<std::uint8_t> encode_config(const EngineConfig& cfg) {
   put_varint(p, cfg.pricing == Pricing::kBase ? 0 : 1);
   put_varint(p, cfg.degrade_depth);
   put_fault_config(p, cfg.faults);
-  // Appended after v1's last field; decoders treat absence as 1 (scalar
-  // plane), so pre-existing records stay readable.  Recorded so a replay
-  // re-executes on the plane the original run used — the report must match
-  // either way, but faithful re-execution is the point of the record.
-  put_varint(p, cfg.batch_lanes);
   return p;
 }
 
@@ -208,7 +203,10 @@ EngineConfig decode_config(const std::vector<std::uint8_t>& payload) {
   cfg.pricing = c.varint() == 0 ? Pricing::kBase : Pricing::kOptimized;
   cfg.degrade_depth = static_cast<std::size_t>(c.varint());
   cfg.faults = get_fault_config(c);
-  if (!c.done()) cfg.batch_lanes = static_cast<unsigned>(c.varint());
+  // Traces of earlier builds append the lane width of the deleted batched
+  // record plane (batch_lanes); it never changed a report, so it is read
+  // and ignored.
+  if (!c.done()) (void)c.varint();
   return cfg;
 }
 
@@ -854,49 +852,9 @@ ReplayResult resume_run(const ResumeScan& scan, unsigned threads_override) {
   } else {
     const EngineCheckpoint& cp = scan.checkpoints.back();
     // Everything the engine's restore path treats as a programming error
-    // (logic_error) is pre-checked here as typed kMalformed: a CRC-valid
+    // (logic_error) is checked here first as typed kMalformed: a CRC-valid
     // checkpoint that lies about the run it belongs to is an input problem.
-    const auto reject = [](const std::string& detail) {
-      throw ReplayError(ErrorKind::kMalformed, 0, "resume: " + detail);
-    };
-    const unsigned shards = engine.config().shards;
-    if (cp.shards.size() != shards) {
-      reject("checkpoint has " + std::to_string(cp.shards.size()) +
-             " shards, the recorded config resolves to " +
-             std::to_string(shards));
-    }
-    const std::uint64_t total = scenario.total_sessions();
-    if (cp.offered > total) {
-      reject("checkpoint offered " + std::to_string(cp.offered) +
-             " arrivals, the scenario holds only " + std::to_string(total));
-    }
-    if (cp.generator.next_id > total) {
-      reject("generator cursor past the scenario end");
-    }
-    if (scenario.phased()) {
-      const std::uint64_t nphases = scenario.phases.size();
-      if (cp.generator.phase_idx > nphases ||
-          (cp.generator.next_id < total && cp.generator.phase_idx >= nphases)) {
-        reject("generator phase index out of range");
-      }
-    } else if (cp.generator.phase_idx != 0) {
-      reject("generator phase index nonzero for a flat scenario");
-    }
-    for (const CheckpointEntry& e : cp.entries) {
-      if (e.event.shard != e.event.id % shards) {
-        reject("entry for session " + std::to_string(e.event.id) +
-               " names shard " + std::to_string(e.event.shard) +
-               ", routing places it on " + std::to_string(e.event.id % shards));
-      }
-      if (e.parked) {
-        const std::uint64_t phase = e.parked_info.phase;
-        if (scenario.phased() ? phase >= scenario.phases.size() : phase != 0) {
-          reject("parked session " + std::to_string(e.event.id) +
-                 " names phase " + std::to_string(phase) +
-                 ", which the scenario does not have");
-        }
-      }
-    }
+    check_checkpoint_fits(cp, scenario, engine.config().shards);
     result.report = engine.run(scenario, cp);
   }
   if (scan.complete) {

@@ -189,56 +189,6 @@ std::size_t Session::repair_transfer(const std::vector<std::uint8_t>& payload,
   }
 }
 
-bool Session::stage_seal(Staged& st, crypto::BatchDispatcher& dispatcher) {
-  require(SessionState::kEstablished, "pump");
-  if (finished()) {
-    st.active = false;
-    return false;
-  }
-  st.payload_len =
-      std::min(cfg_.record_bytes, cfg_.transaction_bytes - bytes_sent_);
-  st.payload = rng_.bytes(st.payload_len);
-  st.record = records_;
-  st.poisoned = cfg_.faults.poisons(st.record);
-  st.flips_left = st.poisoned ? 0 : cfg_.faults.flip_attempts(st.record);
-  st.attempt = 0;
-  st.failures = 0;
-  st.moved = 0;
-  st.active = true;
-  st.seal = keys_->client_write.seal_submit(st.payload, dispatcher);
-  return true;
-}
-
-void Session::stage_open(Staged& st, crypto::BatchDispatcher& dispatcher) {
-  st.wire = keys_->client_write.seal_complete(std::move(st.seal));
-  st.attempt =
-      tamper_wire(st.wire, st.record, st.poisoned, st.flips_left, st.attempt);
-  wire_bytes_ += st.wire.size();
-  st.moved += st.wire.size();
-  st.open = keys_->client_write.open_submit(st.wire, dispatcher);
-}
-
-std::size_t Session::finish_staged(Staged& st) {
-  bool delivered = false;
-  try {
-    delivered = keys_->client_write.open_complete(std::move(st.open)) ==
-                st.payload;
-  } catch (const std::runtime_error&) {
-    delivered = false;  // MAC / padding / framing rejection
-  }
-  std::size_t moved = st.moved;
-  if (!delivered) {
-    // Same ladder, same counters, same Rng draws as the pump() path — the
-    // only difference is that attempt 0 ran through the batched kernels.
-    moved += repair_transfer(st.payload, st.record, st.poisoned, st.flips_left,
-                             st.attempt, /*failures=*/1);
-  }
-  bytes_sent_ += st.payload_len;
-  ++records_;
-  st.active = false;
-  return moved;
-}
-
 std::pair<ssl::SecureChannel, ssl::SecureChannel> Session::derive_channel_pair(
     const std::vector<std::uint8_t>& master) {
   // SSLv3-style derivation: fresh nonces, caller-supplied master secret.

@@ -111,23 +111,6 @@ class Slab {
     free_head_ = kNone;
   }
 
-  /// Visits every live object in slot order as fn(SlabRef, T&).  The walk is
-  /// deterministic for a deterministic insert/erase history, which is what
-  /// lets the engine's quiesce barrier enumerate parked sessions straight
-  /// from the arena (docs/recovery.md).  Callers must not insert or erase
-  /// during the walk.
-  template <typename F>
-  void for_each(F&& fn) {
-    for (std::size_t i = 0; i < size_; ++i) {
-      const std::uint32_t slot = static_cast<std::uint32_t>(i);
-      Slot& s = slot_at(slot);
-      if (s.gen & 1u) {
-        fn(SlabRef{slot, s.gen},
-           *std::launder(reinterpret_cast<T*>(s.storage)));
-      }
-    }
-  }
-
   std::size_t live() const { return live_; }
   std::size_t capacity() const { return chunks_.size() * ChunkSlots; }
 

@@ -2,8 +2,10 @@
 // TrafficGenerator state snapshots, the EngineCheckpoint chunk codec and
 // its semantic validator, quiesce-barrier invariants, the CrashFault
 // contract, RunRecorder torn traces, and the scan -> resume pipeline —
-// including truncation at every checkpoint-chunk boundary and rejection of
-// CRC-valid-but-lying checkpoints (stale slab handles, tampered digests).
+// including truncation at every checkpoint-chunk boundary, rejection of
+// CRC-valid-but-lying checkpoints (stale slab handles, tampered digests,
+// unreachable generator cursors), and the parked-session trace an earlier
+// build recorded (tests/data/lanes8_parked.wspr).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,15 +40,50 @@ server::TrafficScenario crash_mix(std::uint64_t seed, std::size_t sessions) {
   return s;
 }
 
-server::EngineConfig engine_cfg(unsigned threads, unsigned lanes = 1) {
+/// A two-phase traffic program over the same kind of mix (phases exercise
+/// the generator's phase cursor).
+server::TrafficScenario phased_mix(std::uint64_t seed) {
+  server::TrafficScenario s;
+  s.seed = seed;
+  s.record_bytes = 512;
+  for (const double load : {0.6, 0.9}) {
+    server::TrafficPhase ph;
+    ph.name = load < 0.7 ? "calm" : "busy";
+    ph.sessions = 16;
+    ph.offered_load = load;
+    ph.cipher_mix = {{ssl::Cipher::kRc4, 1}, {ssl::Cipher::kAes128Cbc, 1}};
+    ph.size_mix = {{512, 1}, {2048, 1}};
+    s.phases.push_back(ph);
+  }
+  return s;
+}
+
+server::EngineConfig engine_cfg(unsigned threads) {
   server::EngineConfig cfg;
   cfg.threads = threads;
   cfg.shards = 4;
   cfg.queue_capacity = 32;
   cfg.record_batch = 4;
-  cfg.batch_lanes = lanes;
   cfg.record_events = true;
   return cfg;
+}
+
+/// The trace an earlier build recorded at lane width 8 and killed
+/// mid-run: seed 903, 24 sessions, 2 shards, checkpoints every makespan/5,
+/// crash at 0.7 makespan.  Its checkpoints hold parked entries.
+std::vector<std::uint8_t> legacy_parked_trace() {
+  return replay::read_file(WSP_TEST_DATA_DIR "/lanes8_parked.wspr");
+}
+
+/// Payload of the first `tag` chunk of a trace, read up to its tear.
+std::vector<std::uint8_t> chunk_payload(const std::vector<std::uint8_t>& bytes,
+                                        server::RecordChunk tag) {
+  replay::ChunkReader reader(bytes);
+  while (const auto chunk = reader.next()) {
+    if (chunk->tag == static_cast<std::uint64_t>(tag)) return chunk->payload;
+  }
+  ADD_FAILURE() << "no chunk with tag " << static_cast<std::uint64_t>(tag);
+  return {};
 }
 
 /// Captures every barrier checkpoint by value.
@@ -116,10 +153,9 @@ TEST(CheckpointGenerator, ClosedLoopPendingArrivalsSurviveSnapshot) {
 /// Runs the scenario with barriers armed and returns the captured
 /// checkpoints (at least one, asserted).
 std::vector<server::EngineCheckpoint> capture_checkpoints(
-    const server::TrafficScenario& scenario, unsigned threads, unsigned lanes,
-    double every) {
+    const server::TrafficScenario& scenario, unsigned threads, double every) {
   CollectSink sink;
-  server::EngineConfig cfg = engine_cfg(threads, lanes);
+  server::EngineConfig cfg = engine_cfg(threads);
   cfg.checkpoint_every = every;
   cfg.checkpoint_sink = &sink;
   server::Engine engine(cfg);
@@ -130,7 +166,7 @@ std::vector<server::EngineCheckpoint> capture_checkpoints(
 
 TEST(CheckpointCodec, EncodeDecodeIsIdentityOnRealCheckpoints) {
   const auto scenario = crash_mix(21, 32);
-  for (const auto& cp : capture_checkpoints(scenario, 2, 1, 2.0e7)) {
+  for (const auto& cp : capture_checkpoints(scenario, 2, 2.0e7)) {
     std::vector<std::uint8_t> payload;
     server::encode_checkpoint(payload, cp);
     const server::EngineCheckpoint back = server::decode_checkpoint(payload);
@@ -142,7 +178,7 @@ TEST(CheckpointCodec, EncodeDecodeIsIdentityOnRealCheckpoints) {
 
 TEST(CheckpointCodec, TruncatedPayloadThrowsTyped) {
   const auto scenario = crash_mix(22, 24);
-  const auto cps = capture_checkpoints(scenario, 1, 1, 3.0e7);
+  const auto cps = capture_checkpoints(scenario, 1, 3.0e7);
   std::vector<std::uint8_t> payload;
   server::encode_checkpoint(payload, cps.back());
   for (std::size_t cut : {std::size_t{0}, std::size_t{1}, payload.size() / 2,
@@ -158,11 +194,11 @@ TEST(CheckpointCodec, TruncatedPayloadThrowsTyped) {
 }
 
 TEST(CheckpointCodec, StaleSlabHandleGenerationIsMalformed) {
-  // Parked sessions only exist on the batched plane: lanes > 1 leaves
-  // staged-but-unflushed cohort members at the barrier.
-  const auto scenario = crash_mix(23, 48);
+  // Parked sessions only exist in traces of earlier builds, whose batched
+  // plane left staged-but-unflushed cohort members at the barrier.
+  const auto scan = server::scan_trace_for_resume(legacy_parked_trace());
   bool saw_parked = false;
-  for (auto cp : capture_checkpoints(scenario, 2, 8, 1.0e7)) {
+  for (auto cp : scan.checkpoints) {
     for (auto& entry : cp.entries) {
       if (!entry.parked) continue;
       saw_parked = true;
@@ -183,13 +219,12 @@ TEST(CheckpointCodec, StaleSlabHandleGenerationIsMalformed) {
       break;
     }
   }
-  EXPECT_TRUE(saw_parked) << "no barrier caught a staged cohort; widen the "
-                             "scenario or shrink checkpoint_every";
+  EXPECT_TRUE(saw_parked) << "the legacy fixture holds no parked entries";
 }
 
 TEST(CheckpointCodec, TamperedShardDigestIsMalformed) {
   const auto scenario = crash_mix(24, 32);
-  auto cps = capture_checkpoints(scenario, 1, 1, 2.0e7);
+  auto cps = capture_checkpoints(scenario, 1, 2.0e7);
   server::EngineCheckpoint cp = cps.back();
   ASSERT_FALSE(cp.shards.empty());
   // Find a shard with finalized entries (nonzero digest chain) and lie
@@ -214,10 +249,10 @@ TEST(CheckpointCodec, TamperedShardDigestIsMalformed) {
 
 TEST(CheckpointQuiesce, ScalarPlaneParksNothing) {
   const auto scenario = crash_mix(31, 32);
-  for (const auto& cp : capture_checkpoints(scenario, 4, 1, 1.5e7)) {
+  for (const auto& cp : capture_checkpoints(scenario, 4, 1.5e7)) {
     for (const auto& entry : cp.entries) {
       EXPECT_FALSE(entry.parked)
-          << "lanes == 1 has no cohorts, so quiesce must fully finalize";
+          << "quiesce must fully finalize every admitted session";
     }
     EXPECT_EQ(cp.latencies.size(), cp.admitted());
   }
@@ -227,7 +262,7 @@ TEST(CheckpointQuiesce, CountsAndTimesAreCoherent) {
   const auto scenario = crash_mix(32, 48);
   double prev_now = -1.0;
   std::uint64_t seq = 0;
-  for (const auto& cp : capture_checkpoints(scenario, 2, 8, 1.0e7)) {
+  for (const auto& cp : capture_checkpoints(scenario, 2, 1.0e7)) {
     EXPECT_EQ(cp.seq, seq++);
     EXPECT_GT(cp.virtual_now, prev_now);
     prev_now = cp.virtual_now;
@@ -268,7 +303,7 @@ TEST(CheckpointCrash, RestoreFromAnyBarrierMatchesUninterruptedRun) {
   const auto scenario = crash_mix(42, 40);
   const auto ref = server::Engine(engine_cfg(2)).run(scenario);
   const auto cps =
-      capture_checkpoints(scenario, 2, 1, ref.makespan_cycles / 5.0);
+      capture_checkpoints(scenario, 2, ref.makespan_cycles / 5.0);
   for (const auto& cp : cps) {
     server::Engine engine(engine_cfg(2));
     const auto resumed = engine.run(scenario, cp);
@@ -280,18 +315,19 @@ TEST(CheckpointCrash, RestoreFromAnyBarrierMatchesUninterruptedRun) {
 
 TEST(CheckpointCrash, RestoreRejectsWrongScenarioStructurally) {
   const auto scenario = crash_mix(43, 32);
-  const auto cps = capture_checkpoints(scenario, 1, 1, 2.0e7);
+  const auto cps = capture_checkpoints(scenario, 1, 2.0e7);
   auto other = crash_mix(43, 8);  // fewer sessions than the checkpoint offered
   server::Engine engine(engine_cfg(1));
   EXPECT_THROW((void)engine.run(other, cps.back()), std::logic_error);
 }
 
 TEST(CheckpointCrash, CorruptEntryRejectedBeforeParkedSessionsRun) {
-  // A lanes-8 checkpoint parks cohort members; restoring it at lanes 1
-  // pushes each parked session to a worker.  A bad entry after them must be
+  // The legacy fixture's checkpoints park sessions; restoring one pushes
+  // each parked session to a worker.  A bad entry after them must be
   // rejected before any push, or the throw unwinds under running workers.
-  const auto scenario = crash_mix(44, 48);
-  const auto cps = capture_checkpoints(scenario, 2, 8, 1.0e7);
+  const auto scan = server::scan_trace_for_resume(legacy_parked_trace());
+  const auto& cps = scan.checkpoints;
+  const unsigned shards = scan.record.config.shards;
   const auto it = std::find_if(cps.begin(), cps.end(), [](const auto& cp) {
     return cp.entries.size() >= 2 &&
            std::any_of(cp.entries.begin(), cp.entries.end() - 1,
@@ -300,9 +336,103 @@ TEST(CheckpointCrash, CorruptEntryRejectedBeforeParkedSessionsRun) {
   ASSERT_NE(it, cps.end()) << "no checkpoint parks a session before its last entry";
   server::EngineCheckpoint cp = *it;
   server::SessionEvent& last = cp.entries.back().event;
-  last.shard = (last.shard + 1) % 4;
-  server::Engine engine(engine_cfg(2, 1));
-  EXPECT_THROW((void)engine.run(scenario, cp), std::logic_error);
+  last.shard = (last.shard + 1) % shards;
+  server::Engine engine(scan.record.config);
+  EXPECT_THROW((void)engine.run(scan.record.scenario, cp), std::logic_error);
+}
+
+TEST(CheckpointCrash, CraftedGeneratorCursorRejectedByBothEntryPoints) {
+  // A generator cursor the scenario cannot reach — here a phase fully drawn
+  // while later arrivals remain, or a phase that does not exist — would send
+  // TrafficGenerator::next past scenario.phases.  Such a checkpoint is
+  // internally consistent: it survives encode -> decode + validate, so only
+  // the fit check stops it.
+  const auto scenario = phased_mix(45);
+  const auto ref = server::Engine(engine_cfg(1)).run(scenario);
+  server::EngineConfig cfg = engine_cfg(1);
+  cfg.checkpoint_every = ref.makespan_cycles / 4.0;
+  cfg.faults.crash_at_cycles = ref.makespan_cycles * 0.6;
+  server::RunRecorder recorder(cfg, scenario);
+  server::Engine recording(recorder.engine_config());
+  EXPECT_THROW((void)recording.run(scenario), server::CrashFault);
+  recorder.crash();
+  const auto scan = server::scan_trace_for_resume(recorder.bytes());
+  ASSERT_FALSE(scan.checkpoints.empty());
+  ASSERT_LT(scan.checkpoints.back().generator.next_id,
+            scenario.total_sessions());
+  for (const auto& cp : scan.checkpoints) {
+    EXPECT_NO_THROW(server::check_checkpoint_fits(cp, scenario, 4))
+        << "a genuine checkpoint must fit, seq " << cp.seq;
+  }
+
+  const std::uint64_t last = scenario.phases.size() - 1;
+  for (const std::uint64_t phase_idx : {last, std::uint64_t{7}}) {
+    server::EngineCheckpoint cp = scan.checkpoints.back();
+    cp.generator.phase_idx = phase_idx;
+    cp.generator.phase_done =
+        phase_idx == last ? scenario.phases[last].sessions : 0;
+    std::vector<std::uint8_t> payload;
+    server::encode_checkpoint(payload, cp);
+    EXPECT_EQ(server::decode_checkpoint(payload), cp) << phase_idx;
+
+    server::ResumeScan crafted = scan;
+    crafted.checkpoints.back() = cp;
+    try {
+      (void)server::resume_run(crafted);
+      ADD_FAILURE() << "resume_run accepted phase_idx " << phase_idx;
+    } catch (const ReplayError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << phase_idx;
+    }
+    server::Engine engine(engine_cfg(2));
+    EXPECT_THROW((void)engine.run(scenario, cp), std::logic_error)
+        << phase_idx;
+  }
+}
+
+// --- traces of earlier builds -----------------------------------------------
+
+TEST(CheckpointLegacy, ParkedFixtureResumesFromEveryCheckpoint) {
+  // Parked entries come only from traces of earlier builds.  They decode,
+  // validate and run on the pump after restore, bit-identical to the
+  // uninterrupted run of the recorded scenario under the recorded config.
+  const auto scan = server::scan_trace_for_resume(legacy_parked_trace());
+  ASSERT_FALSE(scan.complete) << "the fixture is a torn trace";
+  ASSERT_FALSE(scan.checkpoints.empty());
+  std::size_t parked = 0;
+  for (const auto& cp : scan.checkpoints) {
+    for (const auto& e : cp.entries) parked += e.parked ? 1 : 0;
+  }
+  EXPECT_GE(parked, 1u);
+
+  server::EngineConfig cfg = scan.record.config;
+  cfg.record_events = true;
+  const auto reference = server::Engine(cfg).run(scan.record.scenario);
+  for (std::size_t k = 0; k < scan.checkpoints.size(); ++k) {
+    server::ResumeScan upto = scan;
+    upto.checkpoints.resize(k + 1);
+    for (const unsigned threads : {1u, 4u}) {
+      const auto result = server::resume_run(upto, threads);
+      const auto mismatches = server::compare_reports(reference, result.report);
+      EXPECT_TRUE(mismatches.empty()) << "checkpoint " << k << ", " << threads
+                                      << " threads: " << mismatches.front();
+    }
+  }
+}
+
+TEST(CheckpointLegacy, TrailingLanesVarintIsReadAndIgnored) {
+  // The earlier build appended its lane width (8) to the config chunk.  The
+  // decoder skips it and the encoder no longer writes it, so recording the
+  // decoded config gives the same chunk without that last byte.
+  const auto bytes = legacy_parked_trace();
+  const auto legacy = chunk_payload(bytes, server::RecordChunk::kConfig);
+  ASSERT_FALSE(legacy.empty());
+  EXPECT_EQ(legacy.back(), 8u);
+  const auto scan = server::scan_trace_for_resume(bytes);
+  EXPECT_EQ(scan.record.config.shards, 2u);
+  server::RunRecorder recorder(scan.record.config, scan.record.scenario);
+  const auto now =
+      chunk_payload(recorder.bytes(), server::RecordChunk::kConfig);
+  EXPECT_EQ(now, std::vector<std::uint8_t>(legacy.begin(), legacy.end() - 1));
 }
 
 // --- config validation ------------------------------------------------------
@@ -342,10 +472,9 @@ struct TornTrace {
 };
 
 TornTrace record_torn_trace(const server::TrafficScenario& scenario,
-                            unsigned threads, unsigned lanes,
-                            double crash_frac = 0.6) {
+                            unsigned threads, double crash_frac = 0.6) {
   TornTrace out;
-  server::EngineConfig cfg = engine_cfg(threads, lanes);
+  server::EngineConfig cfg = engine_cfg(threads);
   out.reference = server::Engine(cfg).run(scenario);
 
   cfg.checkpoint_every = out.reference.makespan_cycles / 6.0;
@@ -366,7 +495,7 @@ TornTrace record_torn_trace(const server::TrafficScenario& scenario,
 
 TEST(CheckpointResume, TornTraceScansAndResumesBitIdentically) {
   const auto scenario = crash_mix(61, 40);
-  const TornTrace torn = record_torn_trace(scenario, 2, 1);
+  const TornTrace torn = record_torn_trace(scenario, 2);
 
   const auto scan = server::scan_trace_for_resume(torn.bytes);
   EXPECT_FALSE(scan.complete);
@@ -385,7 +514,7 @@ TEST(CheckpointResume, TornTraceScansAndResumesBitIdentically) {
 
 TEST(CheckpointResume, TruncationAtEveryCheckpointBoundaryStillResumes) {
   const auto scenario = crash_mix(62, 40);
-  const TornTrace torn = record_torn_trace(scenario, 1, 1);
+  const TornTrace torn = record_torn_trace(scenario, 1);
   ASSERT_GE(torn.offsets.size(), 2u);
 
   // Cutting at checkpoint k's first header byte leaves exactly k usable
@@ -405,7 +534,7 @@ TEST(CheckpointResume, TruncationAtEveryCheckpointBoundaryStillResumes) {
 
 TEST(CheckpointResume, MidChunkTearFallsBackToPreviousCheckpoint) {
   const auto scenario = crash_mix(63, 40);
-  const TornTrace torn = record_torn_trace(scenario, 2, 1);
+  const TornTrace torn = record_torn_trace(scenario, 2);
   ASSERT_GE(torn.offsets.size(), 2u);
 
   // Tear a few bytes into the LAST checkpoint chunk: the scan must stop at
@@ -440,7 +569,7 @@ TEST(CheckpointResume, CompleteTraceVerifiesAgainstItsOwnRecording) {
 
 TEST(CheckpointResume, InputDamageRethrowsScanDamageIsTyped) {
   const auto scenario = crash_mix(65, 24);
-  const TornTrace torn = record_torn_trace(scenario, 1, 1);
+  const TornTrace torn = record_torn_trace(scenario, 1);
 
   // Damage BEFORE the inputs complete: no run to resume, scan throws.
   std::vector<std::uint8_t> early(torn.bytes.begin(), torn.bytes.begin() + 12);

@@ -3,6 +3,8 @@
 // curves depend on (wider datapaths => fewer cycles).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "kernels/mpn_kernels.h"
 #include "mp/mpn.h"
 #include "support/random.h"
@@ -24,6 +26,11 @@ struct TieParam {
   MpnTieConfig tie;
   const char* label;
 };
+
+// gtest names each instance after its printed parameter; the default
+// printer dumps the struct's bytes, including the address of `label`, which
+// moves with the build type and source path.
+void PrintTo(const TieParam& p, std::ostream* os) { *os << p.label; }
 
 class MpnKernelTest : public ::testing::TestWithParam<TieParam> {
  protected:

@@ -7,18 +7,15 @@
 #      tree is built with -D_GLIBCXX_ASSERTIONS, so every std::vector/array
 #      index and iterator range in those runs is bounds-checked too.
 #   2. A short TSan pass over the record scheduler: the determinism and
-#      chaos tests drive the sharded session table, batched scheduler and
+#      chaos tests drive the sharded session table, record scheduler and
 #      fault-containment path from multiple worker threads, which is
 #      exactly the surface a data race would hit.
 #   3. A 100k-session `scale` smoke under both sanitizer builds: the slab
 #      arena, lock-free MPSC rings and pump handoff at real volume.
-#   4. Batched data-plane smokes: the chaos scenario at --batch-lanes 8
-#      under both builds (multi-buffer kernels + cohort staging + repair
-#      fallback), plus the lanes-invariance tests in ServerBatchDeterminism.
-#   5. Scenario-compiler smokes: `wspc check` over every example .wsp file
+#   4. Scenario-compiler smokes: `wspc check` over every example .wsp file
 #      under ASan/UBSan, and the flash-crowd program executed end to end
 #      under both sanitizer builds (docs/scenarios.md).
-#   6. Crash -> restore smokes (docs/recovery.md): the crash-storm scenario
+#   5. Crash -> restore smokes (docs/recovery.md): the crash-storm scenario
 #      recorded with checkpoints at 1 thread until its scheduled kill
 #      (wspc exit 3), then resumed at 8 threads from the torn trace, under
 #      both sanitizer builds; plus the CheckpointDeterminism suites and the
@@ -44,10 +41,11 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   ctest -L tier1 --output-on-failure
   ctest -R 'Trace|TraceJson|Json\.|BenchFlags|BenchJson|BenchServerSchema|BenchGate' \
         --output-on-failure
-  ctest -R 'ServerDeterminism|ServerSoak|ServerChaos|ServerBatch|TamperRecovery' \
+  ctest -R 'ServerDeterminism|ServerSoak|ServerChaos|TamperRecovery' \
         --output-on-failure
   # Crash-fault tolerance: the crash -> restore -> continue determinism
-  # sweep across threads x lanes, benign and chaos (docs/recovery.md).
+  # sweep across threads, benign and chaos, plus the legacy parked-trace
+  # fixture and the crafted-checkpoint rejections (docs/recovery.md).
   ctest -R 'Checkpoint' --output-on-failure
   # Million-session data-plane primitives (slab arena, MPSC ring, sharded
   # table) plus the concurrent churn/ring soaks.
@@ -71,13 +69,6 @@ echo "sanitize.sh: chaos run replayed bit-exactly at a different --threads"
 "$BUILD_DIR"/bench/bench_server --scenario scale --threads 4 \
     --outdir "$BUILD_DIR" > /dev/null
 echo "sanitize.sh: 100k-session scale run clean under ASan/UBSan"
-
-# Batched-plane chaos smoke under ASan/UBSan: cohort staging, the
-# multi-buffer CBC kernels and the batched->scalar repair fallback, with
-# lane-crossing pointer bugs exactly what ASan would catch.
-"$BUILD_DIR"/bench/bench_server --scenario chaos --threads 4 --batch-lanes 8 \
-    --outdir "$BUILD_DIR" > /dev/null
-echo "sanitize.sh: chaos run at --batch-lanes 8 clean under ASan/UBSan"
 
 # Scenario-compiler smoke under ASan/UBSan: every example program must
 # compile cleanly, and the flash-crowd program runs end to end (multi-phase
@@ -131,7 +122,7 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # ServerScheduler includes the fault-containment tests (a poisoned task
   # racing the pump's failure accounting is the interesting interleaving);
   # ServerChaos runs the whole engine under fault injection.
-  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerBatch|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism' \
+  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism' \
         --output-on-failure
 )
 
@@ -140,13 +131,6 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 "$TSAN_DIR"/bench/bench_server --scenario scale --threads 4 \
     --outdir "$TSAN_DIR" > /dev/null
 echo "sanitize.sh: 100k-session scale run clean under TSan"
-
-# Batched-plane chaos smoke under TSan: per-shard cohorts on concurrent
-# workers, each with a private dispatcher — the cross-thread surface is the
-# scheduler handoff plus the engine's batched_records accumulation.
-"$TSAN_DIR"/bench/bench_server --scenario chaos --threads 4 --batch-lanes 8 \
-    --outdir "$TSAN_DIR" > /dev/null
-echo "sanitize.sh: chaos run at --batch-lanes 8 clean under TSan"
 
 # Flash-crowd scenario smoke under TSan: three phases' worth of arrivals —
 # including the resumption surge — pushed through the sharded table and
@@ -157,7 +141,7 @@ echo "sanitize.sh: flash-crowd scenario clean under TSan"
 
 # Crash -> restore smoke under TSan: checkpoint at 1 thread, resume at 8 —
 # the quiesce barrier is a full scheduler drain racing the worker pool, and
-# the restore re-admits parked cohorts across 8 workers; then replay the
+# the restore re-queues the run across 8 workers; then replay the
 # torn trace's resume path through the standalone replay tool too.
 rc=0
 "$TSAN_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
