@@ -440,10 +440,10 @@ bench::BenchResult run_scenario_section() {
   cfg.shards = 4;
 
   {
-    // Legacy-equivalence gate: a one-phase .wsp spelling of the Fig. 8
-    // steady scenario must produce a report IDENTICAL to the flat code
-    // path — same Rng consumption, same means, same everything.  Gated
-    // exact-zero via */equiv_mismatch.
+    // Equivalence gate: a one-phase .wsp spelling of the Fig. 8 steady
+    // scenario must produce a report IDENTICAL to the hand-built one-phase
+    // bench program — same Rng consumption, same means, same everything.
+    // Gated exact-zero via */equiv_mismatch.
     static const char* kFig8Wsp =
         "scenario \"fig8\" {\n"
         "  seed 71\n"
@@ -453,11 +453,11 @@ bench::BenchResult run_scenario_section() {
     const auto compiled = scenario::compile(kFig8Wsp, "<fig8>");
     server::Engine wsp_engine(cfg);
     const auto wsp_rep = wsp_engine.run(compiled.scenario);
-    server::Engine flat_engine(cfg);
-    const auto flat_rep = flat_engine.run(bench::steady_scenario(71, 64));
+    server::Engine built_engine(cfg);
+    const auto built_rep = built_engine.run(bench::steady_scenario(71, 64));
     bench::append_server_metrics(r, "fig8/", wsp_rep);
     r.cycles["fig8/equiv_mismatch"] =
-        bench::reports_deterministically_equal(wsp_rep, flat_rep) ? 0.0 : 1.0;
+        bench::reports_deterministically_equal(wsp_rep, built_rep) ? 0.0 : 1.0;
   }
   {
     // Multi-phase program under load: calm -> overload spike of resumed

@@ -12,14 +12,23 @@
 
 namespace wsp::bench {
 
+/// A one-phase traffic program of `sessions` arrivals named `name`; the
+/// phase starts from TrafficPhase's defaults (the Fig. 8 grid, open loop).
+inline server::TrafficScenario one_phase(std::uint64_t seed, const char* name,
+                                         std::size_t sessions) {
+  server::TrafficScenario s;
+  s.seed = seed;
+  s.phases.resize(1);
+  s.phases[0].name = name;
+  s.phases[0].sessions = sessions;
+  return s;
+}
+
 /// Steady open-loop load: ~60% of modeled capacity, full Fig. 8 mix.
 inline server::TrafficScenario steady_scenario(std::uint64_t seed,
                                                std::size_t sessions) {
-  server::TrafficScenario s;
-  s.seed = seed;
-  s.sessions = sessions;
-  s.model = server::ArrivalModel::kOpenLoop;
-  s.offered_load = 0.6;
+  server::TrafficScenario s = one_phase(seed, "steady", sessions);
+  s.phases[0].offered_load = 0.6;
   return s;
 }
 
@@ -27,11 +36,8 @@ inline server::TrafficScenario steady_scenario(std::uint64_t seed,
 /// bounded waiting room keeps latency and queue depth finite.
 inline server::TrafficScenario overload_scenario(std::uint64_t seed,
                                                  std::size_t sessions) {
-  server::TrafficScenario s;
-  s.seed = seed;
-  s.sessions = sessions;
-  s.model = server::ArrivalModel::kOpenLoop;
-  s.offered_load = 2.5;
+  server::TrafficScenario s = one_phase(seed, "overload", sessions);
+  s.phases[0].offered_load = 2.5;
   return s;
 }
 
@@ -40,12 +46,10 @@ inline server::TrafficScenario overload_scenario(std::uint64_t seed,
 inline server::TrafficScenario closed_scenario(std::uint64_t seed,
                                                std::size_t sessions,
                                                unsigned users) {
-  server::TrafficScenario s;
-  s.seed = seed;
-  s.sessions = sessions;
-  s.model = server::ArrivalModel::kClosedLoop;
-  s.users = users;
-  s.think_cycles = 6e6;
+  server::TrafficScenario s = one_phase(seed, "closed", sessions);
+  s.phases[0].model = server::ArrivalModel::kClosedLoop;
+  s.phases[0].users = users;
+  s.phases[0].think_cycles = 6e6;
   return s;
 }
 
@@ -53,11 +57,8 @@ inline server::TrafficScenario closed_scenario(std::uint64_t seed,
 /// to injected faults, not over-admission.
 inline server::TrafficScenario chaos_scenario(std::uint64_t seed,
                                               std::size_t sessions) {
-  server::TrafficScenario s;
-  s.seed = seed;
-  s.sessions = sessions;
-  s.model = server::ArrivalModel::kOpenLoop;
-  s.offered_load = 0.8;
+  server::TrafficScenario s = one_phase(seed, "chaos", sessions);
+  s.phases[0].offered_load = 0.8;
   return s;
 }
 
@@ -68,14 +69,12 @@ inline server::TrafficScenario chaos_scenario(std::uint64_t seed,
 /// setup), not modexp throughput.
 inline server::TrafficScenario scale_scenario(std::uint64_t seed,
                                               std::size_t sessions) {
-  server::TrafficScenario s;
-  s.seed = seed;
-  s.sessions = sessions;
-  s.model = server::ArrivalModel::kOpenLoop;
-  s.offered_load = 1.2;  // mild over-admission: the table must churn
-  s.resume_sessions = true;
-  s.ciphers = {ssl::Cipher::kRc4};
-  s.transaction_sizes = {256, 512};
+  server::TrafficScenario s = one_phase(seed, "scale", sessions);
+  server::TrafficPhase& ph = s.phases[0];
+  ph.offered_load = 1.2;  // mild over-admission: the table must churn
+  ph.resume_fraction = 1.0;
+  ph.cipher_mix = {{ssl::Cipher::kRc4, 1}};
+  ph.size_mix = {{256, 1}, {512, 1}};
   s.record_bytes = 256;
   return s;
 }

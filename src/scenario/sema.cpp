@@ -16,23 +16,6 @@ using server::SizeMix;
 using server::TrafficPhase;
 using server::TrafficScenario;
 
-/// The built-in phase template every scenario starts from: the paper's
-/// Fig. 8 measurement grid under a steady open loop — a one-phase program
-/// with these parameters reproduces the legacy flat path bit for bit.
-struct PhaseParams {
-  ArrivalModel model = ArrivalModel::kOpenLoop;
-  double offered_load = 0.6;
-  unsigned users = 8;
-  double think_cycles = 0.0;
-  double resume_fraction = 0.0;
-  std::vector<CipherMix> cipher_mix = {{ssl::Cipher::kTripleDesCbc, 1},
-                                       {ssl::Cipher::kAes128Cbc, 1},
-                                       {ssl::Cipher::kRc4, 1}};
-  std::vector<SizeMix> size_mix = {{1024, 1},  {2048, 1},  {4096, 1},
-                                   {8192, 1},  {16384, 1}, {32768, 1}};
-  std::optional<FaultConfig> faults;
-};
-
 class Resolver {
  public:
   Resolver(const ScenarioAst& ast, std::string_view source,
@@ -44,7 +27,10 @@ class Resolver {
     out.name = ast_.name;
     TrafficScenario& sc = out.scenario;
 
-    PhaseParams defaults;
+    // The template every phase starts from: TrafficPhase's own defaults
+    // (the paper's Fig. 8 grid under a steady open loop), then the
+    // `defaults` block.
+    TrafficPhase defaults;
     bool seen_defaults = false;
     std::set<std::string> seen_top;
     // Two passes: scalars and `defaults` first, so `phase` blocks inherit
@@ -67,7 +53,7 @@ class Resolver {
         if (e.has_label) {
           fail(Code::kTypeMismatch, e.loc, "`defaults` does not take a name");
         }
-        apply_phase_block(defaults, e, /*is_phase=*/false, nullptr);
+        apply_phase_block(defaults, e, /*is_phase=*/false);
       } else {
         fail(Code::kUnknownKey, e.loc,
              "unknown key '" + e.key + "' at scenario level (expected seed, "
@@ -78,26 +64,15 @@ class Resolver {
     for (const Entry& e : ast_.entries) {
       if (e.key != "phase") continue;
       need_block(e);
-      TrafficPhase ph;
+      TrafficPhase ph = defaults;
       ph.name = e.has_label
                     ? e.label
                     : "phase" + std::to_string(sc.phases.size());
-      PhaseParams p = defaults;
-      std::uint64_t sessions = 0;
-      apply_phase_block(p, e, /*is_phase=*/true, &sessions);
-      if (sessions == 0) {
+      apply_phase_block(ph, e, /*is_phase=*/true);
+      if (ph.sessions == 0) {
         fail(Code::kMissingKey, e.loc,
              "phase '" + ph.name + "' must declare `sessions` (> 0)");
       }
-      ph.sessions = static_cast<std::size_t>(sessions);
-      ph.model = p.model;
-      ph.offered_load = p.offered_load;
-      ph.users = p.users;
-      ph.think_cycles = p.think_cycles;
-      ph.resume_fraction = p.resume_fraction;
-      ph.cipher_mix = p.cipher_mix;
-      ph.size_mix = p.size_mix;
-      ph.faults = p.faults;
       sc.phases.push_back(std::move(ph));
     }
 
@@ -106,9 +81,6 @@ class Resolver {
            "scenario declares no phases (at least one `phase { ... }` block "
            "is required)");
     }
-    // Mirror the program's total into the flat field: harmless to the
-    // engine (phases win) and friendlier in dumps.
-    sc.sessions = sc.total_sessions();
     return out;
   }
 
@@ -169,16 +141,16 @@ class Resolver {
     return static_cast<std::uint64_t>(v);
   }
 
-  /// Applies one defaults/phase block onto `p`.  For phase blocks,
-  /// `sessions_out` receives the (required) session count.
-  void apply_phase_block(PhaseParams& p, const Entry& block, bool is_phase,
-                         std::uint64_t* sessions_out) const {
+  /// Applies one defaults/phase block onto `p`.  Only phase blocks take
+  /// the (required) `sessions` key.
+  void apply_phase_block(TrafficPhase& p, const Entry& block,
+                         bool is_phase) const {
     const char* where = is_phase ? "phase" : "defaults";
     std::set<std::string> seen;
     for (const Entry& e : block.block) {
       if (e.key == "sessions" && is_phase) {
         require_unique(seen, e);
-        *sessions_out = count(e, 1, 10000000.0);
+        p.sessions = static_cast<std::size_t>(count(e, 1, 10000000.0));
       } else if (e.key == "arrivals") {
         require_unique(seen, e);
         p.model = arrivals_word(e);

@@ -321,26 +321,22 @@ void check_checkpoint_fits(const EngineCheckpoint& cp,
   // with it, so it must be a state the scenario's own draws can reach.
   const TrafficGeneratorState& g = cp.generator;
   if (g.next_id > total) reject("generator cursor past the scenario end");
-  if (scenario.phased()) {
-    if (g.phase_idx >= scenario.phases.size()) {
-      reject("generator phase index " + std::to_string(g.phase_idx) +
-             " out of range");
-    }
-    const auto idx = static_cast<std::size_t>(g.phase_idx);
-    if (g.phase_done > scenario.phases[idx].sessions) {
-      reject("generator has drawn " + std::to_string(g.phase_done) +
-             " arrivals of phase " + std::to_string(idx) + ", which holds " +
-             std::to_string(scenario.phases[idx].sessions));
-    }
-    std::uint64_t before = 0;
-    for (std::size_t i = 0; i < idx; ++i) before += scenario.phases[i].sessions;
-    if (g.next_id != before + g.phase_done) {
-      reject("generator id cursor " + std::to_string(g.next_id) +
-             " disagrees with its phase cursor (" + std::to_string(before) +
-             " + " + std::to_string(g.phase_done) + ")");
-    }
-  } else if (g.phase_idx != 0) {
-    reject("generator phase index nonzero for a flat scenario");
+  if (g.phase_idx >= scenario.phases.size()) {
+    reject("generator phase index " + std::to_string(g.phase_idx) +
+           " out of range");
+  }
+  const auto idx = static_cast<std::size_t>(g.phase_idx);
+  if (g.phase_done > scenario.phases[idx].sessions) {
+    reject("generator has drawn " + std::to_string(g.phase_done) +
+           " arrivals of phase " + std::to_string(idx) + ", which holds " +
+           std::to_string(scenario.phases[idx].sessions));
+  }
+  std::uint64_t before = 0;
+  for (std::size_t i = 0; i < idx; ++i) before += scenario.phases[i].sessions;
+  if (g.next_id != before + g.phase_done) {
+    reject("generator id cursor " + std::to_string(g.next_id) +
+           " disagrees with its phase cursor (" + std::to_string(before) +
+           " + " + std::to_string(g.phase_done) + ")");
   }
 
   std::unordered_set<std::uint64_t> parked_ids;
@@ -352,7 +348,7 @@ void check_checkpoint_fits(const EngineCheckpoint& cp,
     }
     if (!e.parked) continue;
     const std::uint64_t phase = e.parked_info.phase;
-    if (scenario.phased() ? phase >= scenario.phases.size() : phase != 0) {
+    if (phase >= scenario.phases.size()) {
       reject("parked session " + std::to_string(e.event.id) + " names phase " +
              std::to_string(phase) + ", which the scenario does not have");
     }

@@ -62,7 +62,7 @@ struct CheckpointShard {
 /// stored — both are re-derived from (scenario seed, id, phase) exactly as
 /// at original admission.
 struct ParkedSession {
-  std::uint32_t phase = 0;  ///< scenario phase it arrived in (0 when flat)
+  std::uint32_t phase = 0;  ///< scenario phase it arrived in
   ssl::Cipher cipher = ssl::Cipher::kRc4;
   std::uint64_t transaction_bytes = 0;
   std::uint64_t session_seed = 0;
@@ -135,8 +135,8 @@ void validate_checkpoint(const EngineCheckpoint& cp);
 /// more arrivals were offered than the scenario holds, every entry sits on
 /// the shard its id routes to, parked entries name an existing phase and
 /// distinct ids, and the generator cursor is one the scenario can reach
-/// (for a program: phase_idx in range, phase_done within that phase, and
-/// next_id equal to the sessions of the earlier phases plus phase_done).
+/// (phase_idx in range, phase_done within that phase, and next_id equal to
+/// the sessions of the earlier phases plus phase_done).
 /// Throws replay::ReplayError(kMalformed) on the first misfit.  Both
 /// resume paths call it before any session is pushed: resume_run lets the
 /// typed error through, Engine::run(scenario, checkpoint) rethrows it as

@@ -186,87 +186,71 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
   const ssl::PlatformCosts base = calibrated_costs(Pricing::kBase);
   const ssl::PlatformCosts opt = calibrated_costs(Pricing::kOptimized);
 
-  const bool phased = scenario.phased();
   auto price_one = [](const ssl::PlatformCosts& costs, std::size_t bytes,
                       bool resumed) {
     return resumed ? ssl::resumed_transaction_cost(costs, bytes).total()
                    : ssl::transaction_cost(costs, bytes).total();
   };
 
-  // Mean service time: the flat path averages the uniform size grid; a
-  // program gets one weighted figure per phase (size-mix weights, blended
-  // across the resume fraction), and reports the session-weighted mean.
-  double mean_service = 0.0;
+  // Mean service time: one weighted figure per phase (size-mix weights,
+  // blended across the resume fraction); the report carries the
+  // session-weighted mean.
   std::vector<double> phase_means;
-  if (!phased) {
-    const bool resume = scenario.resume_sessions;
-    for (const std::size_t bytes : scenario.transaction_sizes) {
-      mean_service += price_one(price, bytes, resume);
+  phase_means.reserve(scenario.phases.size());
+  for (const TrafficPhase& ph : scenario.phases) {
+    double full = 0.0, resumed = 0.0;
+    std::uint64_t wsum = 0;
+    for (const SizeMix& m : ph.size_mix) {
+      const double w = static_cast<double>(m.weight);
+      full += price_one(price, m.bytes, false) * w;
+      resumed += price_one(price, m.bytes, true) * w;
+      wsum += m.weight;
     }
-    mean_service /= static_cast<double>(scenario.transaction_sizes.size());
+    full /= static_cast<double>(wsum);
+    resumed /= static_cast<double>(wsum);
+    const double f = ph.resume_fraction;
+    phase_means.push_back(f <= 0.0   ? full
+                          : f >= 1.0 ? resumed
+                                     : (1.0 - f) * full + f * resumed);
+  }
+  double mean_service = 0.0;
+  if (scenario.phases.size() == 1) {
+    // Exactly the single phase's figure, with no weighting round-trip:
+    // perfbench's phase_means() and the bench baselines pin these bits.
+    mean_service = phase_means[0];
   } else {
-    phase_means.reserve(scenario.phases.size());
-    for (const TrafficPhase& ph : scenario.phases) {
-      double full = 0.0, resumed = 0.0;
-      std::uint64_t wsum = 0;
-      for (const SizeMix& m : ph.size_mix) {
-        const double w = static_cast<double>(m.weight);
-        full += price_one(price, m.bytes, false) * w;
-        resumed += price_one(price, m.bytes, true) * w;
-        wsum += m.weight;
-      }
-      full /= static_cast<double>(wsum);
-      resumed /= static_cast<double>(wsum);
-      const double f = ph.resume_fraction;
-      phase_means.push_back(f <= 0.0   ? full
-                            : f >= 1.0 ? resumed
-                                       : (1.0 - f) * full + f * resumed);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < scenario.phases.size(); ++i) {
+      acc += phase_means[i] * static_cast<double>(scenario.phases[i].sessions);
     }
-    if (scenario.phases.size() == 1) {
-      // Exactly the single phase's figure (no weighting round-trip), so a
-      // one-phase program reproduces the flat path's report bit for bit.
-      mean_service = phase_means[0];
-    } else {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < scenario.phases.size(); ++i) {
-        acc += phase_means[i] *
-               static_cast<double>(scenario.phases[i].sessions);
-      }
-      mean_service = acc / static_cast<double>(scenario.total_sessions());
-    }
+    mean_service = acc / static_cast<double>(scenario.total_sessions());
   }
   rep.mean_service_cycles = mean_service;
   rep.memory_per_session = SessionTable::bytes_per_session();
 
-  TrafficGenerator gen = phased ? TrafficGenerator(scenario, phase_means, shards)
-                                : TrafficGenerator(scenario, mean_service, shards);
+  TrafficGenerator gen(scenario, phase_means, shards);
 
-  // Fault plans: the engine-wide plan, plus one per phase where a .wsp
-  // fault overlay replaces it (rekey storms, adversarial floods).  Every
+  // Fault plans, one per phase: a .wsp fault overlay replaces the engine's
+  // FaultConfig for its phase (rekey storms, adversarial floods).  Every
   // plan keys off the scenario seed, so schedules stay pure in
   // (seed, session id) regardless of which phase a session lands in.
-  const FaultPlan plan(config_.faults, scenario.seed);
   std::vector<FaultPlan> phase_plans;
   std::vector<FaultConfig> phase_faults;
-  if (phased) {
-    phase_plans.reserve(scenario.phases.size());
-    for (const TrafficPhase& ph : scenario.phases) {
-      const FaultConfig& fc = ph.faults ? *ph.faults : config_.faults;
-      phase_faults.push_back(fc);
-      phase_plans.emplace_back(fc, scenario.seed);
-    }
+  phase_plans.reserve(scenario.phases.size());
+  for (const TrafficPhase& ph : scenario.phases) {
+    const FaultConfig& fc = ph.faults ? *ph.faults : config_.faults;
+    phase_faults.push_back(fc);
+    phase_plans.emplace_back(fc, scenario.seed);
   }
 
   // Real execution: one server key per run (the server's identity), worker
-  // pool, bounded scheduler, sharded connection table.  Resumed scenarios
-  // never touch the key (no RSA exchange happens), so skip the generation —
-  // at 512 bits it otherwise dominates the wall time of small resumed runs.
-  bool any_full_handshake = !scenario.resume_sessions;
-  if (phased) {
-    any_full_handshake = false;
-    for (const TrafficPhase& ph : scenario.phases) {
-      if (ph.resume_fraction < 1.0) any_full_handshake = true;
-    }
+  // pool, bounded scheduler, sharded connection table.  Resumed sessions
+  // never touch the key (no RSA exchange happens), so skip the generation
+  // when every phase resumes — at 512 bits it otherwise dominates the wall
+  // time of small resumed runs.
+  bool any_full_handshake = false;
+  for (const TrafficPhase& ph : scenario.phases) {
+    if (ph.resume_fraction < 1.0) any_full_handshake = true;
   }
   std::optional<rsa::PrivateKey> server_key_storage;
   if (any_full_handshake) {
@@ -512,15 +496,14 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
         continue;
       }
       const ParkedSession& p = e.parked_info;
-      const FaultConfig& pfc = phased ? phase_faults[p.phase] : config_.faults;
+      const FaultConfig& pfc = phase_faults[p.phase];
       SessionConfig cfg;
       cfg.id = e.event.id;
       cfg.cipher = p.cipher;
       cfg.transaction_bytes = static_cast<std::size_t>(p.transaction_bytes);
       cfg.record_bytes = scenario.record_bytes;
       cfg.seed = p.session_seed;
-      cfg.faults =
-          (phased ? phase_plans[p.phase] : plan).schedule_for(e.event.id);
+      cfg.faults = phase_plans[p.phase].schedule_for(e.event.id);
       const SessionTable::Inserted ins = table.insert(cfg);
       // The record batch is a host-side quantum, so deciding it from the
       // restored degrade flag is safe.
@@ -600,11 +583,9 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
       continue;
     }
 
-    const FaultConfig& fc =
-        phased ? phase_faults[arrival->phase] : config_.faults;
+    const FaultConfig& fc = phase_faults[arrival->phase];
     const FaultSchedule schedule =
-        (phased ? phase_plans[arrival->phase] : plan)
-            .schedule_for(arrival->id);
+        phase_plans[arrival->phase].schedule_for(arrival->id);
     const bool resume = arrival->resume;
     if (schedule.stall_scheduled) {
       WSP_TRACE_INSTANT_V("server.fault", "stall/shard" + std::to_string(shard),

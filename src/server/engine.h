@@ -200,9 +200,9 @@ class Engine {
   /// Throws std::invalid_argument on an invalid config (see EngineConfig).
   explicit Engine(const EngineConfig& config);
 
-  /// Offers the scenario's traffic — a flat parameter set or a compiled
-  /// multi-phase program (TrafficScenario.phases, docs/scenarios.md) —
-  /// executes every admitted session to completion, and reports.
+  /// Offers the scenario's traffic — its phase program
+  /// (TrafficScenario.phases, docs/scenarios.md) — executes every admitted
+  /// session to completion, and reports.
   /// Synchronous; callable repeatedly.  Throws std::invalid_argument on a
   /// degenerate scenario (TrafficScenario::validate).  When
   /// config.faults.crash_at_cycles (or a phase overlay's) is armed, throws

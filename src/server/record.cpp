@@ -28,6 +28,27 @@ constexpr std::uint64_t tag(RecordChunk c) {
   return static_cast<std::uint64_t>(c);
 }
 
+/// A varint that must fit a 32-bit field (users, mix weights, retry
+/// budgets): larger values are malformed, never truncated.
+std::uint32_t get_u32(Cursor& c, const char* what) {
+  const std::uint64_t v = c.varint();
+  if (v > UINT32_MAX) {
+    throw ReplayError(ErrorKind::kMalformed, c.offset(),
+                      std::string(what) + " " + std::to_string(v) +
+                          " does not fit 32 bits");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
+ssl::Cipher get_cipher(Cursor& c) {
+  const std::uint64_t raw = c.varint();
+  if (raw > static_cast<std::uint64_t>(ssl::Cipher::kRc4)) {
+    throw ReplayError(ErrorKind::kMalformed, c.offset(),
+                      "unknown cipher id " + std::to_string(raw));
+  }
+  return static_cast<ssl::Cipher>(raw);
+}
+
 // FaultConfig's nine fields, shared by the config chunk and per-phase fault
 // overlays.  Order is load-bearing: it IS the kConfig byte layout.
 void put_fault_config(std::vector<std::uint8_t>& p, const FaultConfig& f) {
@@ -49,39 +70,31 @@ FaultConfig get_fault_config(Cursor& c) {
   f.abort_rate = c.f64();
   f.stall_rate = c.f64();
   f.stall_cycles = c.f64();
-  f.record_retry_budget = static_cast<unsigned>(c.varint());
-  f.handshake_retry_budget = static_cast<unsigned>(c.varint());
+  f.record_retry_budget = get_u32(c, "record_retry_budget");
+  f.handshake_retry_budget = get_u32(c, "handshake_retry_budget");
   f.backoff_base_cycles = c.f64();
   f.backoff_cap_cycles = c.f64();
   return f;
 }
 
+// The kScenario layout is v1's: a flat parameter set (sessions, model,
+// load, users, think, cipher grid, delta-coded size grid, record_bytes,
+// resume flag), then the phase program appended after it.  Current builds
+// write the flat header as placeholders (zeros and empty grids) and the
+// program after it; a record with zero phases is a flat scenario of an
+// earlier build, which decode_scenario lowers to a one-phase program.
 std::vector<std::uint8_t> encode_scenario(const TrafficScenario& s) {
   std::vector<std::uint8_t> p;
   put_varint(p, s.seed);
-  put_varint(p, s.sessions);
-  put_varint(p, s.model == ArrivalModel::kOpenLoop ? 0 : 1);
-  put_double(p, s.offered_load);
-  put_varint(p, s.users);
-  put_double(p, s.think_cycles);
-  put_varint(p, s.ciphers.size());
-  for (ssl::Cipher c : s.ciphers) {
-    put_varint(p, static_cast<std::uint64_t>(c));
-  }
-  put_varint(p, s.transaction_sizes.size());
-  std::uint64_t prev = 0;  // sizes ascend in practice; delta-code them
-  for (std::size_t bytes : s.transaction_sizes) {
-    put_zigzag(p, static_cast<std::int64_t>(bytes) -
-                      static_cast<std::int64_t>(prev));
-    prev = bytes;
-  }
+  put_varint(p, 0);    // sessions
+  put_varint(p, 0);    // model
+  put_double(p, 0.0);  // offered_load
+  put_varint(p, 0);    // users
+  put_double(p, 0.0);  // think_cycles
+  put_varint(p, 0);    // cipher grid
+  put_varint(p, 0);    // size grid
   put_varint(p, s.record_bytes);
-  // Appended after v1's last field; decoders treat absence as false, so
-  // pre-existing records stay readable.
-  put_varint(p, s.resume_sessions ? 1 : 0);
-  // Traffic program, appended the same way: legacy decoders skip it (chunk
-  // payloads carry their own length) and legacy records decode with zero
-  // phases, i.e. as the flat scenarios they were.
+  put_varint(p, 0);    // resume flag
   put_varint(p, s.phases.size());
   for (const TrafficPhase& ph : s.phases) {
     put_string(p, ph.name);
@@ -107,26 +120,31 @@ std::vector<std::uint8_t> encode_scenario(const TrafficScenario& s) {
   return p;
 }
 
-TrafficScenario decode_scenario(const std::vector<std::uint8_t>& payload) {
+/// Decodes a kScenario payload and validates the result: anything
+/// TrafficScenario::validate() rejects is a typed kMalformed.  A record
+/// without phases (written by an earlier build from a flat scenario) is
+/// lowered to one phase "phase0" whose unit-weight mixes are the flat grids
+/// and whose resume_fraction is the flat resume flag; `*lowered` reports
+/// whether that happened.
+TrafficScenario decode_scenario(const std::vector<std::uint8_t>& payload,
+                                bool* lowered = nullptr) {
   Cursor c(payload);
   TrafficScenario s;
+  TrafficPhase flat;
+  flat.name = "phase0";
   s.seed = c.varint();
-  s.sessions = static_cast<std::size_t>(c.varint());
-  s.model = c.varint() == 0 ? ArrivalModel::kOpenLoop : ArrivalModel::kClosedLoop;
-  s.offered_load = c.f64();
-  s.users = static_cast<unsigned>(c.varint());
-  s.think_cycles = c.f64();
-  s.ciphers.clear();
+  flat.sessions = static_cast<std::size_t>(c.varint());
+  flat.model =
+      c.varint() == 0 ? ArrivalModel::kOpenLoop : ArrivalModel::kClosedLoop;
+  flat.offered_load = c.f64();
+  flat.users = get_u32(c, "users");
+  flat.think_cycles = c.f64();
+  flat.cipher_mix.clear();
   const std::uint64_t ciphers = c.varint();
   for (std::uint64_t i = 0; i < ciphers; ++i) {
-    const std::uint64_t raw = c.varint();
-    if (raw > static_cast<std::uint64_t>(ssl::Cipher::kRc4)) {
-      throw ReplayError(ErrorKind::kMalformed, c.offset(),
-                        "unknown cipher id " + std::to_string(raw));
-    }
-    s.ciphers.push_back(static_cast<ssl::Cipher>(raw));
+    flat.cipher_mix.push_back({get_cipher(c), 1});
   }
-  s.transaction_sizes.clear();
+  flat.size_mix.clear();
   const std::uint64_t sizes = c.varint();
   std::int64_t prev = 0;
   for (std::uint64_t i = 0; i < sizes; ++i) {
@@ -135,48 +153,51 @@ TrafficScenario decode_scenario(const std::vector<std::uint8_t>& payload) {
       throw ReplayError(ErrorKind::kMalformed, c.offset(),
                         "non-positive transaction size");
     }
-    s.transaction_sizes.push_back(static_cast<std::size_t>(prev));
+    flat.size_mix.push_back({static_cast<std::size_t>(prev), 1});
   }
   s.record_bytes = static_cast<std::size_t>(c.varint());
-  if (!c.done()) s.resume_sessions = c.varint() != 0;
-  if (!c.done()) {
-    const std::uint64_t phases = c.varint();
-    for (std::uint64_t i = 0; i < phases; ++i) {
-      TrafficPhase ph;
-      ph.name = c.str();
-      ph.sessions = static_cast<std::size_t>(c.varint());
-      ph.model =
-          c.varint() == 0 ? ArrivalModel::kOpenLoop : ArrivalModel::kClosedLoop;
-      ph.offered_load = c.f64();
-      ph.users = static_cast<unsigned>(c.varint());
-      ph.think_cycles = c.f64();
-      ph.resume_fraction = c.f64();
-      const std::uint64_t mixes = c.varint();
-      for (std::uint64_t j = 0; j < mixes; ++j) {
-        CipherMix m;
-        const std::uint64_t raw = c.varint();
-        if (raw > static_cast<std::uint64_t>(ssl::Cipher::kRc4)) {
-          throw ReplayError(ErrorKind::kMalformed, c.offset(),
-                            "unknown cipher id " + std::to_string(raw));
-        }
-        m.cipher = static_cast<ssl::Cipher>(raw);
-        m.weight = static_cast<std::uint32_t>(c.varint());
-        ph.cipher_mix.push_back(m);
-      }
-      const std::uint64_t sizes_n = c.varint();
-      for (std::uint64_t j = 0; j < sizes_n; ++j) {
-        SizeMix m;
-        m.bytes = static_cast<std::size_t>(c.varint());
-        if (m.bytes == 0) {
-          throw ReplayError(ErrorKind::kMalformed, c.offset(),
-                            "zero transaction size in phase mix");
-        }
-        m.weight = static_cast<std::uint32_t>(c.varint());
-        ph.size_mix.push_back(m);
-      }
-      if (c.varint() != 0) ph.faults = get_fault_config(c);
-      s.phases.push_back(std::move(ph));
+  if (!c.done()) flat.resume_fraction = c.varint() != 0 ? 1.0 : 0.0;
+  const std::uint64_t phases = c.done() ? 0 : c.varint();
+  for (std::uint64_t i = 0; i < phases; ++i) {
+    TrafficPhase ph;
+    ph.name = c.str();
+    ph.sessions = static_cast<std::size_t>(c.varint());
+    ph.model =
+        c.varint() == 0 ? ArrivalModel::kOpenLoop : ArrivalModel::kClosedLoop;
+    ph.offered_load = c.f64();
+    ph.users = get_u32(c, "users");
+    ph.think_cycles = c.f64();
+    ph.resume_fraction = c.f64();
+    ph.cipher_mix.clear();
+    const std::uint64_t mixes = c.varint();
+    for (std::uint64_t j = 0; j < mixes; ++j) {
+      CipherMix m;
+      m.cipher = get_cipher(c);
+      m.weight = get_u32(c, "cipher mix weight");
+      ph.cipher_mix.push_back(m);
     }
+    ph.size_mix.clear();
+    const std::uint64_t sizes_n = c.varint();
+    for (std::uint64_t j = 0; j < sizes_n; ++j) {
+      SizeMix m;
+      m.bytes = static_cast<std::size_t>(c.varint());
+      if (m.bytes == 0) {
+        throw ReplayError(ErrorKind::kMalformed, c.offset(),
+                          "zero transaction size in phase mix");
+      }
+      m.weight = get_u32(c, "size mix weight");
+      ph.size_mix.push_back(m);
+    }
+    if (c.varint() != 0) ph.faults = get_fault_config(c);
+    s.phases.push_back(std::move(ph));
+  }
+  if (s.phases.empty()) s.phases.push_back(std::move(flat));
+  if (lowered) *lowered = phases == 0;
+  try {
+    s.validate();
+  } catch (const std::invalid_argument& e) {
+    throw ReplayError(ErrorKind::kMalformed, c.offset(),
+                      std::string("scenario: ") + e.what());
   }
   return s;
 }
@@ -731,7 +752,7 @@ ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes) {
   replay::ChunkReader reader(bytes);
   scan.scanned_bytes = reader.offset();
   bool meta = false, scenario = false, config = false, costs = false,
-       report = false, events = false, ended = false;
+       report = false, events = false, ended = false, lowered = false;
   ssl::PlatformCosts rec_base, rec_opt;
   const auto inputs_ok = [&] { return meta && scenario && config && costs; };
   try {
@@ -751,7 +772,7 @@ ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes) {
           break;
         }
         case RecordChunk::kScenario:
-          scan.record.scenario = decode_scenario(chunk->payload);
+          scan.record.scenario = decode_scenario(chunk->payload, &lowered);
           scenario = true;
           break;
         case RecordChunk::kScenarioSource: {
@@ -778,6 +799,14 @@ ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes) {
                               "checkpoint chunk before the input chunks");
           }
           EngineCheckpoint cp = decode_checkpoint(chunk->payload);
+          if (lowered) {
+            // A flat generator (earlier builds) kept no phase cursor and
+            // staggered its closed-loop population at construction.  In
+            // the lowered one-phase program that is phase 0, already
+            // entered, with every arrival drawn so far in it.
+            cp.generator.phase_done = cp.generator.next_id;
+            cp.generator.phase_entered = true;
+          }
           if (cp.seq != scan.checkpoints.size()) {
             throw ReplayError(
                 ErrorKind::kMalformed, chunk_start,

@@ -1,7 +1,7 @@
 // Record/replay of whole engine runs (docs/benchmarks.md §replay).
 //
 // A RunRecord captures everything a run's deterministic outputs depend on —
-// scenario (seed, arrival model, cipher/size grid), EngineConfig (shards,
+// scenario (seed, record size, phase program), EngineConfig (shards,
 // capacities, fault plan), the calibrated platform costs baked into the
 // recording binary, and the recording git_rev — plus the expected outcome:
 // every deterministic RunReport field, the per-shard event digests, and the
@@ -40,7 +40,9 @@ namespace wsp::server {
 /// Chunk tags of the wsp-replay-v1 run-record layout.
 enum class RecordChunk : std::uint64_t {
   kMeta = 1,      ///< git_rev, recorded thread count
-  kScenario = 2,  ///< TrafficScenario
+  /// TrafficScenario.  Records of earlier builds may hold a flat scenario
+  /// (no phases); decoding lowers it to a one-phase program.
+  kScenario = 2,
   kConfig = 3,    ///< EngineConfig (minus threads) + FaultConfig
   kCosts = 4,     ///< calibrated base/opt PlatformCosts of the recorder
   kReport = 5,    ///< deterministic RunReport scalars + per-shard reports
@@ -60,7 +62,7 @@ struct RunRecord {
   std::string git_rev;            ///< of the recording binary
   unsigned recorded_threads = 1;  ///< informational; replay may differ
   TrafficScenario scenario;
-  /// .wsp text the scenario was compiled from; empty for flat/hand-built
+  /// .wsp text the scenario was compiled from; empty for hand-built
   /// scenarios and for records written before the scenario compiler.
   std::string scenario_source;
   EngineConfig config;            ///< threads carried but not authoritative
@@ -77,8 +79,8 @@ RunRecord record_run(const EngineConfig& config,
 std::vector<std::uint8_t> encode_run_record(const RunRecord& record);
 
 /// Throws replay::ReplayError on any malformed/truncated/version-skewed
-/// input; a structurally valid stream missing a required chunk is
-/// ErrorKind::kMalformed.
+/// input; a structurally valid stream missing a required chunk, or whose
+/// scenario TrafficScenario::validate() rejects, is ErrorKind::kMalformed.
 RunRecord decode_run_record(const std::vector<std::uint8_t>& bytes);
 
 /// Returns false when the file cannot be written.
@@ -196,6 +198,9 @@ struct ResumeScan {
 /// failures stop the scan at the last good chunk and are reported in
 /// `tear` instead of thrown.  Checkpoints must arrive in seq order with
 /// strictly increasing virtual_now; a violator is treated as the tear.
+/// When the trace holds a flat scenario of an earlier build, each
+/// checkpoint's generator state is mapped onto the lowered one-phase
+/// program (phase_done = next_id, phase_entered = true).
 ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes);
 
 /// Restores the scan's last valid checkpoint and continues the run (any

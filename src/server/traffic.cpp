@@ -17,7 +17,6 @@ bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 }  // namespace
 
 std::size_t TrafficScenario::total_sessions() const {
-  if (!phased()) return sessions;
   std::size_t total = 0;
   for (const TrafficPhase& ph : phases) total += ph.sessions;
   return total;
@@ -25,23 +24,7 @@ std::size_t TrafficScenario::total_sessions() const {
 
 void TrafficScenario::validate() const {
   check(record_bytes > 0, "record_bytes must be > 0");
-  if (!phased()) {
-    check(sessions > 0, "sessions must be > 0");
-    check(!ciphers.empty(), "empty cipher grid");
-    check(!transaction_sizes.empty(), "empty transaction size grid");
-    for (const std::size_t bytes : transaction_sizes) {
-      check(bytes > 0, "transaction sizes must be > 0");
-    }
-    if (model == ArrivalModel::kOpenLoop) {
-      check(finite_positive(offered_load),
-            "offered_load must be finite and > 0");
-    } else {
-      check(users > 0, "closed loop needs users > 0");
-    }
-    check(std::isfinite(think_cycles) && think_cycles >= 0.0,
-          "think_cycles must be finite and >= 0");
-    return;
-  }
+  check(!phases.empty(), "scenario has no phases");
   for (const TrafficPhase& ph : phases) {
     check(ph.sessions > 0, "phase sessions must be > 0");
     check(!ph.cipher_mix.empty(), "phase has an empty cipher mix");
@@ -68,49 +51,11 @@ void TrafficScenario::validate() const {
   }
 }
 
-TrafficGenerator::TrafficGenerator(const TrafficScenario& scenario,
-                                   double mean_service_cycles,
-                                   unsigned service_units)
-    : scenario_(scenario), rng_(scenario.seed) {
-  if (scenario_.phased()) {
-    throw std::logic_error(
-        "traffic: a phased scenario needs the per-phase constructor");
-  }
-  total_sessions_ = scenario_.sessions;
-  if (scenario_.ciphers.empty() || scenario_.transaction_sizes.empty()) {
-    throw std::invalid_argument("traffic: empty cipher/size grid");
-  }
-  if (scenario_.model == ArrivalModel::kOpenLoop) {
-    if (scenario_.offered_load <= 0.0) {
-      throw std::invalid_argument("traffic: offered_load must be > 0");
-    }
-    interarrival_mean_ = mean_service_cycles /
-                         (static_cast<double>(std::max(1u, service_units)) *
-                          scenario_.offered_load);
-  } else {
-    if (scenario_.users == 0) {
-      throw std::invalid_argument("traffic: closed loop needs users > 0");
-    }
-    // Stagger the population's first arrivals across one mean think (or
-    // service) interval so they don't all collide at t = 0.
-    const double spread =
-        scenario_.think_cycles > 0.0 ? scenario_.think_cycles
-                                     : mean_service_cycles;
-    for (unsigned u = 0; u < scenario_.users; ++u) {
-      ready_.emplace(exp_draw(spread), u);
-    }
-  }
-}
-
 TrafficGenerator::TrafficGenerator(
     const TrafficScenario& scenario,
     const std::vector<double>& phase_mean_service_cycles,
     unsigned service_units)
     : scenario_(scenario), rng_(scenario.seed) {
-  if (!scenario_.phased()) {
-    throw std::logic_error(
-        "traffic: the per-phase constructor needs a phased scenario");
-  }
   if (phase_mean_service_cycles.size() != scenario_.phases.size()) {
     throw std::logic_error(
         "traffic: one mean service figure per phase is required");
@@ -155,8 +100,8 @@ void TrafficGenerator::enter_phase(std::size_t idx) {
   if (ph.model == ArrivalModel::kClosedLoop) {
     // A fresh population: leftover pending arrivals from an earlier closed
     // phase are dropped, and the new users' first arrivals are staggered
-    // from the current virtual-clock cursor (exactly like the flat path
-    // staggers from t = 0).
+    // across one mean think (or service) interval from the current
+    // virtual-clock cursor, so they don't all collide at the phase start.
     ready_ = {};
     const double spread =
         ph.think_cycles > 0.0 ? ph.think_cycles : phase_mean_service_[idx];
@@ -169,9 +114,8 @@ void TrafficGenerator::enter_phase(std::size_t idx) {
 
 std::size_t TrafficGenerator::pick_weighted(
     std::uint64_t total, const std::vector<std::uint32_t>& weights) {
-  // One Rng draw either way; with unit weights `total == weights.size()`,
-  // so the consumed value AND the picked index match the flat path's
-  // uniform `below(n)` bit for bit.
+  // One Rng draw; with unit weights `total == weights.size()`, so the
+  // consumed value AND the picked index equal a uniform `below(n)`.
   std::uint64_t r = rng_.below(total);
   for (std::size_t i = 0; i < weights.size(); ++i) {
     if (r < weights[i]) return i;
@@ -183,27 +127,6 @@ std::size_t TrafficGenerator::pick_weighted(
 std::optional<SessionArrival> TrafficGenerator::next() {
   if (next_id_ >= total_sessions_) return std::nullopt;
   SessionArrival a;
-  if (!scenario_.phased()) {
-    if (scenario_.model == ArrivalModel::kOpenLoop) {
-      open_clock_ += exp_draw(interarrival_mean_);
-      a.at_cycles = open_clock_;
-    } else {
-      if (ready_.empty()) return std::nullopt;  // all users awaiting outcomes
-      const auto [at, user] = ready_.top();
-      ready_.pop();
-      a.at_cycles = at;
-      a.user = user;
-    }
-    a.id = next_id_++;
-    a.cipher = scenario_.ciphers[rng_.below(scenario_.ciphers.size())];
-    a.transaction_bytes =
-        scenario_
-            .transaction_sizes[rng_.below(scenario_.transaction_sizes.size())];
-    a.session_seed = rng_.next_u64();
-    a.resume = scenario_.resume_sessions;
-    return a;
-  }
-
   while (phase_done_ >= scenario_.phases[phase_idx_].sessions) {
     ++phase_idx_;
     phase_done_ = 0;
@@ -237,7 +160,7 @@ std::optional<SessionArrival> TrafficGenerator::next() {
           .bytes;
   a.session_seed = rng_.next_u64();
   // The resume coin consumes a draw ONLY for a genuinely mixed fraction, so
-  // all-full and all-resumed phases stay bit-compatible with the flat path.
+  // all-full and all-resumed phases draw exactly four values per arrival.
   if (ph.resume_fraction >= 1.0) {
     a.resume = true;
   } else if (ph.resume_fraction > 0.0) {
@@ -281,12 +204,6 @@ void TrafficGenerator::restore(const TrafficGeneratorState& state) {
 
 void TrafficGenerator::on_outcome(const SessionArrival& arrival,
                                   double completion_cycles, bool dropped) {
-  if (!scenario_.phased()) {
-    if (scenario_.model != ArrivalModel::kClosedLoop) return;
-    const double base = dropped ? arrival.at_cycles : completion_cycles;
-    ready_.emplace(base + exp_draw(scenario_.think_cycles), arrival.user);
-    return;
-  }
   // Feedback only drives the arrival's own phase; once the program has
   // moved on, the user population it belonged to is gone.
   if (arrival.phase != phase_idx_) return;

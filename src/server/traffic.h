@@ -13,19 +13,18 @@
 //     session when the previous one completes (plus exponential think
 //     time) — the classic benchmark-client shape.
 //
-// A scenario is either FLAT — one parameter set, each arrival drawing its
-// cipher and transaction size uniformly from the grid (by default the
-// Fig. 8 measurement grid, 1KB..32KB, crossed with the three record
-// ciphers) — or a PROGRAM: a non-empty `phases` list, usually compiled from
-// a .wsp file (src/scenario, docs/scenarios.md).  A program executes its
-// phases back to back on the virtual clock; each phase carries its own
-// arrival model, load/population, WEIGHTED cipher×size mix, resumption
-// fraction and optional fault overlay.  Per arrival the generator draws, in
-// this fixed order: arrival time, cipher, size, session seed, and — only
-// when the phase's resume_fraction is strictly between 0 and 1 — the resume
-// coin.  A single-phase program with unit weights and resume_fraction in
-// {0, 1} therefore consumes the Rng exactly like the flat path and
-// reproduces it bit for bit.
+// A scenario is a PROGRAM: a non-empty `phases` list, compiled from a .wsp
+// file (src/scenario, docs/scenarios.md) or built by hand.  It is the only
+// scenario form; traces of earlier builds that stored a flat parameter set
+// are lowered to a one-phase program when they are decoded
+// (server/record.cpp).  The phases execute back to back on the virtual
+// clock; each carries its own arrival model, load/population, WEIGHTED
+// cipher×size mix (by default the Fig. 8 measurement grid, 1KB..32KB,
+// crossed with the three record ciphers, unit weights), resumption fraction
+// and optional fault overlay.  Per arrival the generator draws, in this
+// fixed order: arrival time, cipher, size, session seed, and — only when
+// the phase's resume_fraction is strictly between 0 and 1 — the resume
+// coin.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +41,7 @@ namespace wsp::server {
 enum class ArrivalModel { kOpenLoop, kClosedLoop };
 
 /// One weighted entry of a phase's cipher mix.  Weights are relative
-/// (integers >= 1); unit weights reproduce the flat path's uniform draw.
+/// (integers >= 1); unit weights draw uniformly.
 struct CipherMix {
   ssl::Cipher cipher = ssl::Cipher::kRc4;
   std::uint32_t weight = 1;
@@ -55,8 +54,9 @@ struct SizeMix {
 };
 
 /// One phase of a traffic program: `sessions` arrivals under one parameter
-/// set.  Compiled from a .wsp `phase` block (src/scenario/sema.cpp), which
-/// fills every field; hand-built phases must satisfy
+/// set.  The defaults are the paper's Fig. 8 grid under a steady open loop;
+/// a .wsp `phase` block (src/scenario/sema.cpp) overrides them, and
+/// hand-built phases must set `sessions` and satisfy
 /// TrafficScenario::validate().
 struct TrafficPhase {
   std::string name;           ///< diagnostic label ("flash", "night", ...)
@@ -69,8 +69,11 @@ struct TrafficPhase {
   /// (abbreviated handshake, resumed pricing).  0 = all full handshakes,
   /// 1 = all resumed; in between, a per-arrival deterministic coin.
   double resume_fraction = 0.0;
-  std::vector<CipherMix> cipher_mix;
-  std::vector<SizeMix> size_mix;
+  std::vector<CipherMix> cipher_mix = {{ssl::Cipher::kTripleDesCbc, 1},
+                                       {ssl::Cipher::kAes128Cbc, 1},
+                                       {ssl::Cipher::kRc4, 1}};
+  std::vector<SizeMix> size_mix = {{1024, 1}, {2048, 1},  {4096, 1},
+                                   {8192, 1}, {16384, 1}, {32768, 1}};
   /// Overrides the engine's FaultConfig for sessions arriving in this phase
   /// (rekey storms, adversarial floods); nullopt inherits the engine's.
   std::optional<FaultConfig> faults;
@@ -78,48 +81,19 @@ struct TrafficPhase {
 
 struct TrafficScenario {
   std::uint64_t seed = 1;
-  std::size_t sessions = 64;  ///< total arrivals to offer (flat scenarios)
-  ArrivalModel model = ArrivalModel::kOpenLoop;
-
-  // Open loop: offered load as a fraction of modeled service capacity
-  // (shards x 1 session-cycle per cycle).  > 1.0 over-admits.
-  double offered_load = 0.6;
-
-  // Closed loop: concurrent user population and mean think time.
-  unsigned users = 8;
-  double think_cycles = 0.0;
-
-  // Session mix (uniform draw per arrival).
-  std::vector<ssl::Cipher> ciphers = {ssl::Cipher::kTripleDesCbc,
-                                      ssl::Cipher::kAes128Cbc,
-                                      ssl::Cipher::kRc4};
-  std::vector<std::size_t> transaction_sizes = {1024, 2048, 4096,
-                                                8192, 16384, 32768};
   std::size_t record_bytes = 1024;
-
-  /// Sessions reconnect with cached credentials: the engine runs the
-  /// abbreviated resumption handshake (Session::resume — no RSA) and
-  /// prices sessions with ssl::resumed_transaction_cost.  This is the
-  /// million-session regime, where key exchange is amortized across
-  /// reconnects and record-layer throughput dominates.
-  bool resume_sessions = false;
-
-  /// Non-empty = this scenario is a traffic PROGRAM: the flat fields above
-  /// (except seed and record_bytes) are ignored and the phases execute back
-  /// to back.  Usually produced by the .wsp compiler (scenario::compile).
+  /// The traffic program; the phases execute back to back.
   std::vector<TrafficPhase> phases;
 
-  bool phased() const { return !phases.empty(); }
-
-  /// Total arrivals the scenario offers (sum of phases, or `sessions`).
+  /// Total arrivals the scenario offers (the sum over its phases).
   std::size_t total_sessions() const;
 
-  /// Rejects degenerate scenarios with std::invalid_argument: zero
-  /// sessions, empty cipher/size grids or mixes, non-finite or non-positive
-  /// offered_load, negative/non-finite think_cycles, zero users on a
-  /// closed loop, resume fractions outside [0, 1], zero mix weights, bad
-  /// fault overlays, zero record_bytes.  Engine::run calls this before
-  /// touching any state.
+  /// Rejects degenerate scenarios with std::invalid_argument: no phases,
+  /// zero sessions, empty mixes, zero mix weights or sizes, non-finite or
+  /// non-positive offered_load, negative/non-finite think_cycles, zero
+  /// users on a closed loop, resume fractions outside [0, 1], bad fault
+  /// overlays, zero record_bytes.  Engine::run calls this before touching
+  /// any state.
   void validate() const;
 };
 
@@ -130,9 +104,9 @@ struct SessionArrival {
   ssl::Cipher cipher = ssl::Cipher::kRc4;
   std::size_t transaction_bytes = 0;
   std::uint64_t session_seed = 0;
-  std::uint32_t phase = 0;  ///< index into scenario.phases (0 when flat)
-  /// Whether THIS session resumes (flat: the scenario flag; program: the
-  /// phase's resume_fraction, possibly a per-arrival deterministic coin).
+  std::uint32_t phase = 0;  ///< index into scenario.phases
+  /// Whether THIS session resumes (the phase's resume_fraction, possibly a
+  /// per-arrival deterministic coin).
   bool resume = false;
 };
 
@@ -161,17 +135,12 @@ struct TrafficGeneratorState {
 
 class TrafficGenerator {
  public:
-  /// Flat scenarios.  `mean_service_cycles` is the scenario-mix average
-  /// session cost under the engine's pricing model; `service_units` the
-  /// number of shards.  Together they convert `offered_load` into an
-  /// arrival rate.  Throws std::logic_error if `scenario` is a program.
-  TrafficGenerator(const TrafficScenario& scenario, double mean_service_cycles,
-                   unsigned service_units);
-
-  /// Traffic programs: one pre-priced mean service figure per phase (same
-  /// order as scenario.phases; the engine computes them from each phase's
-  /// weighted mix).  Throws std::logic_error on a flat scenario or a
-  /// length mismatch.
+  /// One pre-priced mean service figure per phase (same order as
+  /// scenario.phases; the engine computes them from each phase's weighted
+  /// mix); `service_units` is the number of shards.  Together they convert
+  /// each open phase's `offered_load` into an arrival rate.  Throws
+  /// std::logic_error on a length mismatch and std::invalid_argument on a
+  /// scenario validate() rejects.
   TrafficGenerator(const TrafficScenario& scenario,
                    const std::vector<double>& phase_mean_service_cycles,
                    unsigned service_units);
@@ -212,8 +181,8 @@ class TrafficGenerator {
   double interarrival_mean_ = 0.0;
   double open_clock_ = 0.0;
 
-  // Program state: current phase, arrivals emitted within it, and the
-  // pre-computed per-phase rate/weight tables.
+  // Current phase, arrivals emitted within it, and the pre-computed
+  // per-phase rate/weight tables.
   std::size_t phase_idx_ = 0;
   std::size_t phase_done_ = 0;
   bool phase_entered_ = false;

@@ -25,9 +25,10 @@ const std::vector<ToleranceRule>& default_tolerance_table() {
       {"*/leaked", Direction::kExact, 0.0},
       {"*/faults_injected", Direction::kExact, 0.0},
       {"*/aborted", Direction::kExact, 0.0},
-      // The .wsp compiler's legacy-equivalence gate (bench_report scenario
+      // The .wsp compiler's equivalence gate (bench_report scenario
       // section): a compiled one-phase Fig. 8 program must reproduce the
-      // flat code path bit for bit, so the mismatch count stays zero.
+      // hand-built bench program bit for bit, so the mismatch count stays
+      // zero.
       {"*/equiv_mismatch", Direction::kExact, 0.0},
       // Crash-fault tolerance (docs/recovery.md): a crash -> restore ->
       // continue run must match the uninterrupted reference bit for bit —

@@ -4,8 +4,9 @@
 // contract, RunRecorder torn traces, and the scan -> resume pipeline —
 // including truncation at every checkpoint-chunk boundary, rejection of
 // CRC-valid-but-lying checkpoints (stale slab handles, tampered digests,
-// unreachable generator cursors), and the parked-session trace an earlier
-// build recorded (tests/data/lanes8_parked.wspr).
+// unreachable generator cursors), and the traces earlier builds recorded
+// (tests/data/lanes8_parked.wspr with parked entries, and
+// tests/data/flat_closed.wspr from a flat closed-loop scenario).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,13 +31,15 @@ using replay::ReplayError;
 server::TrafficScenario crash_mix(std::uint64_t seed, std::size_t sessions) {
   server::TrafficScenario s;
   s.seed = seed;
-  s.sessions = sessions;
-  s.model = server::ArrivalModel::kOpenLoop;
-  s.offered_load = 0.8;
-  s.ciphers = {ssl::Cipher::kRc4, ssl::Cipher::kAes128Cbc,
-               ssl::Cipher::kTripleDesCbc};
-  s.transaction_sizes = {512, 2048};
   s.record_bytes = 512;
+  server::TrafficPhase ph;
+  ph.sessions = sessions;
+  ph.offered_load = 0.8;
+  ph.cipher_mix = {{ssl::Cipher::kRc4, 1},
+                   {ssl::Cipher::kAes128Cbc, 1},
+                   {ssl::Cipher::kTripleDesCbc, 1}};
+  ph.size_mix = {{512, 1}, {2048, 1}};
+  s.phases = {ph};
   return s;
 }
 
@@ -75,6 +78,13 @@ std::vector<std::uint8_t> legacy_parked_trace() {
   return replay::read_file(WSP_TEST_DATA_DIR "/lanes8_parked.wspr");
 }
 
+/// A complete trace an earlier build recorded from a FLAT closed-loop
+/// scenario: seed 907, 24 sessions, 4 users, think 6e6 cycles, RC4/AES ×
+/// {512, 2048} B, 2 shards, rsa_bits 512, checkpoints every makespan/5.
+std::vector<std::uint8_t> legacy_closed_trace() {
+  return replay::read_file(WSP_TEST_DATA_DIR "/flat_closed.wspr");
+}
+
 /// Payload of the first `tag` chunk of a trace, read up to its tear.
 std::vector<std::uint8_t> chunk_payload(const std::vector<std::uint8_t>& bytes,
                                         server::RecordChunk tag) {
@@ -98,11 +108,11 @@ struct CollectSink final : server::CheckpointSink {
 
 TEST(CheckpointGenerator, SnapshotRestoreResumesDrawSequenceExactly) {
   const auto scenario = crash_mix(11, 40);
-  server::TrafficGenerator gen(scenario, 5.0e6, 4);
+  server::TrafficGenerator gen(scenario, {5.0e6}, 4);
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(gen.next().has_value());
 
   const server::TrafficGeneratorState snap = gen.state();
-  server::TrafficGenerator fresh(scenario, 5.0e6, 4);
+  server::TrafficGenerator fresh(scenario, {5.0e6}, 4);
   fresh.restore(snap);
 
   // Every remaining draw must be identical, field for field.
@@ -123,10 +133,10 @@ TEST(CheckpointGenerator, SnapshotRestoreResumesDrawSequenceExactly) {
 
 TEST(CheckpointGenerator, ClosedLoopPendingArrivalsSurviveSnapshot) {
   auto scenario = crash_mix(12, 24);
-  scenario.model = server::ArrivalModel::kClosedLoop;
-  scenario.users = 4;
-  scenario.think_cycles = 1e6;
-  server::TrafficGenerator gen(scenario, 5.0e6, 4);
+  scenario.phases[0].model = server::ArrivalModel::kClosedLoop;
+  scenario.phases[0].users = 4;
+  scenario.phases[0].think_cycles = 1e6;
+  server::TrafficGenerator gen(scenario, {5.0e6}, 4);
   // Drain a few arrivals and feed completions back so the ready heap has
   // genuine content when the snapshot is taken.
   for (int i = 0; i < 6; ++i) {
@@ -137,7 +147,7 @@ TEST(CheckpointGenerator, ClosedLoopPendingArrivalsSurviveSnapshot) {
   const auto snap = gen.state();
   EXPECT_FALSE(snap.ready.empty());
 
-  server::TrafficGenerator fresh(scenario, 5.0e6, 4);
+  server::TrafficGenerator fresh(scenario, {5.0e6}, 4);
   fresh.restore(snap);
   const auto a = gen.next();
   const auto b = fresh.next();
@@ -419,6 +429,44 @@ TEST(CheckpointLegacy, ParkedFixtureResumesFromEveryCheckpoint) {
   }
 }
 
+TEST(CheckpointLegacy, FlatClosedLoopFixtureReplaysAndResumes) {
+  // The recorded report is the oracle here: it came from the flat
+  // generator of an earlier build.  Replay runs the lowered one-phase
+  // program; resume additionally needs each checkpoint's flat generator
+  // state mapped onto that phase (phase_done = next_id, phase_entered),
+  // or the fit check rejects it and a restored population would be
+  // re-staggered.
+  const auto bytes = legacy_closed_trace();
+  const server::RunRecord rec = server::decode_run_record(bytes);
+  ASSERT_EQ(rec.scenario.phases.size(), 1u);
+  EXPECT_EQ(rec.scenario.phases[0].model, server::ArrivalModel::kClosedLoop);
+  EXPECT_EQ(rec.scenario.phases[0].users, 4u);
+  for (const unsigned threads : {1u, 4u}) {
+    const auto replayed = server::replay_run(rec, threads);
+    EXPECT_TRUE(replayed.ok()) << threads << " threads: "
+                               << replayed.mismatches.front();
+  }
+
+  const auto scan = server::scan_trace_for_resume(bytes);
+  ASSERT_TRUE(scan.complete);
+  ASSERT_GE(scan.checkpoints.size(), 2u);
+  for (std::size_t k = 0; k < scan.checkpoints.size(); ++k) {
+    const auto& g = scan.checkpoints[k].generator;
+    EXPECT_TRUE(g.phase_entered);
+    EXPECT_EQ(g.phase_done, g.next_id);
+    EXPECT_FALSE(g.ready.empty()) << "closed-loop users must be pending";
+    server::ResumeScan upto = scan;
+    upto.checkpoints.resize(k + 1);
+    for (const unsigned threads : {1u, 4u}) {
+      const auto result = server::resume_run(upto, threads);
+      const auto mismatches =
+          server::compare_reports(scan.record.report, result.report);
+      EXPECT_TRUE(mismatches.empty()) << "checkpoint " << k << ", " << threads
+                                      << " threads: " << mismatches.front();
+    }
+  }
+}
+
 TEST(CheckpointLegacy, TrailingLanesVarintIsReadAndIgnored) {
   // The earlier build appended its lane width (8) to the config chunk.  The
   // decoder skips it and the encoder no longer writes it, so recording the
@@ -579,7 +627,7 @@ TEST(CheckpointResume, InputDamageRethrowsScanDamageIsTyped) {
   // reject it as typed kMalformed, never feed it to the engine.
   auto scan = server::scan_trace_for_resume(torn.bytes);
   ASSERT_FALSE(scan.checkpoints.empty());
-  scan.checkpoints.back().offered = scenario.sessions + 1000;
+  scan.checkpoints.back().offered = scenario.total_sessions() + 1000;
   try {
     (void)server::resume_run(scan);
     FAIL() << "lying checkpoint accepted";

@@ -23,13 +23,15 @@ namespace {
 server::TrafficScenario storm_mix(std::uint64_t seed, std::size_t sessions) {
   server::TrafficScenario s;
   s.seed = seed;
-  s.sessions = sessions;
-  s.model = server::ArrivalModel::kOpenLoop;
-  s.offered_load = 0.9;
-  s.ciphers = {ssl::Cipher::kRc4, ssl::Cipher::kAes128Cbc,
-               ssl::Cipher::kTripleDesCbc};
-  s.transaction_sizes = {512, 2048, 4096};
   s.record_bytes = 512;
+  server::TrafficPhase ph;
+  ph.sessions = sessions;
+  ph.offered_load = 0.9;
+  ph.cipher_mix = {{ssl::Cipher::kRc4, 1},
+                   {ssl::Cipher::kAes128Cbc, 1},
+                   {ssl::Cipher::kTripleDesCbc, 1}};
+  ph.size_mix = {{512, 1}, {2048, 1}, {4096, 1}};
+  s.phases = {ph};
   return s;
 }
 
@@ -174,7 +176,7 @@ TEST(CheckpointDeterminism, EveryCheckpointPrefixResumesIdentically) {
 // load and the resumed run must still agree on shed/degrade_enters.
 TEST(CheckpointDeterminism, DegradeStateSurvivesRestore) {
   auto scenario = storm_mix(8505, 96);
-  scenario.offered_load = 3.0;
+  scenario.phases[0].offered_load = 3.0;
   server::EngineConfig cfg = base_cfg(2, {});
   cfg.queue_capacity = 8;
   cfg.degrade_depth = 12;

@@ -456,6 +456,90 @@ TEST(Fuzz, CheckpointPayloadMutationsAreTypedOrHarmless) {
   EXPECT_GT(typed, 0u) << "no mutation was ever detected";
 }
 
+/// `record` re-encoded with its kScenario chunk payload replaced.
+std::vector<std::uint8_t> with_scenario_payload(
+    const std::vector<std::uint8_t>& record,
+    const std::vector<std::uint8_t>& payload) {
+  replay::VectorSink sink;
+  replay::ChunkWriter writer(sink);
+  replay::ChunkReader reader(record);
+  while (const auto chunk = reader.next()) {
+    const bool scenario = chunk->tag == static_cast<std::uint64_t>(
+                                            server::RecordChunk::kScenario);
+    writer.chunk(chunk->tag, scenario ? payload : chunk->payload);
+  }
+  writer.end();
+  return sink.take();
+}
+
+TEST(Fuzz, ScenarioPayloadMutationsAreTypedOrHarmless) {
+  // Single-byte mutations of a real kScenario payload inside an otherwise
+  // valid, CRC-correct run record: decoding either yields a scenario the
+  // engine's validator accepts or throws a typed ReplayError — never an
+  // untyped exception out of decode, replay or resume.
+  server::TrafficScenario one;
+  one.seed = 906;
+  one.record_bytes = 512;
+  server::TrafficPhase ph;
+  ph.name = "only";
+  ph.sessions = 12;
+  ph.model = server::ArrivalModel::kClosedLoop;
+  ph.users = 3;
+  ph.think_cycles = 1e4;
+  ph.cipher_mix = {{ssl::Cipher::kRc4, 1}, {ssl::Cipher::kAes128Cbc, 2}};
+  ph.size_mix = {{512, 1}, {2048, 1}};
+  one.phases = {ph};
+  const auto multi = scenario::compile(
+      "scenario { seed 907 record_bytes 256\n"
+      "  phase \"calm\" { sessions 8, load 0.5, sizes { 1024: 1 } }\n"
+      "  phase \"mixed\" { sessions 8, load 2.0, resume 0.5,\n"
+      "                    mix { 3des: 1, rc4: 3 },\n"
+      "                    faults { wire_flip_rate 0.1,\n"
+      "                             record_retry_budget 2 } }\n"
+      "}\n");
+  std::size_t typed = 0, harmless = 0;
+  for (const auto& sc : {one, multi.scenario}) {
+    server::RunRecord rec;
+    rec.git_rev = "fuzz";
+    rec.scenario = sc;
+    rec.config.shards = 1;
+    rec.report.shards.resize(1);
+    const auto record = server::encode_run_record(rec);
+    std::vector<std::uint8_t> payload;
+    replay::ChunkReader reader(record);
+    while (const auto chunk = reader.next()) {
+      if (chunk->tag ==
+          static_cast<std::uint64_t>(server::RecordChunk::kScenario)) {
+        payload = chunk->payload;
+      }
+    }
+    ASSERT_FALSE(payload.empty());
+    // Every position, with edge values (zero, varint continuation, double
+    // sign/exponent patterns) and every single-bit flip.
+    for (std::size_t pos = 0; pos < payload.size(); ++pos) {
+      std::vector<std::uint8_t> values = {0x00, 0x01, 0x7F, 0x80, 0xFF};
+      for (int bit = 0; bit < 8; ++bit) {
+        values.push_back(static_cast<std::uint8_t>(payload[pos] ^ (1u << bit)));
+      }
+      for (const std::uint8_t v : values) {
+        auto bytes = payload;
+        bytes[pos] = v;
+        try {
+          const auto back =
+              server::decode_run_record(with_scenario_payload(record, bytes));
+          EXPECT_NO_THROW(back.scenario.validate())
+              << "byte " << pos << " = " << static_cast<int>(v);
+          ++harmless;
+        } catch (const replay::ReplayError&) {
+          ++typed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(typed, 0u) << "no mutation was ever detected";
+  EXPECT_GT(harmless, 0u) << "no mutation was ever immaterial";
+}
+
 TEST(Fuzz, StaleSlabHandlesInCheckpointsAreAlwaysTyped) {
   // Stale-generation handles (even gen: recycled before capture) must be a
   // typed kMalformed wherever they appear, for every parked entry.

@@ -209,6 +209,15 @@ server::SessionEvent random_event(Rng& rng, std::uint64_t id) {
   return ev;
 }
 
+/// A one-phase program of `sessions` arrivals (every other field at its
+/// default): the smallest scenario decode_run_record accepts.
+server::TrafficScenario program(std::size_t sessions) {
+  server::TrafficScenario sc;
+  sc.phases.resize(1);
+  sc.phases[0].sessions = sessions;
+  return sc;
+}
+
 // Round-trips randomized event streams through the full RunRecord codec:
 // encode -> decode must be the identity on every field, for many seeds.
 TEST(ReplayRunRecord, RandomizedEventStreamsRoundTrip) {
@@ -217,8 +226,8 @@ TEST(ReplayRunRecord, RandomizedEventStreamsRoundTrip) {
     server::RunRecord rec;
     rec.git_rev = "testrev";
     rec.recorded_threads = 3;
+    rec.scenario = program(500);
     rec.scenario.seed = seed;
-    rec.scenario.sessions = 500;
     rec.config.shards = 16;
     rec.report.shards.resize(16);
     std::uint64_t id = 0;
@@ -238,7 +247,7 @@ TEST(ReplayRunRecord, RandomizedEventStreamsRoundTrip) {
     EXPECT_EQ(back.git_rev, "testrev");
     EXPECT_EQ(back.recorded_threads, 3u);
     EXPECT_EQ(back.scenario.seed, seed);
-    EXPECT_EQ(back.scenario.sessions, 500u);
+    EXPECT_EQ(back.scenario.total_sessions(), 500u);
     EXPECT_EQ(back.config.shards, 16u);
     ASSERT_EQ(back.report.events.size(), rec.report.events.size());
     for (std::size_t i = 0; i < rec.report.events.size(); ++i) {
@@ -256,7 +265,7 @@ TEST(ReplayRunRecord, RandomizedEventStreamsRoundTrip) {
 TEST(ReplayRunRecord, EncodingIsDeterministic) {
   server::RunRecord rec;
   rec.git_rev = "r";
-  rec.scenario.sessions = 8;
+  rec.scenario = program(8);
   rec.config.shards = 2;
   rec.report.shards.resize(2);
   EXPECT_EQ(server::encode_run_record(rec), server::encode_run_record(rec));
@@ -279,7 +288,7 @@ TEST(ReplayRunRecord, MissingChunkIsMalformed) {
 TEST(ReplayRunRecord, UnknownChunkTagsAreSkipped) {
   server::RunRecord rec;
   rec.git_rev = "r";
-  rec.scenario.sessions = 4;
+  rec.scenario = program(4);
   rec.config.shards = 1;
   rec.report.shards.resize(1);
   auto bytes = server::encode_run_record(rec);
@@ -299,28 +308,147 @@ TEST(ReplayRunRecord, UnknownChunkTagsAreSkipped) {
   append(extra, header, extra.size());
   append(bytes, header, bytes.size());
   const server::RunRecord back = server::decode_run_record(spliced);
-  EXPECT_EQ(back.scenario.sessions, 4u);
+  EXPECT_EQ(back.scenario.total_sessions(), 4u);
 }
 
-// Legacy traces predate the phased-program fields and the kScenarioSource
-// chunk: a record encoded without them must decode as a flat scenario with
-// no phases and no embedded source (version-skew, old-writer direction).
+/// A hand-encoded kScenario payload in the v1 flat layout: seed, sessions,
+/// model, load, users, think, cipher grid, delta-coded size grid,
+/// record_bytes, then (tail >= 1) the resume flag and (tail >= 2) a zero
+/// phase count.  Pre-phase binaries wrote tail 1, the first ones tail 0.
+std::vector<std::uint8_t> flat_v1(std::uint64_t users, int tail) {
+  std::vector<std::uint8_t> p;
+  replay::put_varint(p, 31);    // seed
+  replay::put_varint(p, 6);     // sessions
+  replay::put_varint(p, 1);     // closed loop
+  replay::put_double(p, 0.75);  // offered_load
+  replay::put_varint(p, users);
+  replay::put_double(p, 1e4);   // think_cycles
+  replay::put_varint(p, 2);     // ciphers: rc4, aes128
+  replay::put_varint(p, 2);
+  replay::put_varint(p, 1);
+  replay::put_varint(p, 2);     // sizes: 512, 2048 (delta-coded)
+  replay::put_zigzag(p, 512);
+  replay::put_zigzag(p, 1536);
+  replay::put_varint(p, 256);   // record_bytes
+  if (tail >= 1) replay::put_varint(p, 1);  // resume_sessions
+  if (tail >= 2) replay::put_varint(p, 0);  // zero phases
+  return p;
+}
+
+/// `record` re-encoded with its kScenario chunk payload replaced.
+std::vector<std::uint8_t> with_scenario(
+    const std::vector<std::uint8_t>& record,
+    const std::vector<std::uint8_t>& payload) {
+  VectorSink sink;
+  ChunkWriter writer(sink);
+  ChunkReader reader(record);
+  while (const auto chunk = reader.next()) {
+    const bool scenario = chunk->tag == static_cast<std::uint64_t>(
+                                            server::RecordChunk::kScenario);
+    writer.chunk(chunk->tag, scenario ? payload : chunk->payload);
+  }
+  writer.end();
+  return sink.take();
+}
+
+// Legacy traces store a flat scenario: the v1 kScenario header fields and
+// no phases (pre-phase binaries stop after the resume flag, or even before
+// it; later ones append a zero phase count).  Decoding lowers that to one
+// phase "phase0" with unit-weight mixes and a 0/1 resume fraction, and such
+// records carry no kScenarioSource chunk (version-skew, old-writer
+// direction).
 TEST(ReplayRunRecord, LegacyRecordDecodesAsFlatScenarioWithoutSource) {
   server::RunRecord rec;
   rec.git_rev = "legacy";
-  rec.scenario.sessions = 6;
-  rec.scenario.ciphers = {ssl::Cipher::kRc4};
-  rec.scenario.transaction_sizes = {512};
+  rec.scenario = program(1);
   rec.config.shards = 2;
   rec.report.shards.resize(2);
-  // No phases, no source: the writer emits the flat trailing layout and no
-  // kScenarioSource chunk, exactly like a pre-phase binary would.
-  const auto bytes = server::encode_run_record(rec);
-  const server::RunRecord back = server::decode_run_record(bytes);
-  EXPECT_TRUE(back.scenario.phases.empty());
-  EXPECT_FALSE(back.scenario.phased());
-  EXPECT_TRUE(back.scenario_source.empty());
-  EXPECT_EQ(back.scenario.sessions, 6u);
+  const auto modern = server::encode_run_record(rec);
+
+  for (const int tail : {0, 1, 2}) {
+    SCOPED_TRACE(tail);
+    const server::RunRecord back =
+        server::decode_run_record(with_scenario(modern, flat_v1(3, tail)));
+    EXPECT_TRUE(back.scenario_source.empty());
+    EXPECT_EQ(back.scenario.seed, 31u);
+    EXPECT_EQ(back.scenario.record_bytes, 256u);
+    ASSERT_EQ(back.scenario.phases.size(), 1u);
+    const server::TrafficPhase& ph = back.scenario.phases[0];
+    EXPECT_EQ(ph.name, "phase0");
+    EXPECT_EQ(ph.sessions, 6u);
+    EXPECT_EQ(ph.model, server::ArrivalModel::kClosedLoop);
+    EXPECT_EQ(ph.offered_load, 0.75);
+    EXPECT_EQ(ph.users, 3u);
+    EXPECT_EQ(ph.think_cycles, 1e4);
+    EXPECT_EQ(ph.resume_fraction, tail >= 1 ? 1.0 : 0.0);
+    ASSERT_EQ(ph.cipher_mix.size(), 2u);
+    EXPECT_EQ(ph.cipher_mix[0].cipher, ssl::Cipher::kRc4);
+    EXPECT_EQ(ph.cipher_mix[1].cipher, ssl::Cipher::kAes128Cbc);
+    ASSERT_EQ(ph.size_mix.size(), 2u);
+    EXPECT_EQ(ph.size_mix[0].bytes, 512u);
+    EXPECT_EQ(ph.size_mix[1].bytes, 2048u);
+    for (const auto& m : ph.cipher_mix) EXPECT_EQ(m.weight, 1u);
+    for (const auto& m : ph.size_mix) EXPECT_EQ(m.weight, 1u);
+    EXPECT_FALSE(ph.faults.has_value());
+  }
+}
+
+// 32-bit fields arrive as 64-bit varints: a value that does not fit is
+// malformed input, never silently truncated (users 2^32 would become a
+// zero-user closed loop).
+TEST(ReplayRunRecord, OversizedUsersAndMixWeightsAreMalformed) {
+  server::RunRecord rec;
+  rec.git_rev = "wide";
+  rec.scenario = program(1);
+  rec.config.shards = 1;
+  rec.report.shards.resize(1);
+  const auto modern = server::encode_run_record(rec);
+  const std::uint64_t wide = std::uint64_t{1} << 32;
+
+  // One phase after a placeholder flat header; `users` and the cipher mix
+  // weight are parameters.
+  auto program_v1 = [](std::uint64_t users, std::uint64_t weight) {
+    std::vector<std::uint8_t> p;
+    replay::put_varint(p, 5);       // seed
+    replay::put_varint(p, 0);       // sessions
+    replay::put_varint(p, 0);       // model
+    replay::put_double(p, 0.0);     // offered_load
+    replay::put_varint(p, 0);       // users
+    replay::put_double(p, 0.0);     // think_cycles
+    replay::put_varint(p, 0);       // cipher grid
+    replay::put_varint(p, 0);       // size grid
+    replay::put_varint(p, 512);     // record_bytes
+    replay::put_varint(p, 0);       // resume flag
+    replay::put_varint(p, 1);       // one phase
+    replay::put_string(p, "p");
+    replay::put_varint(p, 4);       // sessions
+    replay::put_varint(p, 1);       // closed loop
+    replay::put_double(p, 0.6);
+    replay::put_varint(p, users);
+    replay::put_double(p, 0.0);     // think
+    replay::put_double(p, 0.0);     // resume_fraction
+    replay::put_varint(p, 1);       // cipher mix: rc4
+    replay::put_varint(p, 2);
+    replay::put_varint(p, weight);
+    replay::put_varint(p, 1);       // size mix: 512
+    replay::put_varint(p, 512);
+    replay::put_varint(p, 1);
+    replay::put_varint(p, 0);       // no fault overlay
+    return p;
+  };
+  EXPECT_EQ(server::decode_run_record(with_scenario(modern, program_v1(2, 3)))
+                .scenario.phases[0]
+                .users,
+            2u);
+  for (const auto& payload :
+       {flat_v1(wide, 1), program_v1(wide, 1), program_v1(2, wide)}) {
+    try {
+      (void)server::decode_run_record(with_scenario(modern, payload));
+      ADD_FAILURE() << "oversized varint accepted";
+    } catch (const ReplayError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kMalformed);
+    }
+  }
 }
 
 // New-writer direction: phased programs and the embedded .wsp source ride
@@ -344,7 +472,6 @@ TEST(ReplayRunRecord, PhasedRecordRoundTripsPhasesAndSource) {
   faults.record_retry_budget = 3;
   ph.faults = faults;
   rec.scenario.phases = {ph};
-  rec.scenario.sessions = rec.scenario.total_sessions();
   rec.scenario_source = "scenario { phase \"spike\" { sessions 12 } }\n";
   rec.config.shards = 1;
   rec.report.shards.resize(1);
@@ -407,7 +534,7 @@ TEST(ReplayRunRecord, PhaseWithUnknownCipherIdIsMalformed) {
 TEST(ReplayRunRecord, FileRoundTrip) {
   server::RunRecord rec;
   rec.git_rev = "filetest";
-  rec.scenario.sessions = 4;
+  rec.scenario = program(4);
   rec.config.shards = 2;
   rec.report.shards.resize(2);
   const std::string path = ::testing::TempDir() + "/roundtrip.wspr";

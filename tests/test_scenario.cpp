@@ -1,7 +1,8 @@
 // The .wsp scenario compiler (src/scenario, docs/scenarios.md): golden
 // diagnostics (stable Ennn codes + line:column), lowering correctness, and
-// the legacy-equivalence contract — a one-phase program spelling out the
-// flat defaults must reproduce the flat code path bit for bit.
+// the equivalence contract — a one-phase .wsp program must reproduce the
+// hand-built one-phase program it spells out (the bench scenarios) bit for
+// bit.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -111,7 +112,6 @@ TEST(ScenarioCompile, LowersPhasesWithDefaultsInheritance) {
       "}\n");
   EXPECT_EQ(compiled.name, "demo");
   const server::TrafficScenario& sc = compiled.scenario;
-  ASSERT_TRUE(sc.phased());
   ASSERT_EQ(sc.phases.size(), 2u);
   EXPECT_EQ(sc.seed, 99u);
   EXPECT_EQ(sc.record_bytes, 512u);
@@ -169,7 +169,7 @@ TEST(ScenarioCompile, FaultsBlockReplacesInheritedOverlay) {
   EXPECT_DOUBLE_EQ(compiled.scenario.phases[1].faults->wire_flip_rate, 0.0);
 }
 
-// --- Legacy equivalence (the compiler's load-bearing contract) -------------
+// --- Equivalence with hand-built programs (the compiler's contract) ---------
 
 server::RunReport run_with(const server::TrafficScenario& sc,
                            unsigned threads = 2) {
@@ -182,17 +182,17 @@ server::RunReport run_with(const server::TrafficScenario& sc,
 
 TEST(ScenarioEquivalence, OnePhaseOpenLoopMatchesFlatFig8Bitwise) {
   // The acceptance gate: the Fig. 8 grid spelled as a .wsp produces a
-  // report IDENTICAL to the legacy flat path — same Rng draws, same IEEE
-  // mean-service arithmetic, same everything.
+  // report IDENTICAL to the hand-built bench program — same Rng draws, same
+  // IEEE mean-service arithmetic, same everything.
   const auto compiled = scenario::compile(
       "scenario \"fig8\" {\n"
       "  seed 71\n"
       "  record_bytes 1024\n"
       "  phase \"steady\" { sessions 64, arrivals open, load 0.6 }\n"
       "}\n");
-  const auto flat = bench::steady_scenario(71, 64);
+  const auto built = bench::steady_scenario(71, 64);
   EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(flat)));
+      run_with(compiled.scenario), run_with(built)));
 }
 
 TEST(ScenarioEquivalence, OnePhaseClosedLoopMatchesFlatBitwise) {
@@ -202,14 +202,14 @@ TEST(ScenarioEquivalence, OnePhaseClosedLoopMatchesFlatBitwise) {
       "  record_bytes 1024\n"
       "  phase { sessions 32, arrivals closed, users 8, think 6000000 }\n"
       "}\n");
-  const auto flat = bench::closed_scenario(72, 32, 8);
+  const auto built = bench::closed_scenario(72, 32, 8);
   EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(flat)));
+      run_with(compiled.scenario), run_with(built)));
 }
 
 TEST(ScenarioEquivalence, ResumeOnMatchesFlatResumeSessionsBitwise) {
-  // `resume on` (fraction exactly 1.0) must hit the flat resume_sessions
-  // path exactly: resumed pricing, abbreviated handshakes, no keygen, and
+  // `resume on` (fraction exactly 1.0) must lower to resume_fraction 1.0
+  // exactly: resumed pricing, abbreviated handshakes, no keygen, and
   // crucially NO per-arrival resume coin consuming Rng draws.
   const auto compiled = scenario::compile(
       "scenario {\n"
@@ -221,24 +221,26 @@ TEST(ScenarioEquivalence, ResumeOnMatchesFlatResumeSessionsBitwise) {
       "    sizes { 256: 1, 512: 1 }\n"
       "  }\n"
       "}\n");
-  server::TrafficScenario flat;
-  flat.seed = 73;
-  flat.sessions = 48;
-  flat.model = server::ArrivalModel::kOpenLoop;
-  flat.offered_load = 1.2;
-  flat.resume_sessions = true;
-  flat.ciphers = {ssl::Cipher::kRc4};
-  flat.transaction_sizes = {256, 512};
-  flat.record_bytes = 256;
+  server::TrafficScenario built;
+  built.seed = 73;
+  built.record_bytes = 256;
+  server::TrafficPhase ph;
+  ph.sessions = 48;
+  ph.model = server::ArrivalModel::kOpenLoop;
+  ph.offered_load = 1.2;
+  ph.resume_fraction = 1.0;
+  ph.cipher_mix = {{ssl::Cipher::kRc4, 1}};
+  ph.size_mix = {{256, 1}, {512, 1}};
+  built.phases = {ph};
   EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(flat)));
+      run_with(compiled.scenario), run_with(built)));
 }
 
 TEST(ScenarioEquivalence, WeightedMixEqualsDuplicatedGridEntries) {
   // A weight-2 entry must consume the Rng exactly like the same entry
-  // listed twice in a flat grid: pick_weighted draws below(total weight),
-  // the flat path draws below(grid size), and the cumulative walk maps the
-  // same raw draw to the same cipher/size.
+  // listed twice at unit weight: pick_weighted draws below(total weight)
+  // either way, and the cumulative walk maps the same raw draw to the same
+  // cipher/size.
   const auto compiled = scenario::compile(
       "scenario {\n"
       "  seed 81\n"
@@ -249,16 +251,19 @@ TEST(ScenarioEquivalence, WeightedMixEqualsDuplicatedGridEntries) {
       "    sizes { 1024: 1, 4096: 2 }\n"
       "  }\n"
       "}\n");
-  server::TrafficScenario flat;
-  flat.seed = 81;
-  flat.sessions = 40;
-  flat.model = server::ArrivalModel::kOpenLoop;
-  flat.offered_load = 0.7;
-  flat.ciphers = {ssl::Cipher::kTripleDesCbc, ssl::Cipher::kTripleDesCbc,
-                  ssl::Cipher::kRc4};
-  flat.transaction_sizes = {1024, 4096, 4096};
+  server::TrafficScenario built;
+  built.seed = 81;
+  server::TrafficPhase ph;
+  ph.sessions = 40;
+  ph.model = server::ArrivalModel::kOpenLoop;
+  ph.offered_load = 0.7;
+  ph.cipher_mix = {{ssl::Cipher::kTripleDesCbc, 1},
+                   {ssl::Cipher::kTripleDesCbc, 1},
+                   {ssl::Cipher::kRc4, 1}};
+  ph.size_mix = {{1024, 1}, {4096, 1}, {4096, 1}};
+  built.phases = {ph};
   EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(flat)));
+      run_with(compiled.scenario), run_with(built)));
 }
 
 TEST(ScenarioPrograms, MultiPhaseRunsAllPhasesAndKeepsLeakInvariant) {

@@ -296,11 +296,13 @@ TEST(ServerEngine, SmokeRunAccountsEverySession) {
   cfg.shards = 2;
   server::TrafficScenario scenario;
   scenario.seed = 9;
-  scenario.sessions = 10;
-  scenario.offered_load = 0.8;
-  scenario.ciphers = {ssl::Cipher::kRc4, ssl::Cipher::kAes128Cbc};
-  scenario.transaction_sizes = {512, 1024};
   scenario.record_bytes = 512;
+  server::TrafficPhase ph;
+  ph.sessions = 10;
+  ph.offered_load = 0.8;
+  ph.cipher_mix = {{ssl::Cipher::kRc4, 1}, {ssl::Cipher::kAes128Cbc, 1}};
+  ph.size_mix = {{512, 1}, {1024, 1}};
+  scenario.phases = {ph};
 
   server::Engine engine(cfg);
   const auto rep = engine.run(scenario);
@@ -333,12 +335,14 @@ TEST(ServerEngine, ResumeModeCompletesAndReportsMemory) {
   cfg.shards = 2;
   server::TrafficScenario scenario;
   scenario.seed = 11;
-  scenario.sessions = 40;
-  scenario.offered_load = 0.8;
-  scenario.ciphers = {ssl::Cipher::kRc4};
-  scenario.transaction_sizes = {256, 512};
   scenario.record_bytes = 256;
-  scenario.resume_sessions = true;
+  server::TrafficPhase ph;
+  ph.sessions = 40;
+  ph.offered_load = 0.8;
+  ph.resume_fraction = 1.0;  // every session resumes
+  ph.cipher_mix = {{ssl::Cipher::kRc4, 1}};
+  ph.size_mix = {{256, 1}, {512, 1}};
+  scenario.phases = {ph};
 
   server::Engine engine(cfg);
   const auto rep = engine.run(scenario);

@@ -28,14 +28,15 @@ server::TrafficScenario small_mix(std::uint64_t seed, std::size_t sessions,
                                   double load) {
   server::TrafficScenario s;
   s.seed = seed;
-  s.sessions = sessions;
-  s.model = server::ArrivalModel::kOpenLoop;
-  s.offered_load = load;
+  s.record_bytes = 512;
   // Keep the grid small so sanitizer builds stay fast; still mixes stream
   // and block ciphers with short and long transactions.
-  s.ciphers = {ssl::Cipher::kRc4, ssl::Cipher::kAes128Cbc};
-  s.transaction_sizes = {512, 2048};
-  s.record_bytes = 512;
+  server::TrafficPhase ph;
+  ph.sessions = sessions;
+  ph.offered_load = load;
+  ph.cipher_mix = {{ssl::Cipher::kRc4, 1}, {ssl::Cipher::kAes128Cbc, 1}};
+  ph.size_mix = {{512, 1}, {2048, 1}};
+  s.phases = {ph};
   return s;
 }
 
@@ -132,9 +133,9 @@ TEST(ServerDeterminism, ThreadCountInvariantOpenLoop) {
 
 TEST(ServerDeterminism, ThreadCountInvariantClosedLoop) {
   auto scenario = small_mix(77, 16, 0.7);
-  scenario.model = server::ArrivalModel::kClosedLoop;
-  scenario.users = 4;
-  scenario.think_cycles = 1e6;
+  scenario.phases[0].model = server::ArrivalModel::kClosedLoop;
+  scenario.phases[0].users = 4;
+  scenario.phases[0].think_cycles = 1e6;
   const auto base = run_with_threads(1, scenario);
   EXPECT_GT(base.completed, 0u);
   const auto rep = run_with_threads(4, scenario);
@@ -176,9 +177,9 @@ TEST(ServerSoak, OverAdmissionShedsLoadWithBoundedQueues) {
   // time is bounded by (kCap + 1) maximal service demands.
   const auto costs = server::calibrated_costs(server::Pricing::kOptimized);
   double max_service = 0.0;
-  for (std::size_t bytes : scenario.transaction_sizes) {
+  for (const server::SizeMix& m : scenario.phases[0].size_mix) {
     max_service = std::max(
-        max_service, ssl::transaction_cost(costs, bytes).total());
+        max_service, ssl::transaction_cost(costs, m.bytes).total());
   }
   EXPECT_LE(rep.latency.max, (kCap + 1) * max_service);
   EXPECT_LE(rep.latency.p99, rep.latency.max);
@@ -370,7 +371,7 @@ TEST(ServerTableSoak, ConcurrentInsertEraseChurnKeepsAccountingExact) {
 // one, and the structural memory_per_session figure is a build constant.
 TEST(ServerDeterminism, ResumeModeIsThreadCountInvariant) {
   auto scenario = small_mix(8181, 48, 0.9);
-  scenario.resume_sessions = true;
+  scenario.phases[0].resume_fraction = 1.0;
   const auto base = run_with_threads(1, scenario);
   EXPECT_EQ(base.completed, base.admitted);
   EXPECT_GT(base.completed, 0u);
@@ -387,7 +388,7 @@ TEST(ServerDeterminism, ResumeModeIsThreadCountInvariant) {
 // scale scenario rides the same wsp-replay-v1 path as everything else.
 TEST(ServerDeterminism, ResumeModeRecordReplayRoundTrip) {
   auto scenario = small_mix(9292, 40, 1.1);
-  scenario.resume_sessions = true;
+  scenario.phases[0].resume_fraction = 1.0;
   server::EngineConfig cfg;
   cfg.threads = 2;
   cfg.shards = 4;
@@ -395,12 +396,12 @@ TEST(ServerDeterminism, ResumeModeRecordReplayRoundTrip) {
   cfg.record_batch = 4;
 
   const server::RunRecord rec = server::record_run(cfg, scenario);
-  EXPECT_TRUE(rec.scenario.resume_sessions);
+  EXPECT_EQ(rec.scenario.phases[0].resume_fraction, 1.0);
   EXPECT_EQ(rec.report.memory_per_session,
             server::SessionTable::bytes_per_session());
   const auto bytes = server::encode_run_record(rec);
   const server::RunRecord decoded = server::decode_run_record(bytes);
-  EXPECT_TRUE(decoded.scenario.resume_sessions);
+  EXPECT_EQ(decoded.scenario.phases[0].resume_fraction, 1.0);
   EXPECT_EQ(decoded.report.memory_per_session, rec.report.memory_per_session);
 
   for (unsigned threads : {1u, 8u}) {

@@ -153,47 +153,6 @@ TEST(EngineConfigValidation, RejectsDegenerateConfigs) {
 // (docs/scenarios.md §3): a malformed TrafficScenario — hand-built or
 // decoded from a hostile replay blob — must be rejected as
 // std::invalid_argument, never half-executed.
-TEST(TrafficScenarioValidation, RejectsDegenerateFlatScenarios) {
-  auto expect_invalid = [](const server::TrafficScenario& sc) {
-    server::EngineConfig cfg;
-    cfg.shards = 2;
-    server::Engine engine(cfg);
-    EXPECT_THROW(engine.run(sc), std::invalid_argument);
-  };
-  auto base = [] {
-    server::TrafficScenario sc;
-    sc.sessions = 4;
-    sc.ciphers = {ssl::Cipher::kRc4};
-    sc.transaction_sizes = {512};
-    return sc;
-  };
-  auto sc = base();
-  sc.sessions = 0;
-  expect_invalid(sc);
-  sc = base();
-  sc.ciphers.clear();
-  expect_invalid(sc);
-  sc = base();
-  sc.transaction_sizes = {0};
-  expect_invalid(sc);
-  sc = base();
-  sc.offered_load = -1.0;
-  expect_invalid(sc);
-  sc = base();
-  sc.offered_load = std::numeric_limits<double>::infinity();
-  expect_invalid(sc);
-  sc = base();
-  sc.model = server::ArrivalModel::kClosedLoop;
-  sc.users = 0;
-  expect_invalid(sc);
-  sc = base();
-  sc.think_cycles = -5.0;
-  expect_invalid(sc);
-  sc = base();
-  sc.record_bytes = 0;
-  expect_invalid(sc);
-}
-
 TEST(TrafficScenarioValidation, RejectsDegeneratePhasedPrograms) {
   auto expect_invalid = [](const server::TrafficScenario& sc) {
     server::EngineConfig cfg;
@@ -212,6 +171,9 @@ TEST(TrafficScenarioValidation, RejectsDegeneratePhasedPrograms) {
     return sc;
   };
   auto sc = base();
+  sc.phases.clear();  // programs are the only scenario form
+  expect_invalid(sc);
+  sc = base();
   sc.phases[0].sessions = 0;
   expect_invalid(sc);
   sc = base();
@@ -227,8 +189,20 @@ TEST(TrafficScenarioValidation, RejectsDegeneratePhasedPrograms) {
   sc.phases[0].resume_fraction = 1.5;
   expect_invalid(sc);
   sc = base();
+  sc.phases[0].offered_load = -1.0;
+  expect_invalid(sc);
+  sc = base();
+  sc.phases[0].offered_load = std::numeric_limits<double>::infinity();
+  expect_invalid(sc);
+  sc = base();
   sc.phases[0].model = server::ArrivalModel::kClosedLoop;
   sc.phases[0].users = 0;
+  expect_invalid(sc);
+  sc = base();
+  sc.phases[0].think_cycles = -5.0;
+  expect_invalid(sc);
+  sc = base();
+  sc.record_bytes = 0;
   expect_invalid(sc);
   sc = base();
   server::FaultConfig bad_faults;

@@ -15,7 +15,10 @@
 #   4. Scenario-compiler smokes: `wspc check` over every example .wsp file
 #      under ASan/UBSan, and the flash-crowd program executed end to end
 #      under both sanitizer builds (docs/scenarios.md).
-#   5. Crash -> restore smokes (docs/recovery.md): the crash-storm scenario
+#   5. Replay smokes: a chaos trace recorded here and replayed at another
+#      thread count, and the committed flat closed-loop trace of an earlier
+#      build (tests/data/flat_closed.wspr) replayed and resumed.
+#   6. Crash -> restore smokes (docs/recovery.md): the crash-storm scenario
 #      recorded with checkpoints at 1 thread until its scheduled kill
 #      (wspc exit 3), then resumed at 8 threads from the torn trace, under
 #      both sanitizer builds; plus the CheckpointDeterminism suites and the
@@ -62,6 +65,16 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 "$BUILD_DIR"/tools/replay "$BUILD_DIR"/REPLAY_server_chaos.wspr --threads 2 \
     > /dev/null
 echo "sanitize.sh: chaos run replayed bit-exactly at a different --threads"
+
+# Legacy trace smoke under ASan/UBSan: a complete trace an earlier build
+# recorded from a flat closed-loop scenario.  Decoding lowers it to a
+# one-phase program; the replay and the resume from its last checkpoint
+# must both verify against the recorded report.
+"$BUILD_DIR"/tools/replay "$SRC_DIR"/tests/data/flat_closed.wspr --threads 4 \
+    > /dev/null
+"$BUILD_DIR"/tools/replay "$SRC_DIR"/tests/data/flat_closed.wspr --resume \
+    --threads 4 > /dev/null
+echo "sanitize.sh: legacy flat closed-loop trace replayed and resumed bit-exactly"
 
 # Scale smoke under ASan/UBSan: 100k resumed sessions through the slab
 # table and MPSC rings, gated on the same leak invariant.  This is the

@@ -38,33 +38,27 @@ void dump_record(const server::RunRecord& rec) {
   std::printf("wsp-replay-v1 run record\n");
   std::printf("  recorded at git_rev %s on %u threads\n", rec.git_rev.c_str(),
               rec.recorded_threads);
-  std::printf("  scenario: seed %llu, %zu sessions, %s, load %.2f\n",
+  std::printf("  scenario: seed %llu, record %zu bytes, %zu phases, %zu "
+              "total sessions\n",
               static_cast<unsigned long long>(rec.scenario.seed),
-              rec.scenario.sessions,
-              rec.scenario.model == server::ArrivalModel::kOpenLoop
-                  ? "open loop"
-                  : "closed loop",
-              rec.scenario.offered_load);
-  std::printf("  ciphers:");
-  for (ssl::Cipher c : rec.scenario.ciphers) {
-    std::printf(" %s", ssl::to_string(c));
-  }
-  std::printf("\n");
-  if (rec.scenario.phased()) {
-    std::printf("  program: %zu phases, %zu total sessions\n",
-                rec.scenario.phases.size(), rec.scenario.total_sessions());
-    for (const server::TrafficPhase& ph : rec.scenario.phases) {
-      std::printf("    phase '%s': %zu sessions, %s, %s%.2f, resume %.2f%s\n",
-                  ph.name.c_str(), ph.sessions,
-                  ph.model == server::ArrivalModel::kOpenLoop ? "open loop"
-                                                              : "closed loop",
-                  ph.model == server::ArrivalModel::kOpenLoop ? "load "
-                                                              : "users ",
-                  ph.model == server::ArrivalModel::kOpenLoop
-                      ? ph.offered_load
-                      : static_cast<double>(ph.users),
-                  ph.resume_fraction, ph.faults ? ", fault overlay" : "");
+              rec.scenario.record_bytes, rec.scenario.phases.size(),
+              rec.scenario.total_sessions());
+  for (const server::TrafficPhase& ph : rec.scenario.phases) {
+    std::printf("    phase '%s': %zu sessions, %s, %s%.2f, resume %.2f%s\n",
+                ph.name.c_str(), ph.sessions,
+                ph.model == server::ArrivalModel::kOpenLoop ? "open loop"
+                                                            : "closed loop",
+                ph.model == server::ArrivalModel::kOpenLoop ? "load "
+                                                            : "users ",
+                ph.model == server::ArrivalModel::kOpenLoop
+                    ? ph.offered_load
+                    : static_cast<double>(ph.users),
+                ph.resume_fraction, ph.faults ? ", fault overlay" : "");
+    std::printf("      ciphers:");
+    for (const server::CipherMix& m : ph.cipher_mix) {
+      std::printf(" %s:%u", ssl::to_string(m.cipher), m.weight);
     }
+    std::printf("\n");
   }
   if (!rec.scenario_source.empty()) {
     std::printf("  scenario source (.wsp, %zu bytes):\n",
@@ -218,7 +212,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("replaying %s (recorded at %s, %zu sessions) on %u threads...\n",
-              path.c_str(), rec.git_rev.c_str(), rec.scenario.sessions,
+              path.c_str(), rec.git_rev.c_str(), rec.scenario.total_sessions(),
               threads > 0 ? threads : rec.recorded_threads);
   const server::ReplayResult result = server::replay_run(rec, threads);
   if (!result.ok()) {
