@@ -30,15 +30,12 @@
 //   --checkpoint-every C  quiesce-barrier interval in virtual cycles for the
 //                   crash scenario (default: derived, 1/7 of the reference
 //                   makespan); must be a positive finite number
-//   --resume-from FILE  crash recovery utility (docs/recovery.md): scan the
-//                   (possibly torn) trace, restore the last valid
-//                   checkpoint, continue at --threads, print the report and
-//                   exit — no scenarios run, no JSON written
 //   --trace FILE    write a Chrome-trace of this run
 //
 // Exit codes: 0 success, 1 gate failure (leak, missing drops/faults,
-// determinism mismatch, unwritable artifact), 2 invalid flag or unreadable
-// --resume-from trace.
+// determinism mismatch, unwritable artifact), 2 invalid flag.  Torn traces
+// resume through `tools/replay TRACE --resume` or `wspc run --resume-from`
+// (docs/recovery.md).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -150,8 +147,6 @@ int main(int argc, char** argv) {
       bench::parse_string_flag(argc, argv, "--scenario-file");
   const std::string checkpoint_every_text =
       bench::parse_string_flag(argc, argv, "--checkpoint-every");
-  const std::string resume_from =
-      bench::parse_string_flag(argc, argv, "--resume-from");
   double checkpoint_every = 0.0;  // 0 = derive from the reference makespan
   if (!checkpoint_every_text.empty()) {
     try {
@@ -162,39 +157,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!resume_from.empty()) {
-    // Crash recovery utility mode: no scenarios, no JSON — just resume the
-    // trace and print what the recovered run did.
-    try {
-      const server::ResumeScan scan =
-          server::scan_trace_for_resume(replay::read_file(resume_from));
-      std::printf("\nscanned %s: %zu bytes, %zu checkpoints, %s%s%s\n",
-                  resume_from.c_str(), scan.scanned_bytes,
-                  scan.checkpoints.size(),
-                  scan.complete ? "complete trace" : "torn trace",
-                  scan.tear.empty() ? "" : "\n  tear: ",
-                  scan.tear.c_str());
-      const server::ReplayResult res = server::resume_run(scan, threads);
-      if (!res.ok()) {
-        std::fprintf(stderr, "resume FAILED: %zu mismatches\n",
-                     res.mismatches.size());
-        for (const std::string& m : res.mismatches) {
-          std::fprintf(stderr, "  %s\n", m.c_str());
-        }
-        return 1;
-      }
-      print_report(("resumed: " + resume_from).c_str(), res.report);
-      if (sessions_leaked(res.report)) {
-        std::fprintf(stderr, "resumed run leaked sessions\n");
-        return 1;
-      }
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench_server: %s: %s\n", resume_from.c_str(),
-                   e.what());
-      return 2;
-    }
-  }
   const std::string trace_path = bench::maybe_start_trace(argc, argv);
 
   int record_failures = 0;

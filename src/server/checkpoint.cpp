@@ -1,8 +1,8 @@
 #include "server/checkpoint.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_set>
 
 namespace wsp::server {
 
@@ -29,12 +29,6 @@ double get_finite(Cursor& c, const char* name) {
   const double v = c.f64();
   if (!std::isfinite(v)) malformed(c, std::string(name) + " is not finite");
   return v;
-}
-
-/// The ShardReport events-digest chain step (engine.cpp) — duplicated here
-/// because validation must recompute the chain without an engine run.
-std::uint64_t chain(std::uint64_t h, std::uint64_t event_digest) {
-  return (h ^ event_digest) * 1099511628211ULL + 1;
 }
 
 }  // namespace
@@ -286,7 +280,7 @@ void validate_checkpoint(const EngineCheckpoint& cp) {
     }
     ++admitted[e.event.shard];
     if (!e.parked) {
-      digests[e.event.shard] = chain(digests[e.event.shard], e.event.digest());
+      digests[e.event.shard] = chain_event(digests[e.event.shard], e.event);
     }
   }
   for (std::size_t i = 0; i < cp.shards.size(); ++i) {
@@ -339,21 +333,51 @@ void check_checkpoint_fits(const EngineCheckpoint& cp,
            " + " + std::to_string(g.phase_done) + ")");
   }
 
-  std::unordered_set<std::uint64_t> parked_ids;
-  for (const CheckpointEntry& e : cp.entries) {
-    if (e.event.shard != e.event.id % shards) {
-      reject("entry for session " + std::to_string(e.event.id) +
-             " names shard " + std::to_string(e.event.shard) +
-             ", routing places it on " + std::to_string(e.event.id % shards));
+  // Entry ids: strictly increasing (arrival order, no duplicates) and all
+  // below the generator cursor, so no restored session can collide with
+  // another or with an arrival the resumed run is still to draw.
+  std::uint64_t prev_id = 0;
+  for (std::size_t i = 0; i < cp.entries.size(); ++i) {
+    const CheckpointEntry& e = cp.entries[i];
+    const std::uint64_t id = e.event.id;
+    if (i > 0 && id <= prev_id) {
+      reject("entry ids not strictly increasing (" + std::to_string(prev_id) +
+             " then " + std::to_string(id) + ")");
+    }
+    prev_id = id;
+    if (id >= g.next_id) {
+      reject("entry for session " + std::to_string(id) +
+             " is not below the generator cursor " +
+             std::to_string(g.next_id));
+    }
+    if (e.event.shard != id % shards) {
+      reject("entry for session " + std::to_string(id) + " names shard " +
+             std::to_string(e.event.shard) + ", routing places it on " +
+             std::to_string(id % shards));
     }
     if (!e.parked) continue;
-    const std::uint64_t phase = e.parked_info.phase;
-    if (phase >= scenario.phases.size()) {
-      reject("parked session " + std::to_string(e.event.id) + " names phase " +
-             std::to_string(phase) + ", which the scenario does not have");
+    // A parked session re-runs on the data plane, so it must be one its
+    // phase could have drawn: a cipher and size from the phase's mixes and
+    // a resume flag its resume fraction allows.
+    const ParkedSession& p = e.parked_info;
+    if (p.phase >= scenario.phases.size()) {
+      reject("parked session " + std::to_string(id) + " names phase " +
+             std::to_string(p.phase) + ", which the scenario does not have");
     }
-    if (!parked_ids.insert(e.event.id).second) {
-      reject("duplicate parked session id " + std::to_string(e.event.id));
+    const TrafficPhase& ph = scenario.phases[p.phase];
+    const bool cipher_ok =
+        std::any_of(ph.cipher_mix.begin(), ph.cipher_mix.end(),
+                    [&](const CipherMix& m) { return m.cipher == p.cipher; });
+    const bool size_ok =
+        std::any_of(ph.size_mix.begin(), ph.size_mix.end(),
+                    [&](const SizeMix& m) {
+                      return m.bytes == p.transaction_bytes;
+                    });
+    const bool resume_ok =
+        p.resume ? ph.resume_fraction > 0.0 : ph.resume_fraction < 1.0;
+    if (!cipher_ok || !size_ok || !resume_ok) {
+      reject("parked session " + std::to_string(id) +
+             " is not one phase " + std::to_string(p.phase) + " can draw");
     }
   }
 }

@@ -20,7 +20,9 @@
 // run, stored as its admission config (phase, cipher, size, seed, resume
 // flag) plus its slab handle.  A kPending session is a pure function of
 // its config, so no key material is serialized.  Such entries still
-// decode, validate and resume: the restore path runs them on the pump.
+// decode, validate and resume: restore turns each into an Admission
+// (VirtualModel::readmit) and admits it into the data plane exactly like a
+// fresh arrival.
 //
 // Restoring a checkpoint into Engine::run(scenario, checkpoint) and letting
 // the run finish produces a RunReport bit-identical to the uninterrupted
@@ -132,11 +134,14 @@ EngineCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& payload);
 void validate_checkpoint(const EngineCheckpoint& cp);
 
 /// The checkpoint-vs-run fit rules: the shard count matches `shards`, no
-/// more arrivals were offered than the scenario holds, every entry sits on
-/// the shard its id routes to, parked entries name an existing phase and
-/// distinct ids, and the generator cursor is one the scenario can reach
-/// (phase_idx in range, phase_done within that phase, and next_id equal to
-/// the sessions of the earlier phases plus phase_done).
+/// more arrivals were offered than the scenario holds, the generator cursor
+/// is one the scenario can reach (phase_idx in range, phase_done within
+/// that phase, and next_id equal to the sessions of the earlier phases plus
+/// phase_done), entry ids are strictly increasing and all below
+/// generator.next_id, every entry sits on the shard its id routes to, and
+/// every parked entry is a session its phase could have drawn (an existing
+/// phase; a cipher and a size from its mixes; a resume flag its
+/// resume_fraction allows).
 /// Throws replay::ReplayError(kMalformed) on the first misfit.  Both
 /// resume paths call it before any session is pushed: resume_run lets the
 /// typed error through, Engine::run(scenario, checkpoint) rethrows it as

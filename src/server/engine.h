@@ -5,21 +5,26 @@
 //
 // Two timelines run side by side:
 //
-//   * VIRTUAL (platform cycles): each session's crypto work is priced
-//     through the ssl::workload cost model (transaction_cost), and each
-//     shard is modeled as a FIFO service unit with a bounded waiting room
-//     of `queue_capacity` sessions.  Arrivals, admissions, DROPS, queue
-//     depths, latencies and throughput all live on this timeline and are
-//     computed in arrival order on the calling thread — bit-identical for
-//     any worker-thread count.
+//   * VIRTUAL (platform cycles), owned by VirtualModel (virtual_model.h):
+//     each session's crypto work is priced through the ssl::workload cost
+//     model (transaction_cost), and each shard is modeled as a FIFO service
+//     unit with a bounded waiting room of `queue_capacity` sessions.
+//     Arrivals, admissions, DROPS, queue depths, latencies and throughput
+//     all live on this timeline and are computed in arrival order on the
+//     calling thread — bit-identical for any worker-thread count.
 //
-//   * REAL (host): every admitted session actually performs its handshake
-//     (real RSA), record stream (real MAC-then-encrypt seal/open) and
-//     teardown on the thread pool via the RecordScheduler, which bounds
-//     real queue memory through blocking backpressure.  Completed-session
-//     counts and per-session byte totals come from this execution; they
-//     are deterministic because every session's randomness is derived from
-//     its own seed.
+//   * REAL (host), owned by DataPlane (data_plane.h): every admitted
+//     session actually performs its handshake (real RSA), record stream
+//     (real MAC-then-encrypt seal/open) and teardown on the thread pool via
+//     the RecordScheduler, which bounds real queue memory through blocking
+//     backpressure.  Completed-session counts and per-session byte totals
+//     come from this execution; they are deterministic because every
+//     session's randomness is derived from its own seed.
+//
+// run() loops over arrivals: fire due quiesce barriers, check the crash
+// deadline, model.offer, plane.admit; restored parked entries take the
+// same admit path.  The data plane drains in its destructor, so every
+// exception unwinds with no worker in flight.
 //
 // Fault injection and recovery (docs/faults.md): when EngineConfig.faults
 // carries nonzero rates, a FaultPlan derives each session's schedule purely
@@ -125,6 +130,10 @@ struct SessionEvent {
 
   bool operator==(const SessionEvent&) const = default;
 };
+
+/// One step of a per-shard events-digest chain (ShardReport::events_digest,
+/// CheckpointShard::events_digest): folds `event`'s digest into `chain`.
+std::uint64_t chain_event(std::uint64_t chain, const SessionEvent& event);
 
 struct LatencyStats {
   double p50 = 0.0, p90 = 0.0, p99 = 0.0, max = 0.0;  ///< virtual cycles

@@ -62,13 +62,6 @@ class Session {
   ssl::Cipher cipher() const { return cfg_.cipher; }
   SessionState state() const { return state_; }
 
-  /// The admission-time configuration this session was built from.  A
-  /// kPending session is a pure function of it (key material is derived
-  /// from cfg.seed on establishment), which is what lets the checkpoint
-  /// layer re-admit the parked sessions of earlier builds' traces from
-  /// their configs (docs/recovery.md).
-  const SessionConfig& config() const { return cfg_; }
-
   /// Runs the real RSA key-exchange handshake against `server_key` and
   /// enters kEstablished.  Throws std::logic_error unless kPending.
   /// While the fault schedule says this attempt fails, the premaster is

@@ -399,6 +399,105 @@ TEST(CheckpointCrash, CraftedGeneratorCursorRejectedByBothEntryPoints) {
   }
 }
 
+TEST(CheckpointCrash, ParkedIdAtGeneratorCursorRejectedByBothEntryPoints) {
+  // A parked entry renamed to the id the generator draws next, on the same
+  // shard.  Parked entries are outside the digest chains, so the checkpoint
+  // stays self-consistent and validate_checkpoint accepts it; resuming it
+  // would admit that id twice — once restored, once drawn — and the second
+  // table insert would throw while the first still ran on a worker.  The
+  // id fit rule rejects it before any push, typed through both entry
+  // points.
+  const auto scan = server::scan_trace_for_resume(legacy_parked_trace());
+  const unsigned shards = scan.record.config.shards;
+  server::EngineConfig cfg = scan.record.config;
+  cfg.threads = 4;
+  std::size_t crafted = 0;
+  for (const auto& original : scan.checkpoints) {
+    const std::uint64_t next_id = original.generator.next_id;
+    for (std::size_t i = 0; i < original.entries.size(); ++i) {
+      const auto& e = original.entries[i];
+      if (!e.parked || e.event.shard != next_id % shards) continue;
+      server::EngineCheckpoint cp = original;
+      cp.entries[i].event.id = next_id;
+      EXPECT_NO_THROW(server::validate_checkpoint(cp));
+      server::ResumeScan resume = scan;
+      resume.checkpoints = {cp};
+      try {
+        (void)server::resume_run(resume, 4);
+        ADD_FAILURE() << "resume_run accepted entry id " << next_id;
+      } catch (const ReplayError& err) {
+        EXPECT_EQ(err.kind(), ErrorKind::kMalformed);
+      }
+      server::Engine engine(cfg);
+      EXPECT_THROW((void)engine.run(scan.record.scenario, cp),
+                   std::logic_error);
+      ++crafted;
+    }
+  }
+  EXPECT_GE(crafted, 1u) << "no parked entry shares a shard with the cursor";
+}
+
+TEST(CheckpointCrash, ParkedEntryItsPhaseCannotDrawIsRejected) {
+  // A parked entry re-runs on the data plane, so its size, cipher and
+  // resume flag must be ones its phase draws: an unbounded size would run
+  // without end, and a full handshake in a resume-only run has no server
+  // key.  Parked entries sit outside the digest chains, so only the fit
+  // check sees such an edit.
+  const auto scan = server::scan_trace_for_resume(legacy_parked_trace());
+  const auto& scenario = scan.record.scenario;
+  server::EngineConfig cfg = scan.record.config;
+  cfg.threads = 2;
+  const server::EngineCheckpoint* base = nullptr;
+  std::size_t index = 0;
+  for (const auto& cp : scan.checkpoints) {
+    for (std::size_t i = 0; i < cp.entries.size() && base == nullptr; ++i) {
+      if (cp.entries[i].parked) {
+        base = &cp;
+        index = i;
+      }
+    }
+  }
+  ASSERT_NE(base, nullptr);
+  const auto& phase = scenario.phases[base->entries[index].parked_info.phase];
+  ASSERT_TRUE(phase.resume_fraction == 0.0 || phase.resume_fraction == 1.0);
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  ASSERT_TRUE(std::none_of(phase.size_mix.begin(), phase.size_mix.end(),
+                           [&](const auto& m) { return m.bytes == huge; }));
+
+  for (int edit = 0; edit < 2; ++edit) {
+    server::EngineCheckpoint cp = *base;
+    server::ParkedSession& p = cp.entries[index].parked_info;
+    if (edit == 0) {
+      p.transaction_bytes = huge;
+    } else {
+      p.resume = !p.resume;
+    }
+    EXPECT_NO_THROW(server::validate_checkpoint(cp)) << edit;
+    try {
+      server::check_checkpoint_fits(cp, scenario, cfg.shards);
+      ADD_FAILURE() << "fit check accepted edit " << edit;
+    } catch (const ReplayError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kMalformed) << edit;
+    }
+    server::Engine engine(cfg);
+    EXPECT_THROW((void)engine.run(scenario, cp), std::logic_error) << edit;
+  }
+}
+
+TEST(CheckpointCrash, EntryIdFitRuleHoldsOnCommittedFixtures) {
+  // Every checkpoint of both fixtures satisfies the id rule, so tightening
+  // it loses no legacy trace.
+  for (const auto& bytes : {legacy_parked_trace(), legacy_closed_trace()}) {
+    const auto scan = server::scan_trace_for_resume(bytes);
+    ASSERT_FALSE(scan.checkpoints.empty());
+    for (const auto& cp : scan.checkpoints) {
+      EXPECT_NO_THROW(server::check_checkpoint_fits(
+          cp, scan.record.scenario, scan.record.config.shards))
+          << "seq " << cp.seq;
+    }
+  }
+}
+
 // --- traces of earlier builds -----------------------------------------------
 
 TEST(CheckpointLegacy, ParkedFixtureResumesFromEveryCheckpoint) {

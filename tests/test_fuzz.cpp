@@ -564,5 +564,74 @@ TEST(Fuzz, StaleSlabHandlesInCheckpointsAreAlwaysTyped) {
   EXPECT_TRUE(saw_parked) << "the fixture holds no parked entries";
 }
 
+TEST(Fuzz, MutatedCheckpointsStraightToEngineRun) {
+  // The public restore entry point on its own: real checkpoints with their
+  // entry ids, shards, parked flags and generator cursor mutated, handed
+  // straight to Engine::run at 4 threads — no validate_checkpoint, no
+  // resume_run.  Every run must return a report or throw; under ASan/UBSan
+  // and TSan it must also never touch freed memory or race, which is the
+  // data plane's drain-on-unwind guarantee at work.
+  const FuzzTrace& t = fuzz_trace();
+  const auto scan = server::scan_trace_for_resume(t.bytes);
+  ASSERT_FALSE(scan.checkpoints.empty());
+  server::EngineConfig cfg = scan.record.config;
+  cfg.threads = 4;
+  server::Engine engine(cfg);
+  const unsigned shards = engine.config().shards;
+  Rng rng(908);
+  std::size_t returned = 0, thrown = 0;
+  for (int iter = 0; iter < 120; ++iter) {
+    server::EngineCheckpoint cp =
+        scan.checkpoints[rng.below(scan.checkpoints.size())];
+    const int edits = 1 + static_cast<int>(rng.below(3));
+    for (int e = 0; e < edits; ++e) {
+      server::TrafficGeneratorState& g = cp.generator;
+      server::CheckpointEntry* entry =
+          cp.entries.empty() ? nullptr
+                             : &cp.entries[rng.below(cp.entries.size())];
+      switch (rng.below(4)) {
+        case 0:  // entry id: the cursor, a neighbour's, or anything nearby
+          if (entry == nullptr) break;
+          switch (rng.below(3)) {
+            case 0: entry->event.id = g.next_id; break;
+            case 1: entry->event.id = cp.entries.front().event.id; break;
+            default: entry->event.id = rng.below(2 * g.next_id + 2); break;
+          }
+          if (rng.below(2) == 0) {
+            entry->event.shard =
+                static_cast<std::uint32_t>(entry->event.id % shards);
+          }
+          break;
+        case 1:  // entry shard, in or out of range
+          if (entry == nullptr) break;
+          entry->event.shard =
+              static_cast<std::uint32_t>(rng.below(shards + 2));
+          break;
+        case 2:  // parked flag, either way
+          if (entry == nullptr) break;
+          entry->parked = !entry->parked;
+          break;
+        default:  // generator cursor
+          switch (rng.below(4)) {
+            case 0: g.next_id += rng.below(2) == 0 ? 1 : -1; break;
+            case 1: g.phase_done += rng.below(2) == 0 ? 1 : -1; break;
+            case 2: g.phase_idx += 1; break;
+            default: g.phase_entered = !g.phase_entered; break;
+          }
+          break;
+      }
+    }
+    try {
+      const server::RunReport rep = engine.run(scan.record.scenario, cp);
+      EXPECT_EQ(rep.completed + rep.aborted, rep.admitted) << iter;
+      ++returned;
+    } catch (const std::exception&) {
+      ++thrown;
+    }
+  }
+  EXPECT_GT(returned, 0u) << "no mutation was ever harmless";
+  EXPECT_GT(thrown, 0u) << "no mutation was ever rejected";
+}
+
 }  // namespace
 }  // namespace wsp

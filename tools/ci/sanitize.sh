@@ -6,10 +6,14 @@
 #      under over-admission, no session leaks under fault injection).  The
 #      tree is built with -D_GLIBCXX_ASSERTIONS, so every std::vector/array
 #      index and iterator range in those runs is bounds-checked too.
+#      The tier-1 group includes the engine-parts tests (the virtual model
+#      alone against full runs, and a DataPlane destroyed mid-handshake)
+#      and the fuzzer's mutated checkpoints fed straight to Engine::run.
 #   2. A short TSan pass over the record scheduler: the determinism and
 #      chaos tests drive the sharded session table, record scheduler and
 #      fault-containment path from multiple worker threads, which is
-#      exactly the surface a data race would hit.
+#      exactly the surface a data race would hit; plus the data plane's
+#      drain-on-unwind test and the mutated-checkpoint fuzz case.
 #   3. A 100k-session `scale` smoke under both sanitizer builds: the slab
 #      arena, lock-free MPSC rings and pump handoff at real volume.
 #   4. Scenario-compiler smokes: `wspc check` over every example .wsp file
@@ -127,15 +131,18 @@ cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DWSP_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
       --target test_server test_server_faults test_server_determinism \
                test_scenario_determinism test_threadpool test_ring_arena \
-               test_checkpoint_determinism bench_server wspc replay
+               test_checkpoint_determinism test_engine_parts test_fuzz \
+               bench_server wspc replay
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
 (
   cd "$TSAN_DIR"
   # ServerScheduler includes the fault-containment tests (a poisoned task
   # racing the pump's failure accounting is the interesting interleaving);
-  # ServerChaos runs the whole engine under fault injection.
-  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism' \
+  # ServerChaos runs the whole engine under fault injection; DataPlane
+  # unwinds with sessions in flight; the fuzz case restores mutated
+  # checkpoints at 4 threads.
+  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism|VirtualModel|DataPlane|Fuzz\.MutatedCheckpointsStraightToEngineRun' \
         --output-on-failure
 )
 

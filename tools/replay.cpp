@@ -18,7 +18,8 @@
 //   --dump        print the recorded header/summary, do not re-run
 //   --resume      crash recovery: restore the last valid checkpoint
 //
-// Exit codes: 0 replay/resume verified, 1 mismatch, 2 unreadable/invalid
+// Exit codes: 0 replay/resume verified, 1 mismatch (for --resume also a
+// leaked session: completed + aborted != admitted), 2 unreadable/invalid
 // trace (for --resume: damage before the input chunks completed).
 #include <cstdio>
 #include <cstdlib>
@@ -185,6 +186,17 @@ int main(int argc, char** argv) {
       return 1;
     }
     const server::RunReport& r = result.report;
+    if (r.completed + r.aborted != r.admitted) {
+      // The leak invariant: a torn trace has no recorded outcome to verify
+      // against, so this is the gate that still holds for it.
+      std::fprintf(stderr,
+                   "resume FAILED: leaked sessions (admitted %llu != "
+                   "completed %llu + aborted %llu)\n",
+                   static_cast<unsigned long long>(r.admitted),
+                   static_cast<unsigned long long>(r.completed),
+                   static_cast<unsigned long long>(r.aborted));
+      return 1;
+    }
     std::printf("resume OK: offered %llu, admitted %llu, completed %llu, "
                 "aborted %llu, dropped %llu%s\n",
                 static_cast<unsigned long long>(r.offered),
