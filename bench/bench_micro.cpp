@@ -7,6 +7,7 @@
 #include "crypto/des.h"
 #include "crypto/hmac.h"
 #include "crypto/md5.h"
+#include "crypto/rc4.h"
 #include "crypto/rsa.h"
 #include "crypto/sha1.h"
 #include "mp/modexp.h"
@@ -99,6 +100,61 @@ void BM_AesDecryptCbc(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_AesDecryptCbc)->Arg(16384);
+
+// The RC4 keystream over one buffer in place, the stream continuing
+// across iterations as it does across a channel's records.
+void BM_Rc4(benchmark::State& state) {
+  Rng rng(14);
+  Rc4 rc4(rng.bytes(16));
+  auto data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rc4.process(data.data(), data.size());
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Rc4)->Arg(256)->Arg(4096);
+
+// One RC4 key schedule from a 16-byte SSL record key.
+void BM_Rc4KeySetup(benchmark::State& state) {
+  Rng rng(15);
+  const auto key = rng.bytes(16);
+  for (auto _ : state) {
+    Rc4 rc4(key);
+    benchmark::DoNotOptimize(&rc4);
+  }
+}
+BENCHMARK(BM_Rc4KeySetup);
+
+// One RC4 record through the record layer: seal (MAC + keystream) then
+// open (keystream + MAC check) on one channel, as Session::pump does.
+void BM_Rc4Record(benchmark::State& state) {
+  Rng rng(16);
+  ssl::SecureChannel channel(ssl::Cipher::kRc4, rng.bytes(16), rng.bytes(20), {});
+  const auto payload = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(channel.open(channel.seal(payload)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Rc4Record)->Arg(256);
+
+// Synthetic payload generation: eight bytes per draw.
+void BM_RngFill(benchmark::State& state) {
+  Rng rng(17);
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.fill(out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_RngFill)->Arg(256);
 
 void BM_Sha1(benchmark::State& state) {
   Rng rng(4);

@@ -16,8 +16,12 @@ class Rc4 {
   std::vector<std::uint8_t> process(const std::vector<std::uint8_t>& data);
 
  private:
-  std::uint8_t s_[256];
-  std::uint8_t i_ = 0, j_ = 0;
+  // The permutation holds byte values in 32-bit words: indexing and the
+  // swap then need no byte loads/stores or zero-extensions, which is what
+  // the keystream loop spends its time on.  Copying an Rc4 copies the
+  // whole stream position, so a copy advances independently of its source.
+  std::uint32_t s_[256];
+  std::uint32_t i_ = 0, j_ = 0;
 };
 
 }  // namespace wsp

@@ -93,10 +93,15 @@ std::size_t Session::pump(std::size_t max_records) {
   require(SessionState::kEstablished, "pump");
   WSP_TRACE_SPAN("server.session", "pump");
   std::size_t moved = 0;
+  // Application data is synthetic: eight bytes per draw, one buffer reused
+  // for every record of this call.  Counters and digests see only its
+  // length, never its bytes.
+  std::vector<std::uint8_t> payload;
   for (std::size_t r = 0; r < max_records && !finished(); ++r) {
     const std::size_t payload_len =
         std::min(cfg_.record_bytes, cfg_.transaction_bytes - bytes_sent_);
-    const auto payload = rng_.bytes(payload_len);
+    payload.resize(payload_len);
+    rng_.fill(payload.data(), payload_len);
     const std::uint64_t record = records_;
     const bool poisoned = cfg_.faults.poisons(record);
     unsigned flips_left = poisoned ? 0 : cfg_.faults.flip_attempts(record);

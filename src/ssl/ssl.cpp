@@ -61,7 +61,6 @@ struct SecureChannel::Impl {
   // number and cipher chaining state.
   std::vector<std::uint8_t> iv_enc, iv_dec;
   std::uint64_t seq_out = 0, seq_in = 0;
-  std::unique_ptr<Rc4> rc4_enc, rc4_dec;  // stream state persists across records
 
   // Key schedules, derived on first use and shared by both directions: the
   // cipher key is fixed for the channel's lifetime.
@@ -84,6 +83,20 @@ struct SecureChannel::Impl {
           load64({cipher_key.begin() + 16, cipher_key.begin() + 24})));
     }
     return *des3_ks_cache;
+  }
+
+  // Both RC4 directions start from the same key: the key schedule runs
+  // once, on first use of either direction, and the opening side starts
+  // from a copy of it.  Each stream then persists across records.
+  struct Rc4Pair {
+    explicit Rc4Pair(const std::vector<std::uint8_t>& key) : enc(key), dec(enc) {}
+    Rc4 enc, dec;
+  };
+  std::unique_ptr<Rc4Pair> rc4_cache;
+
+  Rc4Pair& cached_rc4() {
+    if (!rc4_cache) rc4_cache = std::make_unique<Rc4Pair>(cipher_key);
+    return *rc4_cache;
   }
 
   // The MAC key state, built on first use like the key schedules above.
@@ -112,10 +125,13 @@ struct SecureChannel::Impl {
   }
 
   // Seal side: the payload with its MAC under the next outbound sequence
-  // number appended.
+  // number appended.  The buffer is reserved for the MAC and the largest
+  // CBC pad (one AES block), so neither appending nor padding regrows it.
   std::vector<std::uint8_t> append_mac(const std::vector<std::uint8_t>& payload) {
     WSP_TRACE_SPAN("ssl.record", "seal/mac");
-    std::vector<std::uint8_t> plain = payload;
+    std::vector<std::uint8_t> plain;
+    plain.reserve(payload.size() + Sha1::kDigestSize + 16);
+    plain.assign(payload.begin(), payload.end());
     const auto mac = record_mac(seq_out++, payload.data(), payload.size());
     plain.insert(plain.end(), mac.begin(), mac.end());
     return plain;
@@ -135,15 +151,15 @@ struct SecureChannel::Impl {
     return plain;
   }
 
-  std::vector<std::uint8_t> encrypt(const std::vector<std::uint8_t>& plain) {
+  // Encrypts the MAC'd plaintext; 3DES-CBC and RC4 work in its buffer.
+  std::vector<std::uint8_t> encrypt(std::vector<std::uint8_t> plain) {
     switch (cipher) {
       case Cipher::kTripleDesCbc: {
         const des::TripleKeySchedule& ks = cached_des3_ks();
-        auto padded = cbc_pad(plain, 8);
-        std::vector<std::uint8_t> out(padded.size());
+        auto out = cbc_pad(std::move(plain), 8);
         std::uint64_t chain = load64(iv_enc);
-        for (std::size_t i = 0; i < padded.size(); i += 8) {
-          chain = des::encrypt_block_3des(des::load_be64(padded.data() + i) ^ chain, ks);
+        for (std::size_t i = 0; i < out.size(); i += 8) {
+          chain = des::encrypt_block_3des(des::load_be64(out.data() + i) ^ chain, ks);
           des::store_be64(chain, out.data() + i);
         }
         iv_enc.assign(8, 0);
@@ -154,13 +170,13 @@ struct SecureChannel::Impl {
         const aes::KeySchedule& ks = cached_aes_ks();
         std::array<std::uint8_t, 16> aiv{};
         std::copy(iv_enc.begin(), iv_enc.begin() + 16, aiv.begin());
-        const auto out = aes::encrypt_cbc(cbc_pad(plain, 16), ks, aiv);
+        const auto out = aes::encrypt_cbc(cbc_pad(std::move(plain), 16), ks, aiv);
         iv_enc.assign(out.end() - 16, out.end());
         return out;
       }
       case Cipher::kRc4: {
-        if (!rc4_enc) rc4_enc = std::make_unique<Rc4>(cipher_key);
-        return rc4_enc->process(plain);
+        cached_rc4().enc.process(plain.data(), plain.size());
+        return plain;
       }
     }
     throw std::logic_error("ssl: bad cipher");
@@ -195,10 +211,7 @@ struct SecureChannel::Impl {
         iv_dec.assign(ct.end() - 16, ct.end());
         return cbc_unpad(std::move(out));
       }
-      case Cipher::kRc4: {
-        if (!rc4_dec) rc4_dec = std::make_unique<Rc4>(cipher_key);
-        return rc4_dec->process(ct);
-      }
+      case Cipher::kRc4: return cached_rc4().dec.process(ct);
     }
     throw std::logic_error("ssl: bad cipher");
   }
@@ -222,9 +235,9 @@ SecureChannel::SecureChannel(Cipher cipher, std::vector<std::uint8_t> cipher_key
 
 std::vector<std::uint8_t> SecureChannel::seal(const std::vector<std::uint8_t>& payload) {
   WSP_TRACE_SPAN("ssl.record", "seal");
-  const std::vector<std::uint8_t> plain = impl_->append_mac(payload);
+  std::vector<std::uint8_t> plain = impl_->append_mac(payload);
   WSP_TRACE_SPAN("ssl.record", "seal/encrypt");
-  return impl_->encrypt(plain);
+  return impl_->encrypt(std::move(plain));
 }
 
 std::vector<std::uint8_t> SecureChannel::open(const std::vector<std::uint8_t>& record) {

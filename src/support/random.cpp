@@ -1,5 +1,7 @@
 #include "support/random.h"
 
+#include <stdexcept>
+
 namespace wsp {
 
 namespace {
@@ -32,6 +34,7 @@ std::uint64_t Rng::next_u64() {
 }
 
 std::uint64_t Rng::below(std::uint64_t bound) {
+  if (bound == 0) throw std::invalid_argument("rng: below(0) has no values");
   // Rejection sampling to avoid modulo bias.
   const std::uint64_t threshold = (0 - bound) % bound;
   for (;;) {
@@ -41,7 +44,9 @@ std::uint64_t Rng::below(std::uint64_t bound) {
 }
 
 std::uint64_t Rng::range(std::uint64_t lo, std::uint64_t hi) {
-  return lo + below(hi - lo + 1);
+  const std::uint64_t span = hi - lo + 1;
+  if (span == 0) return next_u64();  // [0, 2^64 - 1]: every value
+  return lo + below(span);
 }
 
 double Rng::next_double() {
@@ -52,6 +57,17 @@ std::vector<std::uint8_t> Rng::bytes(std::size_t n) {
   std::vector<std::uint8_t> out(n);
   for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(next_u64());
   return out;
+}
+
+void Rng::fill(std::uint8_t* out, std::size_t n) {
+  for (; n >= 8; out += 8, n -= 8) {
+    const std::uint64_t r = next_u64();
+    for (int b = 0; b < 8; ++b) out[b] = static_cast<std::uint8_t>(r >> (8 * b));
+  }
+  if (n > 0) {
+    const std::uint64_t r = next_u64();
+    for (std::size_t b = 0; b < n; ++b) out[b] = static_cast<std::uint8_t>(r >> (8 * b));
+  }
 }
 
 }  // namespace wsp

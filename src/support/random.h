@@ -43,17 +43,26 @@ class Rng {
   /// Next 32-bit value.
   std::uint32_t next_u32() { return static_cast<std::uint32_t>(next_u64() >> 32); }
 
-  /// Uniform value in [0, bound) for bound > 0.
+  /// Uniform value in [0, bound); throws std::invalid_argument for
+  /// bound == 0.
   std::uint64_t below(std::uint64_t bound);
 
-  /// Uniform value in [lo, hi] inclusive.
+  /// Uniform value in [lo, hi] inclusive (the full 64-bit span is one raw
+  /// draw).
   std::uint64_t range(std::uint64_t lo, std::uint64_t hi);
 
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Fills `n` bytes of pseudo-random data.
+  /// `n` bytes of pseudo-random data, one draw per byte (its low byte).
+  /// Known-answer tests, RSA key generation and the characterization
+  /// stimuli are pinned to this stream; keep it as it is.
   std::vector<std::uint8_t> bytes(std::size_t n);
+
+  /// Fills `out[0..n)` eight bytes per draw: each next_u64() in
+  /// little-endian order, the last one truncated, so ceil(n/8) draws.
+  /// The fast path for bulk data whose exact stream nothing pins.
+  void fill(std::uint8_t* out, std::size_t n);
 
  private:
   std::uint64_t s_[4];

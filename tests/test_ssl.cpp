@@ -6,8 +6,8 @@
 #include "crypto/des.h"
 #include "crypto/hmac.h"
 #include "crypto/md5.h"
-#include "crypto/rc4.h"
 #include "crypto/sha1.h"
+#include "rc4_ref.h"
 #include "ssl/ssl.h"
 #include "ssl/workload.h"
 
@@ -192,26 +192,64 @@ TEST(SslRecordOracle, AesRecordsMatchReferenceCbc) {
 }
 
 // RC4 records: payload || MAC XOR'd with one keystream that continues
-// across records.  This pins the per-channel MAC key state (its sequence
-// numbers and its reuse across records) against a fresh hmac_sha1 per
-// record; the same channel then opens its own records.
-TEST(SslRecordOracle, Rc4RecordsMatchReference) {
-  Rng rng(443);
+// across records, checked against the byte-state reference RC4
+// (rc4_ref.h), not the class under test.  This pins the 32-bit-state Rc4,
+// the one key setup both directions share, the in-place seal and the
+// per-channel MAC key state (its sequence numbers and its reuse across
+// records) against a fresh hmac_sha1 per record.  With `interleave` each
+// record is opened right after it is sealed, the order Session::pump uses;
+// otherwise every record is sealed before the first is opened.
+void expect_rc4_records_match_reference(std::uint64_t seed, bool interleave) {
+  Rng rng(seed);
   const auto key = rng.bytes(ssl::cipher_profile(Cipher::kRc4).key_len);
   const auto mac_key = rng.bytes(20);
   ssl::SecureChannel channel(Cipher::kRc4, key, mac_key, {});
-  Rc4 keystream(key);
+  Rc4Ref keystream(key);
   std::vector<std::vector<std::uint8_t>> payloads, records;
   for (std::uint64_t seq = 0; seq < 60; ++seq) {
     const auto payload = rng.bytes(static_cast<std::size_t>(rng.below(601)));
     const auto want = keystream.process(reference_mac_plain(mac_key, seq, payload));
     const auto sealed = channel.seal(payload);
     ASSERT_EQ(sealed, want) << "record " << seq;
-    payloads.push_back(payload);
-    records.push_back(sealed);
+    if (interleave) {
+      EXPECT_EQ(channel.open(sealed), payload) << "record " << seq;
+    } else {
+      payloads.push_back(payload);
+      records.push_back(sealed);
+    }
   }
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(channel.open(records[i]), payloads[i]) << "record " << i;
+  }
+}
+
+TEST(SslRecordOracle, Rc4RecordsMatchReference) {
+  expect_rc4_records_match_reference(443, /*interleave=*/false);
+}
+
+TEST(SslRecordOracle, Rc4InterleavedSealOpenMatchesReference) {
+  expect_rc4_records_match_reference(446, /*interleave=*/true);
+}
+
+// A channel whose first RC4 use is an open: the key setup then runs on
+// the decrypt side, and the sealing side must still start at keystream
+// byte 0 and sequence number 0.
+TEST(SslRecordOracle, Rc4ChannelOpensBeforeItSeals) {
+  Rng rng(447);
+  const auto key = rng.bytes(ssl::cipher_profile(Cipher::kRc4).key_len);
+  const auto mac_key = rng.bytes(20);
+  Rc4Ref keystream(key);
+  std::vector<std::vector<std::uint8_t>> payloads, records;
+  for (std::uint64_t seq = 0; seq < 20; ++seq) {
+    payloads.push_back(rng.bytes(static_cast<std::size_t>(rng.below(601))));
+    records.push_back(keystream.process(reference_mac_plain(mac_key, seq, payloads.back())));
+  }
+  ssl::SecureChannel channel(Cipher::kRc4, key, mac_key, {});
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(channel.open(records[i]), payloads[i]) << "record " << i;
+  }
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(channel.seal(payloads[i]), records[i]) << "record " << i;
   }
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "support/hex.h"
 #include "support/random.h"
 #include "support/stats.h"
@@ -41,6 +45,53 @@ TEST(Rng, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+// fill() packs each draw's eight bytes little-endian and truncates the
+// last one: ceil(n/8) draws for n bytes, whatever n is.
+TEST(Rng, FillPacksEightLittleEndianBytesPerDraw) {
+  for (std::size_t n = 0; n <= 17; ++n) {
+    SCOPED_TRACE(n);
+    Rng filled(77), drawn(77);
+    std::vector<std::uint8_t> got(n + 1, 0xA5);  // the sentinel must survive
+    filled.fill(got.data(), n);
+    std::vector<std::uint8_t> want;
+    for (std::size_t draws = 0; draws < (n + 7) / 8; ++draws) {
+      const std::uint64_t r = drawn.next_u64();
+      for (int b = 0; b < 8; ++b) want.push_back(static_cast<std::uint8_t>(r >> (8 * b)));
+    }
+    want.resize(n);
+    want.push_back(0xA5);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(filled.state(), drawn.state());
+  }
+}
+
+// The known-answer tests, RSA key generation and the characterization
+// stimuli are all pinned to bytes(): one draw per byte, its low byte.
+// Any change to that stream must fail here first.
+TEST(Rng, BytesStreamIsPinned) {
+  Rng rng(2024);
+  EXPECT_EQ(to_hex(rng.bytes(40)),
+            "2e65016ba7f5a86cd5a4e08386750f0509e62923118d8ef6"
+            "63d5391cdb9c6f39618b4e7b129071a7");
+  Rng a(5), b(5);
+  a.bytes(13);
+  for (int i = 0; i < 13; ++i) b.next_u64();
+  EXPECT_EQ(a.state(), b.state());
+}
+
+// below(0) used to compute (0 - 0) % 0; range() over the whole 64-bit span
+// reached it through hi - lo + 1 == 0.
+TEST(Rng, EmptyAndFullSpansAreDefined) {
+  Rng rng(6);
+  EXPECT_THROW(rng.below(0), std::invalid_argument);
+  Rng full(7), raw(7);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(full.range(0, UINT64_MAX), raw.next_u64());
+  }
+  EXPECT_EQ(full.state(), raw.state());
+  EXPECT_EQ(rng.range(9, 9), 9u);
 }
 
 TEST(Hex, RoundTrip) {
