@@ -34,7 +34,6 @@
 
 #include "bench_util.h"
 #include "explore/space.h"
-#include "scenario/compile.h"
 #include "server_section.h"
 #include "server/record.h"
 #include "support/benchdiff.h"
@@ -311,80 +310,79 @@ bench::BenchResult run_fig8() {
   return r;
 }
 
+// Writes `record` as <outdir>/REPLAY_<name>.wspr when plain emission asked
+// for replay traces (docs/benchmarks.md).
+void maybe_write_replay_trace(const server::RunRecord& record,
+                              const char* name) {
+  if (g_replay_trace_dir.empty()) return;
+  const std::string path =
+      g_replay_trace_dir + "/REPLAY_" + name + ".wspr";
+  if (server::write_run_record_file(record, path)) {
+    std::printf(" [replay trace %s]", path.c_str());
+  } else {
+    std::fprintf(stderr, "FAILED to write %s\n", path.c_str());
+  }
+}
+
 // --- Secure-session server: Fig. 8 transactions under load ----------------
+//
+// Every scenario is a bench/scenarios/*.wsp program run on its
+// bench::kBenchEngines shape at 2 threads (metrics are thread-count
+// invariant, docs/server.md).
 bench::BenchResult run_server() {
   WSP_TRACE_SPAN("bench", "server");
   bench::BenchResult r;
   r.name = "server";
-  r.config = {{"seed", "71"}, {"sessions", "64"}, {"shards", "4"},
-              {"rsa_bits", "512"}, {"scale_sessions", "100000"}};
+  r.config = {{"scenarios", "bench/scenarios/{steady,overload,chaos,scale,"
+                            "crash}.wsp"}};
   const auto t0 = Clock::now();
-  server::EngineConfig cfg;
-  cfg.threads = 2;  // metrics are thread-count invariant (docs/server.md)
-  cfg.shards = 4;
-  {
-    server::Engine engine(cfg);
-    bench::append_server_metrics(r, "steady/",
-                                 engine.run(bench::steady_scenario(71, 64)));
-  }
-  {
-    server::EngineConfig over = cfg;
-    over.queue_capacity = 8;  // tight waiting room: overload must shed load
-    server::Engine engine(over);
-    bench::append_server_metrics(r, "overload/",
-                                 engine.run(bench::overload_scenario(72, 96)));
+  for (const char* name : {"steady", "overload"}) {
+    const auto b = bench::load_bench_scenario(name);
+    server::Engine engine(b.config);
+    bench::append_server_metrics(r, std::string(name) + "/",
+                                 engine.run(b.program.scenario));
   }
   {
     // Chaos run: deterministic fault injection + recovery (docs/faults.md).
     // Recorded through the replay layer so every bench emission leaves a
     // bit-exact reproduction trace next to the JSON (docs/benchmarks.md).
-    server::EngineConfig chaos = cfg;
-    chaos.faults = bench::chaos_fault_config();
-    chaos.degrade_depth = 12;
+    const auto b = bench::load_bench_scenario("chaos");
     const server::RunRecord record =
-        server::record_run(chaos, bench::chaos_scenario(74, 64));
+        server::record_run(b.config, b.program.scenario, b.program.source);
     bench::append_server_metrics(r, "chaos/", record.report);
-    if (!g_replay_trace_dir.empty()) {
-      const std::string path = g_replay_trace_dir + "/REPLAY_server_chaos.wspr";
-      if (server::write_run_record_file(record, path)) {
-        std::printf(" [replay trace %s]", path.c_str());
-      } else {
-        std::fprintf(stderr, "FAILED to write %s\n", path.c_str());
-      }
-    }
+    maybe_write_replay_trace(record, "server_chaos");
   }
   {
     // Scale run: 100k resumed sessions through the slab table and MPSC
     // rings (docs/server.md §scale).  Gates memory_per_session (structural
-    // bytes per live session) and data-plane throughput; shard count is
-    // pinned by scale_config because determinism is per shard count.
-    server::Engine engine(bench::scale_config(cfg.threads));
-    bench::append_server_metrics(r, "scale/",
-                                 engine.run(bench::scale_scenario(75, 100000)));
-    // Actual process RSS next to the modeled memory_per_session: info
-    // direction (host-dependent), 0 when /proc/self/statm is unavailable.
+    // bytes per live session) and data-plane throughput.
+    const auto b = bench::load_bench_scenario("scale");
+    server::Engine engine(b.config);
+    bench::append_server_metrics(r, "scale/", engine.run(b.program.scenario));
+    // RSS of the whole process after every earlier section, next to the
+    // modeled memory_per_session: info direction (host- and
+    // section-order-dependent), 0 when /proc/self/statm is unavailable.
     r.cycles["scale/rss_mib"] =
         static_cast<double>(support::resident_set_bytes()) / (1024.0 * 1024.0);
   }
   {
     // Crash-fault tolerance (docs/recovery.md): the chaos mix again, but
-    // with periodic checkpoints and a scheduled process kill.  The torn
-    // trace is scanned and resumed at OTHER thread counts; the resumed
-    // report must be bit-identical to an uninterrupted reference run.
-    // resume_mismatch and torn_resume_mismatch are gated exactly zero —
-    // torn additionally tears bytes off the trace tail mid-chunk, forcing
-    // the scanner back to the previous checkpoint.
-    server::EngineConfig chaos = cfg;
-    chaos.faults = bench::chaos_fault_config();
-    chaos.degrade_depth = 12;
-    const auto scenario = bench::chaos_scenario(77, 64);
-    server::Engine ref_engine(chaos);
+    // with periodic checkpoints and a scheduled process kill, both armed
+    // from the uninterrupted reference run's makespan.  The torn trace is
+    // scanned and resumed at OTHER thread counts; the resumed report must
+    // be bit-identical to the reference.  resume_mismatch and
+    // torn_resume_mismatch are gated exactly zero — torn additionally
+    // tears bytes off the trace tail mid-chunk, forcing the scanner back
+    // to the previous checkpoint.
+    const auto b = bench::load_bench_scenario("crash");
+    const server::TrafficScenario& scenario = b.program.scenario;
+    server::Engine ref_engine(b.config);
     const server::RunReport ref = ref_engine.run(scenario);
 
-    server::EngineConfig crashed = chaos;
+    server::EngineConfig crashed = b.config;
     crashed.checkpoint_every = ref.makespan_cycles / 7.0;
     crashed.faults.crash_at_cycles = ref.makespan_cycles * 0.6;
-    server::RunRecorder recorder(crashed, scenario);
+    server::RunRecorder recorder(crashed, scenario, b.program.source);
     bool crash_seen = false;
     try {
       server::Engine engine(recorder.engine_config());
@@ -421,98 +419,47 @@ bench::BenchResult run_server() {
     r.cycles["crash/torn_resume_mismatch"] = torn_mismatch;
   }
   r.wall_ns = ns_since(t0);
-  r.threads = cfg.threads;
+  r.threads = 2;
   return r;
 }
 
 // --- Scenario compiler: .wsp traffic programs (docs/scenarios.md) ----------
-//
-// The sources are embedded so the section is hermetic: --check must gate the
-// compiler + multi-phase engine without depending on repo-relative paths.
 bench::BenchResult run_scenario_section() {
   WSP_TRACE_SPAN("bench", "scenario");
   bench::BenchResult r;
   r.name = "scenario";
-  r.config = {{"seed", "71"}, {"shards", "4"}, {"rsa_bits", "512"}};
+  r.config = {{"scenarios", "bench/scenarios/{steady,flash,mixed}.wsp"}};
   const auto t0 = Clock::now();
-  server::EngineConfig cfg;
-  cfg.threads = 2;  // metrics are thread-count invariant (docs/server.md)
-  cfg.shards = 4;
-
   {
-    // Equivalence gate: a one-phase .wsp spelling of the Fig. 8 steady
-    // scenario must produce a report IDENTICAL to the hand-built one-phase
-    // bench program — same Rng consumption, same means, same everything.
-    // Gated exact-zero via */equiv_mismatch.
-    static const char* kFig8Wsp =
-        "scenario \"fig8\" {\n"
-        "  seed 71\n"
-        "  record_bytes 1024\n"
-        "  phase \"steady\" { sessions 64, arrivals open, load 0.6 }\n"
-        "}\n";
-    const auto compiled = scenario::compile(kFig8Wsp, "<fig8>");
-    server::Engine wsp_engine(cfg);
-    const auto wsp_rep = wsp_engine.run(compiled.scenario);
-    server::Engine built_engine(cfg);
-    const auto built_rep = built_engine.run(bench::steady_scenario(71, 64));
+    // Equivalence gate: steady.wsp must produce a report IDENTICAL to the
+    // hand-built one-phase program it spells out — same Rng consumption,
+    // same means, same everything.  Gated exact-zero via */equiv_mismatch.
+    const auto b = bench::load_bench_scenario("steady");
+    server::Engine wsp_engine(b.config);
+    const auto wsp_rep = wsp_engine.run(b.program.scenario);
+    server::Engine built_engine(b.config);
+    const auto built_rep = built_engine.run(bench::steady_oracle());
     bench::append_server_metrics(r, "fig8/", wsp_rep);
     r.cycles["fig8/equiv_mismatch"] =
         bench::reports_deterministically_equal(wsp_rep, built_rep) ? 0.0 : 1.0;
   }
   {
-    // Multi-phase program under load: calm -> overload spike of resumed
-    // sessions -> fault-overlay storm.  The leak gate (*/leaked, exact
-    // zero) covers phase transitions: a session arriving in one phase and
-    // finishing in the next must not be lost by the closed-out phase.
-    static const char* kFlashWsp =
-        "scenario \"flash\" {\n"
-        "  seed 74\n"
-        "  defaults { arrivals open, mix { aes128: 2, rc4: 1 } }\n"
-        "  phase \"calm\"  { sessions 32, load 0.4, sizes { 4096: 1 } }\n"
-        "  phase \"spike\" { sessions 96, load 3.0, resume 0.75,\n"
-        "                    sizes { 1024: 3, 2048: 1 } }\n"
-        "  phase \"storm\" { sessions 32, load 0.8, resume 0.5,\n"
-        "                    sizes { 4096: 1, 8192: 1 },\n"
-        "                    faults { handshake_failure_rate 0.2,\n"
-        "                             wire_flip_rate 0.02,\n"
-        "                             handshake_retry_budget 3,\n"
-        "                             record_retry_budget 2 } }\n"
-        "}\n";
-    const auto compiled = scenario::compile(kFlashWsp, "<flash>");
+    // Multi-phase program with a fault-overlay phase, recorded with its
+    // source embedded.
+    const auto b = bench::load_bench_scenario("flash");
     const server::RunRecord record =
-        server::record_run(cfg, compiled.scenario, compiled.source);
+        server::record_run(b.config, b.program.scenario, b.program.source);
     bench::append_server_metrics(r, "flash/", record.report);
-    if (!g_replay_trace_dir.empty()) {
-      const std::string path =
-          g_replay_trace_dir + "/REPLAY_scenario_flash.wspr";
-      if (server::write_run_record_file(record, path)) {
-        std::printf(" [replay trace %s]", path.c_str());
-      } else {
-        std::fprintf(stderr, "FAILED to write %s\n", path.c_str());
-      }
-    }
+    maybe_write_replay_trace(record, "scenario_flash");
   }
   {
-    // Closed-loop population handing over to an open-loop burst: gates the
-    // phase-entry reseeding of the closed-loop heap and the open-clock
-    // monotonicity across models.
-    static const char* kMixedWsp =
-        "scenario \"mixed\" {\n"
-        "  seed 75\n"
-        "  record_bytes 512\n"
-        "  phase \"devices\"  { sessions 24, arrivals closed, users 6,\n"
-        "                       think 50000, mix { rc4: 1 },\n"
-        "                       sizes { 1024: 1 } }\n"
-        "  phase \"browsers\" { sessions 40, arrivals open, load 0.7,\n"
-        "                       resume 0.5, mix { aes128: 1 },\n"
-        "                       sizes { 2048: 1, 8192: 1 } }\n"
-        "}\n";
-    const auto compiled = scenario::compile(kMixedWsp, "<mixed>");
-    server::Engine engine(cfg);
-    bench::append_server_metrics(r, "mixed/", engine.run(compiled.scenario));
+    // Closed loop handing over to an open loop.
+    const auto b = bench::load_bench_scenario("mixed");
+    server::Engine engine(b.config);
+    bench::append_server_metrics(r, "mixed/", engine.run(b.program.scenario));
   }
   r.wall_ns = ns_since(t0);
-  r.threads = cfg.threads;
+  r.threads = 2;
   return r;
 }
 

@@ -1,106 +1,90 @@
 // Shared glue between the secure-session server engine and the wsp-bench-v1
-// artifact layer: canonical scenarios (the Fig. 8 grid under steady load,
-// over-admission, and a closed-loop population) and the RunReport ->
-// BenchResult metric mapping used by bench_server, bench_report and the
-// schema tests.
+// artifact layer: the bench scenarios (traffic in bench/scenarios/*.wsp,
+// engine shape in kBenchEngines), the Fig. 8 oracle that pins the .wsp
+// path, and the RunReport -> BenchResult metric mapping used by
+// bench_report and the schema tests.
 #pragma once
 
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "bench_util.h"
+#include "scenario/compile.h"
 #include "server/engine.h"
+
+#ifndef WSP_BENCH_SCENARIO_DIR
+#define WSP_BENCH_SCENARIO_DIR "bench/scenarios"
+#endif
 
 namespace wsp::bench {
 
-/// A one-phase traffic program of `sessions` arrivals named `name`; the
-/// phase starts from TrafficPhase's defaults (the Fig. 8 grid, open loop).
-inline server::TrafficScenario one_phase(std::uint64_t seed, const char* name,
-                                         std::size_t sessions) {
-  server::TrafficScenario s;
-  s.seed = seed;
-  s.phases.resize(1);
-  s.phases[0].name = name;
-  s.phases[0].sessions = sessions;
-  return s;
+/// The engine shape each bench scenario runs on.  The traffic program lives
+/// in bench/scenarios/<scenario>.wsp; the engine shape is runner config, not
+/// part of the program.  Shard counts are pinned because the virtual
+/// timeline is deterministic per shard count.  overload's tight waiting
+/// room must shed load; chaos and crash enter degrade mode under
+/// fault-induced pileups; scale's deep rings keep arrivals on the lock-free
+/// path and its large record batches amortize pump dispatch.
+struct BenchEngine {
+  std::string_view scenario;
+  unsigned shards;
+  std::size_t queue_capacity;
+  std::size_t record_batch;
+  std::size_t degrade_depth;
+};
+
+inline constexpr BenchEngine kBenchEngines[] = {
+    // scenario  shards queue  batch degrade
+    {"steady",   4,     64,    16,   0},
+    {"overload", 4,     8,     16,   0},
+    {"chaos",    4,     64,    16,   12},
+    {"crash",    4,     64,    16,   12},
+    {"scale",    8,     32768, 32,   0},
+    {"flash",    4,     64,    16,   0},
+    {"mixed",    4,     64,    16,   0},
+};
+
+struct BenchScenario {
+  server::EngineConfig config;
+  scenario::CompiledScenario program;
+};
+
+/// Compiles bench/scenarios/<name>.wsp and pairs it with its kBenchEngines
+/// shape at `threads` workers (reports do not depend on the thread count).
+/// Throws std::invalid_argument for a name the table does not list, and
+/// what scenario::compile_file throws for a missing or invalid file.
+inline BenchScenario load_bench_scenario(std::string_view name,
+                                         unsigned threads = 2) {
+  for (const BenchEngine& e : kBenchEngines) {
+    if (e.scenario != name) continue;
+    BenchScenario b;
+    b.config.threads = threads;
+    b.config.shards = e.shards;
+    b.config.queue_capacity = e.queue_capacity;
+    b.config.record_batch = e.record_batch;
+    b.config.degrade_depth = e.degrade_depth;
+    b.program = scenario::compile_file(std::string(WSP_BENCH_SCENARIO_DIR) +
+                                       "/" + std::string(name) + ".wsp");
+    return b;
+  }
+  throw std::invalid_argument("no bench scenario named '" + std::string(name) +
+                              "'");
 }
 
-/// Steady open-loop load: ~60% of modeled capacity, full Fig. 8 mix.
-inline server::TrafficScenario steady_scenario(std::uint64_t seed,
-                                               std::size_t sessions) {
-  server::TrafficScenario s = one_phase(seed, "steady", sessions);
+/// steady.wsp built by hand: the one TrafficScenario the bench layer spells
+/// out field by field.  `fig8/equiv_mismatch` compares the compiled file
+/// against it, so a compiler or generator change that moves any Rng draw
+/// shows up as a mismatch.
+inline server::TrafficScenario steady_oracle() {
+  server::TrafficScenario s;
+  s.seed = 71;
+  s.record_bytes = 1024;
+  s.phases.resize(1);
+  s.phases[0].name = "steady";
+  s.phases[0].sessions = 64;
   s.phases[0].offered_load = 0.6;
   return s;
-}
-
-/// Sustained over-admission: 2.5x capacity — must produce drops while the
-/// bounded waiting room keeps latency and queue depth finite.
-inline server::TrafficScenario overload_scenario(std::uint64_t seed,
-                                                 std::size_t sessions) {
-  server::TrafficScenario s = one_phase(seed, "overload", sessions);
-  s.phases[0].offered_load = 2.5;
-  return s;
-}
-
-/// Closed loop: a fixed population of users, think time ~ half a mean
-/// service interval.
-inline server::TrafficScenario closed_scenario(std::uint64_t seed,
-                                               std::size_t sessions,
-                                               unsigned users) {
-  server::TrafficScenario s = one_phase(seed, "closed", sessions);
-  s.phases[0].model = server::ArrivalModel::kClosedLoop;
-  s.phases[0].users = users;
-  s.phases[0].think_cycles = 6e6;
-  return s;
-}
-
-/// Chaos run traffic: steady load so every recovery outcome is attributable
-/// to injected faults, not over-admission.
-inline server::TrafficScenario chaos_scenario(std::uint64_t seed,
-                                              std::size_t sessions) {
-  server::TrafficScenario s = one_phase(seed, "chaos", sessions);
-  s.phases[0].offered_load = 0.8;
-  return s;
-}
-
-/// Scale run traffic: the million-session regime (docs/server.md).  Sessions
-/// resume from tickets instead of doing fresh RSA handshakes — that is what
-/// makes 10^5..10^6 sessions per run tractable — and stream short RC4
-/// records, so the run measures data-plane capacity (table, rings, channel
-/// setup), not modexp throughput.
-inline server::TrafficScenario scale_scenario(std::uint64_t seed,
-                                              std::size_t sessions) {
-  server::TrafficScenario s = one_phase(seed, "scale", sessions);
-  server::TrafficPhase& ph = s.phases[0];
-  ph.offered_load = 1.2;  // mild over-admission: the table must churn
-  ph.resume_fraction = 1.0;
-  ph.cipher_mix = {{ssl::Cipher::kRc4, 1}};
-  ph.size_mix = {{256, 1}, {512, 1}};
-  s.record_bytes = 256;
-  return s;
-}
-
-/// Engine shape for the scale run: shard count pinned (determinism is per
-/// shard count), deep per-shard rings so arrivals stay on the lock-free
-/// path, and large record batches to amortize pump dispatch.
-inline server::EngineConfig scale_config(unsigned threads) {
-  server::EngineConfig cfg;
-  cfg.threads = threads;
-  cfg.shards = 8;
-  cfg.queue_capacity = 32768;
-  cfg.record_batch = 32;
-  return cfg;
-}
-
-/// Canonical chaos fault mix (docs/faults.md): 1-10% rates across the four
-/// fault classes.  Non-aborted sessions must still complete, and the
-/// RunReport must stay bit-identical for any --threads.
-inline server::FaultConfig chaos_fault_config() {
-  server::FaultConfig f;
-  f.wire_flip_rate = 0.05;
-  f.handshake_failure_rate = 0.05;
-  f.abort_rate = 0.03;
-  f.stall_rate = 0.05;
-  return f;
 }
 
 /// Flattens the deterministic part of a RunReport into `r.cycles` under

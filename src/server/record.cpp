@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "support/threadpool.h"
+
 #ifndef WSP_GIT_REV
 #define WSP_GIT_REV "unknown"
 #endif
@@ -639,12 +641,16 @@ std::vector<std::string> compare_reports(const RunReport& want,
   return mm;
 }
 
+unsigned replay_threads(unsigned recorded_threads, unsigned threads_override) {
+  if (threads_override > 0) return threads_override;
+  return std::clamp(recorded_threads, 1u, ThreadPool::hardware_threads());
+}
+
 ReplayResult replay_run(const RunRecord& record, unsigned threads_override) {
   ReplayResult result;
   EngineConfig cfg = record.config;
   cfg.record_events = true;
-  cfg.threads =
-      threads_override > 0 ? threads_override : record.recorded_threads;
+  cfg.threads = replay_threads(record.recorded_threads, threads_override);
   Engine engine(cfg);
   result.report = engine.run(record.scenario);
   result.mismatches = compare_reports(record.report, result.report);
@@ -860,8 +866,7 @@ ReplayResult resume_run(const ResumeScan& scan, unsigned threads_override) {
   ReplayResult result;
   EngineConfig cfg = scan.record.config;
   cfg.record_events = true;
-  cfg.threads =
-      threads_override > 0 ? threads_override : scan.record.recorded_threads;
+  cfg.threads = replay_threads(scan.record.recorded_threads, threads_override);
   // A resumed run neither re-crashes nor re-checkpoints: the crash already
   // happened, and the torn trace is evidence, not something to extend.
   // (crash_at_cycles is never serialized, so these are belt-and-braces for

@@ -103,10 +103,15 @@ struct ReplayResult {
 std::vector<std::string> compare_reports(const RunReport& want,
                                          const RunReport& got);
 
+/// The worker count a replay or resume runs at: `threads_override` when
+/// nonzero, else the recorded count capped to [1, hardware threads].  The
+/// recorded count comes from an untrusted trace, and reports do not depend
+/// on it, so a crafted value must not decide how many threads start.
+unsigned replay_threads(unsigned recorded_threads, unsigned threads_override);
+
 /// Re-runs the recorded scenario and verifies every deterministic field,
-/// per-shard digest and session event.  `threads_override` > 0 replaces the
-/// recorded thread count (the thread-invariance contract makes any value
-/// legal).
+/// per-shard digest and session event, at replay_threads() workers (the
+/// thread-invariance contract makes any count legal).
 ReplayResult replay_run(const RunRecord& record, unsigned threads_override = 0);
 
 // --- incremental recording + crash/resume ----------------------------------
@@ -203,8 +208,9 @@ struct ResumeScan {
 /// program (phase_done = next_id, phase_entered = true).
 ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes);
 
-/// Restores the scan's last valid checkpoint and continues the run (any
-/// thread count — the resume determinism contract covers all of them).
+/// Restores the scan's last valid checkpoint and continues the run at
+/// replay_threads() workers (the resume determinism contract covers any
+/// count).
 /// With no usable checkpoint the run simply restarts from the beginning:
 /// resume is always possible, recovery work is what checkpoints buy.
 /// Never re-crashes regardless of the recorded fault config.  When the

@@ -25,6 +25,8 @@ const std::vector<ToleranceRule>& default_tolerance_table() {
       {"*/leaked", Direction::kExact, 0.0},
       {"*/faults_injected", Direction::kExact, 0.0},
       {"*/aborted", Direction::kExact, 0.0},
+      // Includes overload/dropped: the overload scenario must shed load.
+      {"*/dropped", Direction::kExact, 0.0},
       // The .wsp compiler's equivalence gate (bench_report scenario
       // section): a compiled one-phase Fig. 8 program must reproduce the
       // hand-built bench program bit for bit, so the mismatch count stays

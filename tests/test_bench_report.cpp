@@ -291,6 +291,20 @@ TEST(BenchGate, LeakCounterIsExact) {
   EXPECT_EQ(rep.regressions[0].key, "steady/leaked");
 }
 
+TEST(BenchGate, OverloadThatStopsSheddingIsARegression) {
+  // Drops are deterministic for a fixed seed: an overload run that sheds
+  // nothing means admission control stopped working.
+  bench::BenchResult r;
+  r.name = "server";
+  r.cycles["overload/dropped"] = 36.0;
+  const json::Value base = bench::to_json(r);
+  r.cycles["overload/dropped"] = 0.0;
+  const auto rep = bench::check_bench(base, bench::to_json(r));
+  EXPECT_FALSE(rep.ok());
+  ASSERT_EQ(rep.regressions.size(), 1u);
+  EXPECT_EQ(rep.regressions[0].key, "overload/dropped");
+}
+
 TEST(BenchGate, MissingMetricIsSchemaRegression) {
   const json::Value base = bench_doc(400.0, 4.5e6, 0.0);
   bench::BenchResult r;

@@ -106,29 +106,29 @@ TEST(VirtualModel, MatchesEngineRunOnEveryExampleScenario) {
   }
 }
 
+/// A bench scenario at `sessions` arrivals on its own seed (or `seed`).
+bench::BenchScenario bench_slice(const char* name, std::size_t sessions,
+                                 std::uint64_t seed = 0) {
+  bench::BenchScenario b = bench::load_bench_scenario(name);
+  b.program.scenario.phases.at(0).sessions = sessions;
+  if (seed != 0) b.program.scenario.seed = seed;
+  return b;
+}
+
 TEST(VirtualModel, MatchesEngineRunOnBenchScenarios) {
-  const server::EngineConfig cfg = bench_config();
-  expect_model_matches_engine(cfg, bench::steady_scenario(71, 96), "steady");
-
-  server::EngineConfig over = cfg;
-  over.queue_capacity = 16;
-  const auto overload = expect_model_matches_engine(
-      over, bench::overload_scenario(72, 96), "overload");
+  const auto check = [](const char* name, std::size_t sessions,
+                        std::uint64_t seed = 0) {
+    const bench::BenchScenario b = bench_slice(name, sessions, seed);
+    return expect_model_matches_engine(b.config, b.program.scenario, name);
+  };
+  check("steady", 96);
+  const auto overload = check("overload", 96);
   EXPECT_GT(overload.dropped, 0u) << "overload must exercise the drop path";
-
-  expect_model_matches_engine(cfg, bench::closed_scenario(73, 48, 8),
-                              "closed");
-
-  server::EngineConfig chaos = cfg;
-  chaos.faults = bench::chaos_fault_config();
-  chaos.degrade_depth = 3 * cfg.shards;
-  const auto chaotic = expect_model_matches_engine(
-      chaos, bench::chaos_scenario(74, 96), "chaos");
+  // 96 sessions: the bench's 64-session chaos run never enters degrade.
+  const auto chaotic = check("chaos", 96);
   EXPECT_GT(chaotic.faults_injected, 0u);
   EXPECT_GT(chaotic.degrade_enters, 0u) << "chaos must exercise degrade mode";
-
-  expect_model_matches_engine(bench::scale_config(2),
-                              bench::scale_scenario(71, 4000), "scale");
+  check("scale", 4000, 71);
 }
 
 TEST(DataPlane, DestroyedMidHandshakeDrainsBeforeTeardown) {
@@ -170,7 +170,8 @@ TEST(DataPlane, FullHandshakeWithoutServerKeyIsRejectedBeforePush) {
   // thread, never a null dereference on a worker.
   server::EngineConfig cfg;
   cfg.shards = 1;
-  server::TrafficScenario scenario = bench::scale_scenario(5, 8);
+  const server::TrafficScenario scenario =
+      bench_slice("scale", 8, 5).program.scenario;
   server::DataPlane plane(cfg, scenario);
   server::Admission a;
   a.session.transaction_bytes = 256;

@@ -14,6 +14,7 @@
 #include "server/record.h"
 #include "support/random.h"
 #include "support/replay.h"
+#include "support/threadpool.h"
 
 namespace wsp {
 namespace {
@@ -550,6 +551,27 @@ TEST(ReplayRunRecord, FileRoundTrip) {
   } catch (const ReplayError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kTruncated);
   }
+}
+
+TEST(ReplayThreads, RecordedCountIsCappedAtHardwareThreads) {
+  // The recorded count is decoded from an untrusted trace: a crafted value
+  // must not decide how many workers a replay starts.
+  const unsigned hw = ThreadPool::hardware_threads();
+  server::RunRecord rec;
+  rec.recorded_threads = std::numeric_limits<std::uint32_t>::max();
+  rec.scenario = program(8);
+  rec.config.shards = 2;
+  rec.report.shards.resize(2);
+  const server::RunRecord back =
+      server::decode_run_record(server::encode_run_record(rec));
+  ASSERT_EQ(back.recorded_threads, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(server::replay_threads(back.recorded_threads, 0), hw);
+  EXPECT_EQ(server::replay_threads(0, 0), 1u);
+  EXPECT_EQ(server::replay_threads(1, 0), 1u);
+  EXPECT_EQ(server::replay_threads(hw, 0), hw);
+  // An explicit override (already range-checked by the tools) wins.
+  EXPECT_EQ(server::replay_threads(back.recorded_threads, 3), 3u);
+  EXPECT_EQ(server::replay_threads(1, 8), 8u);
 }
 
 TEST(ReplayCrc32Filter, MatchesOneShotCrc) {

@@ -14,19 +14,20 @@
 namespace wsp {
 namespace {
 
-server::EngineConfig chaos_config(unsigned threads) {
-  server::EngineConfig cfg;
-  cfg.threads = threads;
-  cfg.shards = 4;
-  cfg.queue_capacity = 64;
-  cfg.faults = bench::chaos_fault_config();
-  cfg.degrade_depth = 12;
-  return cfg;
+/// The bench chaos scenario (bench/scenarios/chaos.wsp on its bench engine)
+/// at `threads` workers, with its seed and session count overridden.
+bench::BenchScenario chaos(unsigned threads, std::uint64_t seed,
+                           std::size_t sessions) {
+  bench::BenchScenario b = bench::load_bench_scenario("chaos", threads);
+  b.program.scenario.seed = seed;
+  b.program.scenario.phases.at(0).sessions = sessions;
+  return b;
 }
 
 TEST(ReplayDeterminism, RecordAtOneThreadReplayAtEight) {
-  const auto scenario = bench::chaos_scenario(74, 64);
-  const server::RunRecord rec = server::record_run(chaos_config(1), scenario);
+  const auto b = chaos(1, 74, 64);
+  const server::RunRecord rec =
+      server::record_run(b.config, b.program.scenario);
   ASSERT_EQ(rec.recorded_threads, 1u);
   ASSERT_GT(rec.report.faults_injected, 0u) << "chaos plan injected nothing";
   ASSERT_EQ(rec.report.events.size(), rec.report.admitted);
@@ -51,8 +52,9 @@ TEST(ReplayDeterminism, RecordAtOneThreadReplayAtEight) {
 }
 
 TEST(ReplayDeterminism, DiskRoundTripThenReplayAtDifferentThreads) {
-  const auto scenario = bench::chaos_scenario(75, 48);
-  const server::RunRecord rec = server::record_run(chaos_config(2), scenario);
+  const auto b = chaos(2, 75, 48);
+  const server::RunRecord rec =
+      server::record_run(b.config, b.program.scenario);
   const std::string path = ::testing::TempDir() + "/chaos_run.wspr";
   ASSERT_TRUE(server::write_run_record_file(rec, path));
   const server::RunRecord loaded = server::read_run_record_file(path);
@@ -64,8 +66,8 @@ TEST(ReplayDeterminism, DiskRoundTripThenReplayAtDifferentThreads) {
 }
 
 TEST(ReplayDeterminism, TamperedRecordReportsMismatch) {
-  const auto scenario = bench::chaos_scenario(76, 32);
-  server::RunRecord rec = server::record_run(chaos_config(1), scenario);
+  const auto b = chaos(1, 76, 32);
+  server::RunRecord rec = server::record_run(b.config, b.program.scenario);
   ASSERT_FALSE(rec.report.events.empty());
   rec.report.events[0].wire_bytes ^= 1;  // claim a different byte total
   const server::ReplayResult res = server::replay_run(rec, 4);

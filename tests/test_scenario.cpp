@@ -10,6 +10,7 @@
 
 #include "scenario/compile.h"
 #include "server/engine.h"
+#include "server/record.h"
 #include "server_section.h"
 
 namespace wsp {
@@ -181,18 +182,12 @@ server::RunReport run_with(const server::TrafficScenario& sc,
 }
 
 TEST(ScenarioEquivalence, OnePhaseOpenLoopMatchesFlatFig8Bitwise) {
-  // The acceptance gate: the Fig. 8 grid spelled as a .wsp produces a
-  // report IDENTICAL to the hand-built bench program — same Rng draws, same
-  // IEEE mean-service arithmetic, same everything.
-  const auto compiled = scenario::compile(
-      "scenario \"fig8\" {\n"
-      "  seed 71\n"
-      "  record_bytes 1024\n"
-      "  phase \"steady\" { sessions 64, arrivals open, load 0.6 }\n"
-      "}\n");
-  const auto built = bench::steady_scenario(71, 64);
+  // The acceptance gate: the Fig. 8 grid spelled as a .wsp (the bench's
+  // steady.wsp) produces a report IDENTICAL to the hand-built program —
+  // same Rng draws, same IEEE mean-service arithmetic, same everything.
+  const auto compiled = bench::load_bench_scenario("steady").program;
   EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(built)));
+      run_with(compiled.scenario), run_with(bench::steady_oracle())));
 }
 
 TEST(ScenarioEquivalence, OnePhaseClosedLoopMatchesFlatBitwise) {
@@ -202,9 +197,54 @@ TEST(ScenarioEquivalence, OnePhaseClosedLoopMatchesFlatBitwise) {
       "  record_bytes 1024\n"
       "  phase { sessions 32, arrivals closed, users 8, think 6000000 }\n"
       "}\n");
-  const auto built = bench::closed_scenario(72, 32, 8);
+  server::TrafficScenario built;
+  built.seed = 72;
+  server::TrafficPhase ph;
+  ph.sessions = 32;
+  ph.model = server::ArrivalModel::kClosedLoop;
+  ph.users = 8;
+  ph.think_cycles = 6e6;
+  built.phases = {ph};
   EXPECT_TRUE(bench::reports_deterministically_equal(
       run_with(compiled.scenario), run_with(built)));
+}
+
+TEST(ScenarioEquivalence, FaultOverlayMatchesEngineFaultConfigBitwise) {
+  // The bench scenarios carry their fault mix as a phase overlay; an
+  // engine-wide FaultConfig can carry the same mix.  Both key one FaultPlan
+  // off the scenario seed, so the two forms must agree bit for bit.
+  const bench::BenchScenario b = bench::load_bench_scenario("chaos");
+  const server::TrafficScenario& overlay = b.program.scenario;
+  ASSERT_EQ(overlay.seed, 74u);
+  ASSERT_EQ(overlay.phases.size(), 1u);
+  ASSERT_TRUE(overlay.phases[0].faults.has_value());
+  server::TrafficScenario plain = overlay;
+  plain.phases[0].faults.reset();
+  server::EngineConfig engine_wide = b.config;
+  engine_wide.faults = *overlay.phases[0].faults;
+
+  const server::RunReport ref = server::Engine(engine_wide).run(plain);
+  ASSERT_GT(ref.faults_injected, 0u);
+  EXPECT_TRUE(bench::reports_deterministically_equal(
+      ref, server::Engine(b.config).run(overlay)));
+
+  // A crash armed engine-wide over the overlay's rates, then crash ->
+  // resume_run, still lands on the engine-wide reference.
+  server::EngineConfig crashed = b.config;
+  crashed.checkpoint_every = ref.makespan_cycles / 7.0;
+  crashed.faults.crash_at_cycles = ref.makespan_cycles * 0.6;
+  server::RunRecorder recorder(crashed, overlay);
+  EXPECT_THROW(
+      {
+        server::Engine engine(recorder.engine_config());
+        recorder.finish(engine.run(overlay));
+      },
+      server::CrashFault);
+  recorder.crash();
+  ASSERT_GT(recorder.checkpoints(), 0u);
+  const server::ReplayResult resumed = server::resume_run(
+      server::scan_trace_for_resume(recorder.bytes()), 3);
+  EXPECT_TRUE(bench::reports_deterministically_equal(ref, resumed.report));
 }
 
 TEST(ScenarioEquivalence, ResumeOnMatchesFlatResumeSessionsBitwise) {

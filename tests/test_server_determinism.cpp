@@ -419,8 +419,10 @@ TEST(ServerDeterminism, ResumeModeRecordReplayRoundTrip) {
 // through the slab table; this is the designated sanitizer workload for
 // the scale path (tools/ci/sanitize.sh runs the 100k point separately).
 TEST(ServerScaleSoak, TwentyThousandResumedSessionsDoNotLeak) {
-  const auto scenario = bench::scale_scenario(75, 20000);
-  server::EngineConfig cfg = bench::scale_config(4);
+  bench::BenchScenario b = bench::load_bench_scenario("scale", 4);
+  b.program.scenario.phases.at(0).sessions = 20000;
+  const server::TrafficScenario& scenario = b.program.scenario;
+  const server::EngineConfig& cfg = b.config;
   server::Engine engine(cfg);
   const auto rep = engine.run(scenario);
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
+#include "support/cli.h"
 #include "support/hex.h"
 #include "support/random.h"
 #include "support/stats.h"
@@ -167,6 +169,46 @@ TEST(Stats, SolveSingular3x3Throws) {
   EXPECT_THROW(solve_linear({{1, 2, 3}, {4, 5, 6}, {5, 7, 9}}, {1, 2, 3}),
                std::runtime_error);
   EXPECT_THROW(solve_linear({{0}}, {1}), std::runtime_error);
+}
+
+// --- Strict CLI values (support/cli.h) --------------------------------------
+
+TEST(CliParse, CountAcceptsOnlyWholeInRangeDecimals) {
+  EXPECT_EQ(support::parse_count("4", "--threads", 1, 1024), 4u);
+  EXPECT_EQ(support::parse_count("1024", "--threads", 1, 1024), 1024u);
+  EXPECT_EQ(support::parse_count("512", "--rsa", 512, 4096), 512u);
+  // strtoul read each of these as 0 ("auto" shards), a wrapped huge count,
+  // or a prefix; all of them must be refused.
+  for (const char* bad : {"", "abc", "-1", "+4", " 4", "4 ", "4x", "0x10",
+                          "0", "1025", "18446744073709551616"}) {
+    EXPECT_THROW(support::parse_count(bad, "--threads", 1, 1024),
+                 std::invalid_argument)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(CliParse, CountErrorNamesTheFlagAndRange) {
+  try {
+    support::parse_count("abc", "--shards", 1, 1024);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--shards"), std::string::npos) << what;
+    EXPECT_NE(what.find("[1, 1024]"), std::string::npos) << what;
+    EXPECT_NE(what.find("'abc'"), std::string::npos) << what;
+  }
+}
+
+TEST(CliParse, PositiveAcceptsOnlyFinitePositiveNumbers) {
+  EXPECT_EQ(support::parse_positive("2000000", "--checkpoint-every"), 2e6);
+  EXPECT_EQ(support::parse_positive("2e7", "--checkpoint-every"), 2e7);
+  EXPECT_EQ(support::parse_positive("0.5", "--checkpoint-every"), 0.5);
+  for (const char* bad : {"", "0", "-1", "abc", "1e999", "inf", "nan", "5x",
+                          " 5"}) {
+    EXPECT_THROW(support::parse_positive(bad, "--checkpoint-every"),
+                 std::invalid_argument)
+        << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -16,9 +16,9 @@
 #      drain-on-unwind test and the mutated-checkpoint fuzz case.
 #   3. A 100k-session `scale` smoke under both sanitizer builds: the slab
 #      arena, lock-free MPSC rings and pump handoff at real volume.
-#   4. Scenario-compiler smokes: `wspc check` over every example .wsp file
-#      under ASan/UBSan, and the flash-crowd program executed end to end
-#      under both sanitizer builds (docs/scenarios.md).
+#   4. Scenario-compiler smokes: `wspc check` over every example and bench
+#      .wsp file under ASan/UBSan, and the flash-crowd program executed end
+#      to end under both sanitizer builds (docs/scenarios.md).
 #   5. Replay smokes: a chaos trace recorded here and replayed at another
 #      thread count, and the committed flat closed-loop trace of an earlier
 #      build (tests/data/flat_closed.wspr) replayed and resumed.
@@ -59,15 +59,15 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   ctest -R 'Slab\.|MpscRing|ServerTable|ServerScaleSoak' --output-on-failure
 )
 
-# Chaos soak under ASan/UBSan: the full fault mix through the real repair
-# ladder, gated on the session-leak invariant (bench_server exits nonzero
-# if completed + aborted != admitted).  --record-dir leaves wsp-replay-v1
-# traces behind; replaying the chaos one at a different thread count drives
-# the whole record -> decode -> re-run -> verify path under the sanitizers.
-"$BUILD_DIR"/bench/bench_server --scenario chaos --threads 4 \
-    --record-dir "$BUILD_DIR" --outdir "$BUILD_DIR" > /dev/null
-"$BUILD_DIR"/tools/replay "$BUILD_DIR"/REPLAY_server_chaos.wspr --threads 2 \
-    > /dev/null
+# Chaos soak under ASan/UBSan: the bench's fault mix through the real
+# repair ladder, gated on the session-leak invariant (wspc run exits
+# nonzero if completed + aborted != admitted).  --record leaves a
+# wsp-replay-v1 trace behind; replaying it at a different thread count
+# drives the whole record -> decode -> re-run -> verify path under the
+# sanitizers.
+"$BUILD_DIR"/tools/wspc run "$SRC_DIR"/bench/scenarios/chaos.wsp --threads 4 \
+    --record "$BUILD_DIR"/chaos.wspr > /dev/null
+"$BUILD_DIR"/tools/replay "$BUILD_DIR"/chaos.wspr --threads 2 > /dev/null
 echo "sanitize.sh: chaos run replayed bit-exactly at a different --threads"
 
 # Legacy trace smoke under ASan/UBSan: a complete trace an earlier build
@@ -83,15 +83,16 @@ echo "sanitize.sh: legacy flat closed-loop trace replayed and resumed bit-exactl
 # Scale smoke under ASan/UBSan: 100k resumed sessions through the slab
 # table and MPSC rings, gated on the same leak invariant.  This is the
 # million-session data plane at enough volume for heap bugs to surface.
-"$BUILD_DIR"/bench/bench_server --scenario scale --threads 4 \
-    --outdir "$BUILD_DIR" > /dev/null
+"$BUILD_DIR"/tools/wspc run "$SRC_DIR"/bench/scenarios/scale.wsp --threads 4 \
+    --shards 8 --queue 32768 > /dev/null
 echo "sanitize.sh: 100k-session scale run clean under ASan/UBSan"
 
-# Scenario-compiler smoke under ASan/UBSan: every example program must
-# compile cleanly, and the flash-crowd program runs end to end (multi-phase
-# generator + resumption surge + per-phase fault overlay) gated on the same
-# leak invariant via wspc's nonzero exit on failure.
-"$BUILD_DIR"/tools/wspc check "$SRC_DIR"/examples/scenarios/*.wsp > /dev/null
+# Scenario-compiler smoke under ASan/UBSan: every example and bench
+# program must compile cleanly, and the flash-crowd program runs end to end
+# (multi-phase generator + resumption surge + per-phase fault overlay)
+# gated on the same leak invariant via wspc's nonzero exit on failure.
+"$BUILD_DIR"/tools/wspc check "$SRC_DIR"/examples/scenarios/*.wsp \
+    "$SRC_DIR"/bench/scenarios/*.wsp > /dev/null
 "$BUILD_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/flash_crowd.wsp \
     --threads 4 > /dev/null
 echo "sanitize.sh: example scenarios compile; flash crowd clean under ASan/UBSan"
@@ -132,7 +133,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
       --target test_server test_server_faults test_server_determinism \
                test_scenario_determinism test_threadpool test_ring_arena \
                test_checkpoint_determinism test_engine_parts test_fuzz \
-               bench_server wspc replay
+               wspc replay
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
 (
@@ -148,8 +149,8 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
 # Scale smoke under TSan: the lock-free ring push/pop path, the Dekker
 # pump-handoff fence and the table's shard locks at 100k-session volume.
-"$TSAN_DIR"/bench/bench_server --scenario scale --threads 4 \
-    --outdir "$TSAN_DIR" > /dev/null
+"$TSAN_DIR"/tools/wspc run "$SRC_DIR"/bench/scenarios/scale.wsp --threads 4 \
+    --shards 8 --queue 32768 > /dev/null
 echo "sanitize.sh: 100k-session scale run clean under TSan"
 
 # Flash-crowd scenario smoke under TSan: three phases' worth of arrivals —

@@ -14,21 +14,24 @@
 // no recorded outcome, so the resumed report is printed instead.
 //
 // Usage: replay TRACE_FILE [--threads N] [--dump] [--resume]
-//   --threads N   re-run with N worker threads (default: as recorded)
+//   --threads N   re-run with N worker threads, 1..1024 (default: as
+//                 recorded, capped at this host's hardware threads)
 //   --dump        print the recorded header/summary, do not re-run
 //   --resume      crash recovery: restore the last valid checkpoint
 //
 // Exit codes: 0 replay/resume verified, 1 mismatch (for --resume also a
-// leaked session: completed + aborted != admitted), 2 unreadable/invalid
-// trace (for --resume: damage before the input chunks completed).
+// leaked session: completed + aborted != admitted), 2 usage error, invalid
+// --threads, or unreadable/invalid trace (for --resume: damage before the
+// input chunks completed).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "server/record.h"
 #include "server/traffic.h"
 #include "ssl/ssl.h"
+#include "support/cli.h"
 
 namespace {
 
@@ -123,11 +126,17 @@ int main(int argc, char** argv) {
       dump = true;
     } else if (arg == "--resume") {
       resume = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(
-          std::strtoul(arg.c_str() + std::strlen("--threads="), nullptr, 10));
+    } else if ((arg == "--threads" && i + 1 < argc) ||
+               arg.rfind("--threads=", 0) == 0) {
+      const std::string value =
+          arg == "--threads" ? argv[++i] : arg.substr(std::strlen("--threads="));
+      try {
+        threads = static_cast<unsigned>(support::parse_count(
+            value, "--threads", 1, support::kMaxCliThreads));
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "replay: %s\n", e.what());
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
       path = arg;
     } else {
@@ -164,11 +173,13 @@ int main(int argc, char** argv) {
                   "threads...\n",
                   static_cast<unsigned long long>(cp.seq), cp.virtual_now,
                   static_cast<unsigned long long>(cp.offered),
-                  threads > 0 ? threads : scan.record.recorded_threads);
+                  server::replay_threads(scan.record.recorded_threads,
+                                         threads));
     } else {
       std::printf("no usable checkpoint; restarting the run from the "
                   "beginning on %u threads...\n",
-                  threads > 0 ? threads : scan.record.recorded_threads);
+                  server::replay_threads(scan.record.recorded_threads,
+                                         threads));
     }
     server::ReplayResult result;
     try {
@@ -225,7 +236,7 @@ int main(int argc, char** argv) {
 
   std::printf("replaying %s (recorded at %s, %zu sessions) on %u threads...\n",
               path.c_str(), rec.git_rev.c_str(), rec.scenario.total_sessions(),
-              threads > 0 ? threads : rec.recorded_threads);
+              server::replay_threads(rec.recorded_threads, threads));
   const server::ReplayResult result = server::replay_run(rec, threads);
   if (!result.ok()) {
     std::fprintf(stderr, "replay FAILED: %zu mismatches\n",

@@ -6,20 +6,24 @@
 //   wspc run FILE [options]     compile and execute on the session engine
 //
 // `run` options:
-//   --threads N     worker threads (default 1)
-//   --shards N      service shards (default 4; shapes the virtual model)
-//   --queue N       per-shard waiting room (default 64)
-//   --rsa BITS      server key size (default 512)
+//   --threads N     worker threads (default 1, at most 1024)
+//   --shards N      service shards (default 4, at most 1024; shapes the
+//                   virtual model)
+//   --queue N       per-shard waiting room (default 64, at most 2^20)
+//   --rsa BITS      server key size (default 512, at most 4096)
 //   --record FILE   write a wsp-replay-v1 recording with the source embedded
 //   --checkpoint-every C  append a quiesce-barrier checkpoint to the
 //                   recording every C virtual cycles (docs/recovery.md);
 //                   requires --record, and C must be positive and finite
-//                   (std::invalid_argument -> exit 2 otherwise)
 //   --resume-from TRACE   crash recovery: scan TRACE (possibly torn),
 //                   restore its last valid checkpoint and continue; the
 //                   run comes from the trace's lowered scenario, so FILE is
 //                   only compiled to validate it.  Engine shape flags are
 //                   ignored (the recorded config wins); --threads applies.
+//
+// Numeric values are parsed strictly (support/cli.h): a sign, a trailing
+// character or an out-of-range value exits 2 instead of turning into 0
+// ("auto" shards) or a wrapped count.
 //
 // Exit codes: 0 success, 1 compile error / leak / resume mismatch
 // (diagnostic on stderr), 2 usage, I/O or argument error, 3 the scenario's
@@ -27,11 +31,9 @@
 // so far and `wspc run FILE --resume-from TRACE` (or `replay TRACE
 // --resume`) recovers it.  Compile diagnostics carry file:line:col and a
 // stable Ennn code — `wspc check` is what tools/ci/sanitize.sh runs over
-// examples/scenarios/.
-#include <cmath>
+// examples/scenarios/ and bench/scenarios/.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -41,10 +43,15 @@
 #include "server/engine.h"
 #include "server/record.h"
 #include "ssl/ssl.h"
+#include "support/cli.h"
 
 namespace {
 
 using namespace wsp;
+
+/// Ceiling for --queue: a per-shard waiting room far deeper than any bench
+/// scenario needs (scale runs at 32768).
+constexpr std::uint64_t kMaxQueue = std::uint64_t{1} << 20;
 
 int usage() {
   std::fprintf(stderr,
@@ -55,18 +62,6 @@ int usage() {
                "                     [--checkpoint-every CYCLES]\n"
                "                     [--resume-from TRACE]\n");
   return 2;
-}
-
-/// A checkpoint interval must be a positive, finite virtual-cycle count.
-double parse_checkpoint_every(const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-    throw std::invalid_argument(
-        "--checkpoint-every wants a positive virtual-cycle count, got '" +
-        text + "'");
-  }
-  return v;
 }
 
 void dump_phase(const server::TrafficPhase& ph) {
@@ -143,46 +138,41 @@ int cmd_run(const std::string& file, int argc, char** argv, int i) {
   cfg.shards = 4;
   std::string record_path;
   std::string resume_path;
-  std::string checkpoint_every_text;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "wspc: %s needs a value\n", flag);
-        std::exit(2);
+  try {
+    for (; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "--threads") {
+        cfg.threads = static_cast<unsigned>(
+            support::parse_count(next(), arg, 1, support::kMaxCliThreads));
+      } else if (arg == "--shards") {
+        cfg.shards = static_cast<unsigned>(
+            support::parse_count(next(), arg, 1, support::kMaxCliThreads));
+      } else if (arg == "--queue") {
+        cfg.queue_capacity = support::parse_count(next(), arg, 1, kMaxQueue);
+      } else if (arg == "--rsa") {
+        cfg.rsa_bits = support::parse_count(next(), arg, 512, 4096);
+      } else if (arg == "--record") {
+        record_path = next();
+      } else if (arg == "--checkpoint-every") {
+        cfg.checkpoint_every = support::parse_positive(next(), arg);
+      } else if (arg == "--resume-from") {
+        resume_path = next();
+      } else {
+        return usage();
       }
-      return argv[++i];
-    };
-    if (arg == "--threads") {
-      cfg.threads = static_cast<unsigned>(std::strtoul(next("--threads"), nullptr, 10));
-    } else if (arg == "--shards") {
-      cfg.shards = static_cast<unsigned>(std::strtoul(next("--shards"), nullptr, 10));
-    } else if (arg == "--queue") {
-      cfg.queue_capacity = std::strtoul(next("--queue"), nullptr, 10);
-    } else if (arg == "--rsa") {
-      cfg.rsa_bits = std::strtoul(next("--rsa"), nullptr, 10);
-    } else if (arg == "--record") {
-      record_path = next("--record");
-    } else if (arg == "--checkpoint-every") {
-      checkpoint_every_text = next("--checkpoint-every");
-    } else if (arg == "--resume-from") {
-      resume_path = next("--resume-from");
-    } else {
-      return usage();
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "wspc: %s\n", e.what());
+    return 2;
   }
-  if (!checkpoint_every_text.empty()) {
-    try {
-      cfg.checkpoint_every = parse_checkpoint_every(checkpoint_every_text);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "wspc: %s\n", e.what());
-      return 2;
-    }
-    if (record_path.empty()) {
-      std::fprintf(stderr, "wspc: --checkpoint-every needs --record "
-                           "(checkpoints live in the recording)\n");
-      return 2;
-    }
+  if (cfg.checkpoint_every > 0.0 && record_path.empty()) {
+    std::fprintf(stderr, "wspc: --checkpoint-every needs --record "
+                         "(checkpoints live in the recording)\n");
+    return 2;
   }
 
   scenario::CompiledScenario compiled;
