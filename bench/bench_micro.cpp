@@ -1,6 +1,7 @@
 // Host-library micro-benchmarks (google-benchmark): wall-clock sanity
-// harness for the crypto substrate itself.  These are host-speed numbers,
-// orthogonal to the ISS cycle counts the paper-reproduction benches report.
+// harness for the crypto substrate and the macro-model estimator.  These
+// are host-speed numbers, orthogonal to the ISS cycle counts the
+// paper-reproduction benches report.
 #include <benchmark/benchmark.h>
 
 #include "crypto/aes.h"
@@ -10,6 +11,8 @@
 #include "crypto/rc4.h"
 #include "crypto/rsa.h"
 #include "crypto/sha1.h"
+#include "explore/estimator.h"
+#include "macromodel/models.h"
 #include "mp/modexp.h"
 #include "ssl/ssl.h"
 #include "support/random.h"
@@ -256,6 +259,56 @@ void BM_RsaSignVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaSignVerify);
+
+// Macro-model rows (explore layer).  A hand-built linear model set stands in
+// for ISS characterization, so these rows time only the estimator.
+const macromodel::MacroModelSet& linear_models() {
+  static const macromodel::MacroModelSet set = [] {
+    macromodel::MacroModelSet s;
+    for (int p = 0; p < static_cast<int>(Prim::kCount); ++p) {
+      for (unsigned bits : {16u, 32u}) {
+        s.set(static_cast<Prim>(p), bits,
+              {macromodel::PolyModel({{0, 0}, {1, 0}}, {20.0 + p, 9.5}), {}});
+      }
+    }
+    return s;
+  }();
+  return set;
+}
+
+// One MacroModelSet::cycles call per iteration over sizes 1..129 limbs:
+// Arg(0) is the compiled-table hit every exploration event takes; Arg(1)
+// passes m != 0, which falls back to evaluating the polynomial.
+void BM_MacroModelCycles(benchmark::State& state) {
+  const auto& models = linear_models();
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  std::size_t n = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(models.cycles(Prim::kAddMul1, n, m, 32));
+    n = n == 129 ? 1 : n + 1;
+  }
+  state.SetLabel(m == 0 ? "table" : "polynomial");
+}
+BENCHMARK(BM_MacroModelCycles)->Arg(0)->Arg(1);
+
+// One design-space configuration estimated natively (no ISS): four RSA
+// private-key operations of the given modulus size, every mpn event priced
+// through the macro-model hook.
+void BM_EstimateConfig(benchmark::State& state) {
+  Rng rng(9);
+  const auto workload =
+      explore::make_rsa_workload(static_cast<std::size_t>(state.range(0)), rng);
+  const ModexpConfig config{};
+  std::size_t events = 0;
+  for (auto _ : state) {
+    const auto est = explore::estimate_config(config, workload, linear_models());
+    benchmark::DoNotOptimize(est.total_cycles);
+    events = est.events;
+  }
+  state.counters["events"] = static_cast<double>(events);
+  state.SetLabel(config.name());
+}
+BENCHMARK(BM_EstimateConfig)->Arg(512);
 
 }  // namespace
 

@@ -535,7 +535,7 @@ int main(int argc, char** argv) {
   const std::string baseline_dir =
       bench::parse_string_flag(argc, argv, "--baseline-dir", WSP_BASELINE_DIR);
   const unsigned threads =
-      bench::parse_threads(argc, argv, ThreadPool::hardware_threads());
+      bench::threads_or_exit(argc, argv, ThreadPool::hardware_threads());
   const std::string trace_path = bench::maybe_start_trace(argc, argv);
   // Plain emission leaves a replay trace next to the JSON; the gate modes
   // only measure and compare.

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   bench::header("Algorithm design-space exploration via performance macro-models",
                 "paper Sec. 4.3");
   const unsigned threads =
-      bench::parse_threads(argc, argv, ThreadPool::hardware_threads());
+      bench::threads_or_exit(argc, argv, ThreadPool::hardware_threads());
 
   // Phase 1: one-time characterization on the cycle-accurate ISS, with
   // measured radix-16 models (mpn16 kernels) for the radix axis.

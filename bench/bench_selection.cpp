@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   bench::header("Global custom-instruction selection under area constraints",
                 "paper Sec. 3.4 methodology (design-choice ablation)");
   const unsigned threads =
-      bench::parse_threads(argc, argv, ThreadPool::hardware_threads());
+      bench::threads_or_exit(argc, argv, ThreadPool::hardware_threads());
 
   // --- leaf A-D curves (real ISS measurements, one machine per candidate) ---
   // Measured serially and then across the pool: the ISS is deterministic and

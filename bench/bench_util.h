@@ -5,8 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "support/cli.h"
 #include "support/json.h"
 #include "support/trace.h"
 
@@ -23,19 +26,38 @@ inline void header(const std::string& title, const std::string& paper_ref) {
   std::printf("==========================================================\n");
 }
 
-/// Parses `--threads N` / `--threads=N` (clamped to >= 1); `fallback` when
-/// the flag is absent.
+/// Parses `--threads N` / `--threads=N` strictly (support/cli.h): N must be
+/// a whole decimal in [1, support::kMaxCliThreads].  A sign, junk, zero, an
+/// out-of-range value or a missing value throws std::invalid_argument naming
+/// the flag.  `fallback` when the flag is absent.
 inline unsigned parse_threads(int argc, char** argv, unsigned fallback = 1) {
-  long value = static_cast<long>(fallback);
+  unsigned value = fallback;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      value = std::strtol(argv[i + 1], nullptr, 10);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      value = std::strtol(arg.c_str() + 10, nullptr, 10);
+    const std::string_view arg = argv[i];
+    std::string_view text;
+    if (arg == "--threads") {
+      if (i + 1 >= argc) throw std::invalid_argument("--threads needs a value");
+      text = argv[++i];
+    } else if (arg.starts_with("--threads=")) {
+      text = arg.substr(10);
+    } else {
+      continue;
     }
+    value = static_cast<unsigned>(
+        support::parse_count(text, "--threads", 1, support::kMaxCliThreads));
   }
-  return value < 1 ? 1u : static_cast<unsigned>(value);
+  return value;
+}
+
+/// parse_threads for a benchmark's main(): on a bad value prints the error
+/// and exits with status 2, as wspc does.
+inline unsigned threads_or_exit(int argc, char** argv, unsigned fallback) {
+  try {
+    return parse_threads(argc, argv, fallback);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    std::exit(2);
+  }
 }
 
 /// Parses `--name VALUE` / `--name=VALUE`; `fallback` when absent.

@@ -1,40 +1,70 @@
 #include "macromodel/models.h"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 namespace wsp::macromodel {
 
-void MacroModelSet::set(Prim p, unsigned limb_bits, RoutineModel model) {
-  models_[{static_cast<int>(p), limb_bits}] = std::move(model);
-}
+namespace {
 
-bool MacroModelSet::has(Prim p, unsigned limb_bits) const {
-  return models_.count({static_cast<int>(p), limb_bits}) != 0;
+// Limits on deserialized models.  A fitted macro-model is a low-order
+// polynomial in (n, m); anything larger is corrupt input, and an unbounded
+// exponent would make every evaluation (and the table build) loop for as
+// many iterations as the text names.
+constexpr std::size_t kMaxTerms = 16;
+constexpr std::size_t kMaxFactors = 2;  // features (n, m)
+constexpr unsigned kMaxExponent = 8;
+
+}  // namespace
+
+void MacroModelSet::set(Prim p, unsigned limb_bits, RoutineModel model) {
+  const auto routine = static_cast<std::size_t>(p);
+  if (routine >= kRoutines) {
+    throw std::invalid_argument("MacroModelSet: routine id " +
+                                std::to_string(static_cast<int>(p)) +
+                                " out of range");
+  }
+  if (limb_bits != 16 && limb_bits != 32) {
+    throw std::invalid_argument("MacroModelSet: limb bits must be 16 or 32, got " +
+                                std::to_string(limb_bits));
+  }
+  Slot& slot = slots_[routine][limb_bits == 32];
+  slot.rm = std::move(model);
+  for (std::size_t n = 0; n < kTableSize; ++n) {
+    const std::array<double, 2> features = {static_cast<double>(n), 0.0};
+    slot.table[n] = slot.rm.model.evaluate(features);
+  }
+  slot.present = true;
 }
 
 const RoutineModel& MacroModelSet::get(Prim p, unsigned limb_bits) const {
-  const auto it = models_.find({static_cast<int>(p), limb_bits});
-  if (it == models_.end()) {
+  const Slot* slot = find(p, limb_bits);
+  if (slot == nullptr) {
     throw std::out_of_range(std::string("MacroModelSet: no model for ") +
                             prim_name(p) + " @" + std::to_string(limb_bits));
   }
-  return it->second;
+  return slot->rm;
 }
 
-double MacroModelSet::cycles(Prim p, std::size_t n, std::size_t m,
-                             unsigned limb_bits) const {
-  return get(p, limb_bits)
-      .model.evaluate({static_cast<double>(n), static_cast<double>(m)});
+double MacroModelSet::evaluate_model(Prim p, std::size_t n, std::size_t m,
+                                     unsigned limb_bits) const {
+  const std::array<double, 2> features = {static_cast<double>(n),
+                                          static_cast<double>(m)};
+  return get(p, limb_bits).model.evaluate(features);
 }
 
 std::string MacroModelSet::describe() const {
   std::ostringstream os;
-  for (const auto& [key, rm] : models_) {
-    os << prim_name(static_cast<Prim>(key.first)) << " @" << key.second
-       << "-bit: cycles = " << rm.model.to_string({"n", "m"})
-       << "   (R^2=" << rm.quality.r2 << ", MAE=" << rm.quality.mae_pct
-       << "%, samples=" << rm.quality.samples << ")\n";
+  for (std::size_t routine = 0; routine < kRoutines; ++routine) {
+    for (std::size_t r = 0; r < 2; ++r) {
+      const Slot& slot = slots_[routine][r];
+      if (!slot.present) continue;
+      os << prim_name(static_cast<Prim>(routine)) << " @" << kRadixBits[r]
+         << "-bit: cycles = " << slot.rm.model.to_string({"n", "m"})
+         << "   (R^2=" << slot.rm.quality.r2 << ", MAE=" << slot.rm.quality.mae_pct
+         << "%, samples=" << slot.rm.quality.samples << ")\n";
+    }
   }
   return os.str();
 }
@@ -42,16 +72,21 @@ std::string MacroModelSet::describe() const {
 std::string MacroModelSet::serialize() const {
   std::ostringstream os;
   os.precision(17);
-  for (const auto& [key, rm] : models_) {
-    os << key.first << " " << key.second << " " << rm.model.basis().size();
-    for (std::size_t t = 0; t < rm.model.basis().size(); ++t) {
-      const auto& mono = rm.model.basis()[t];
-      os << " " << mono.size();
-      for (unsigned e : mono) os << " " << e;
-      os << " " << rm.model.coeffs()[t];
+  for (std::size_t routine = 0; routine < kRoutines; ++routine) {
+    for (std::size_t r = 0; r < 2; ++r) {
+      const Slot& slot = slots_[routine][r];
+      if (!slot.present) continue;
+      const PolyModel& model = slot.rm.model;
+      os << routine << " " << kRadixBits[r] << " " << model.basis().size();
+      for (std::size_t t = 0; t < model.basis().size(); ++t) {
+        const auto& mono = model.basis()[t];
+        os << " " << mono.size();
+        for (unsigned e : mono) os << " " << e;
+        os << " " << model.coeffs()[t];
+      }
+      os << " " << slot.rm.quality.r2 << " " << slot.rm.quality.mae_pct << " "
+         << slot.rm.quality.samples << "\n";
     }
-    os << " " << rm.quality.r2 << " " << rm.quality.mae_pct << " "
-       << rm.quality.samples << "\n";
   }
   return os.str();
 }
@@ -69,17 +104,30 @@ MacroModelSet MacroModelSet::deserialize(const std::string& text) {
     if (!(ls >> prim >> bits >> terms)) {
       throw std::invalid_argument("MacroModelSet: malformed header line");
     }
+    // set() rejects the routine id and limb bits.
+    if (terms > kMaxTerms) {
+      throw std::invalid_argument("MacroModelSet: too many terms");
+    }
     std::vector<Monomial> basis;
     std::vector<double> coeffs;
     for (std::size_t t = 0; t < terms; ++t) {
       std::size_t nf = 0;
       if (!(ls >> nf)) throw std::invalid_argument("MacroModelSet: malformed term");
+      if (nf > kMaxFactors) {
+        throw std::invalid_argument("MacroModelSet: too many factors in a term");
+      }
       Monomial mono(nf);
       for (auto& e : mono) {
         if (!(ls >> e)) throw std::invalid_argument("MacroModelSet: malformed exponent");
+        if (e > kMaxExponent) {
+          throw std::invalid_argument("MacroModelSet: exponent out of range");
+        }
       }
       double c = 0;
       if (!(ls >> c)) throw std::invalid_argument("MacroModelSet: malformed coefficient");
+      if (!std::isfinite(c)) {
+        throw std::invalid_argument("MacroModelSet: non-finite coefficient");
+      }
       basis.push_back(std::move(mono));
       coeffs.push_back(c);
     }
@@ -88,6 +136,8 @@ MacroModelSet MacroModelSet::deserialize(const std::string& text) {
     if (!(ls >> rm.quality.r2 >> rm.quality.mae_pct >> rm.quality.samples)) {
       throw std::invalid_argument("MacroModelSet: malformed quality fields");
     }
+    std::string extra;
+    if (ls >> extra) throw std::invalid_argument("MacroModelSet: trailing fields");
     set.set(static_cast<Prim>(prim), bits, std::move(rm));
   }
   return set;

@@ -15,7 +15,7 @@ PolyModel::PolyModel(std::vector<Monomial> basis, std::vector<double> coeffs)
   }
 }
 
-double PolyModel::evaluate(const std::vector<double>& features) const {
+double PolyModel::evaluate(std::span<const double> features) const {
   double total = 0.0;
   for (std::size_t t = 0; t < basis_.size(); ++t) {
     double term = coeffs_[t];

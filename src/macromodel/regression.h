@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,9 @@ class PolyModel {
   PolyModel() = default;
   PolyModel(std::vector<Monomial> basis, std::vector<double> coeffs);
 
-  double evaluate(const std::vector<double>& features) const;
+  /// Sum over terms of coeff * prod(feature^exponent); features past the
+  /// end of `features` count as 0.  Does not allocate.
+  double evaluate(std::span<const double> features) const;
 
   const std::vector<Monomial>& basis() const { return basis_; }
   const std::vector<double>& coeffs() const { return coeffs_; }

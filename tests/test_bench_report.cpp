@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,8 +29,24 @@ TEST(BenchFlags, ParseThreadsBothForms) {
   EXPECT_EQ(bench::parse_threads(2, fake_argv(a2)), 8u);
   std::vector<std::string> a3 = {"prog"};
   EXPECT_EQ(bench::parse_threads(1, fake_argv(a3), 2), 2u);
-  std::vector<std::string> a4 = {"prog", "--threads", "0"};
-  EXPECT_EQ(bench::parse_threads(3, fake_argv(a4)), 1u);  // clamped
+  std::vector<std::string> a4 = {"prog", "--threads", "1024"};
+  EXPECT_EQ(bench::parse_threads(3, fake_argv(a4)), 1024u);
+}
+
+TEST(BenchFlags, ParseThreadsRejectsBadValues) {
+  // Anything support::parse_count refuses for --threads; the bench binaries
+  // exit 2 on these, as wspc does, instead of starting some worker count.
+  for (const char* bad : {"0", "-1", "+4", "abc", "4x", "", "1025",
+                          "18446744073709551616"}) {
+    std::vector<std::string> spaced = {"prog", "--threads", bad};
+    EXPECT_THROW(bench::parse_threads(3, fake_argv(spaced)), std::invalid_argument)
+        << "'" << bad << "'";
+    std::vector<std::string> joined = {"prog", std::string("--threads=") + bad};
+    EXPECT_THROW(bench::parse_threads(2, fake_argv(joined)), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  std::vector<std::string> missing = {"prog", "--threads"};
+  EXPECT_THROW(bench::parse_threads(2, fake_argv(missing)), std::invalid_argument);
 }
 
 TEST(BenchFlags, ParseStringFlagBothForms) {

@@ -2,6 +2,10 @@
 // configurations, ranking sanity, and cross-validation against the ISS.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <set>
 #include <stdexcept>
 
 #include "explore/space.h"
@@ -123,6 +127,56 @@ TEST(Explore, ValidationAgainstIssIsAccurate) {
   EXPECT_LT(report.mean_abs_error_pct, 20.0);
   EXPECT_GT(report.speedup_factor, 1.0)
       << "macro-model estimation must beat ISS wall time";
+}
+
+// Oracle for the compiled cycle tables: prices every event by evaluating
+// the fitted polynomial directly.
+class PolynomialOracleHook : public CostHook {
+ public:
+  explicit PolynomialOracleHook(const macromodel::MacroModelSet& models)
+      : models_(models) {}
+  void on_prim(Prim p, std::size_t n, std::size_t m, unsigned limb_bits) override {
+    const std::array<double, 2> features = {static_cast<double>(n),
+                                            static_cast<double>(m)};
+    total += models_.get(p, limb_bits).model.evaluate(features);
+    ++events;
+  }
+  double total = 0.0;
+  std::size_t events = 0;
+
+ private:
+  const macromodel::MacroModelSet& models_;
+};
+
+TEST(Explore, EstimateMatchesPolynomialOracleBitwise) {
+  const auto configs = all_modexp_configs();
+  // A stride coprime to every axis size (5 algorithms, 5 windows, 3 CRT
+  // modes, 2 radices, 3 caching modes) visits every value of every axis.
+  std::set<int> algos, windows, crts, radices, cachings;
+  for (std::size_t i = 0; i < configs.size(); i += 7) {
+    const ModexpConfig& cfg = configs[i];
+    algos.insert(static_cast<int>(cfg.mul));
+    windows.insert(static_cast<int>(cfg.window_bits));
+    crts.insert(static_cast<int>(cfg.crt));
+    radices.insert(static_cast<int>(cfg.radix));
+    cachings.insert(static_cast<int>(cfg.caching));
+
+    PolynomialOracleHook oracle(models());
+    ModexpEngine engine(cfg, &oracle);
+    for (int rep = 0; rep < workload().repetitions; ++rep) {
+      (void)engine.powm_crt(workload().c, workload().d, workload().key);
+    }
+    const auto est = estimate_config(cfg, workload(), models());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(est.total_cycles),
+              std::bit_cast<std::uint64_t>(oracle.total))
+        << cfg.name() << ": " << est.total_cycles << " vs " << oracle.total;
+    EXPECT_EQ(est.events, oracle.events) << cfg.name();
+  }
+  EXPECT_EQ(algos.size(), 5u);
+  EXPECT_EQ(windows.size(), 5u);
+  EXPECT_EQ(crts.size(), 3u);
+  EXPECT_EQ(radices.size(), 2u);
+  EXPECT_EQ(cachings.size(), 3u);
 }
 
 }  // namespace

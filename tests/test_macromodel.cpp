@@ -1,6 +1,10 @@
 // Regression fitting + ISS-driven characterization of the mpn routines.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+
 #include "macromodel/characterize.h"
 #include "macromodel/regression.h"
 
@@ -13,6 +17,7 @@ using macromodel::FitQuality;
 using macromodel::MacroModelSet;
 using macromodel::Monomial;
 using macromodel::PolyModel;
+using macromodel::RoutineModel;
 
 TEST(Regression, RecoversExactLinearModel) {
   std::vector<std::vector<double>> features;
@@ -38,7 +43,7 @@ TEST(Regression, RecoversQuadraticModel) {
   }
   const PolyModel model = fit(features, cycles, {{0}, {1}, {2}});
   EXPECT_NEAR(model.coeffs()[2], 0.75, 1e-6);
-  EXPECT_NEAR(model.evaluate({10.0}), 5.0 + 20.0 + 75.0, 1e-6);
+  EXPECT_NEAR(model.evaluate(std::vector<double>{10.0}), 5.0 + 20.0 + 75.0, 1e-6);
 }
 
 TEST(Regression, CrossTermModel) {
@@ -161,6 +166,193 @@ TEST(MacroModelSet, DeserializeRejectsGarbage) {
 TEST(MacroModelSet, UnknownRoutineThrows) {
   MacroModelSet set;
   EXPECT_THROW(set.cycles(Prim::kAddN, 4, 0, 32), std::out_of_range);
+}
+
+// --- Compiled cycle tables ---------------------------------------------------
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Characterized set with measured radix-16 models (what the explorer uses).
+const MacroModelSet& full_models() {
+  static const MacroModelSet set = [] {
+    kernels::Machine m32 = kernels::make_mpn_machine();
+    kernels::Machine m16 = kernels::make_mpn16_machine();
+    CharacterizeOptions options;
+    options.sizes = {2, 4, 8, 16, 24, 32};
+    return macromodel::characterize_mpn_full(m32, m16, options);
+  }();
+  return set;
+}
+
+// Hand-built set with non-linear bases (quadratic, n*m cross term, m-only
+// term, fractional and negative coefficients), where the table and the
+// polynomial could drift apart if the table were not the polynomial's own
+// output.
+MacroModelSet nonlinear_models() {
+  MacroModelSet set;
+  set.set(Prim::kAddN, 32, {PolyModel({{0, 0}, {1, 0}, {2, 0}}, {7.25, 3.1, 0.013}), {}});
+  set.set(Prim::kDivrem, 16,
+          {PolyModel({{0, 0}, {1, 1}, {0, 2}, {3}}, {-0.5, 2.7, 1.0 / 3.0, 1e-3}), {}});
+  set.set(Prim::kCmp, 32, {PolyModel({{1, 0}}, {0.1}), {}});
+  return set;
+}
+
+std::vector<std::pair<Prim, unsigned>> registered(const MacroModelSet& set) {
+  std::vector<std::pair<Prim, unsigned>> keys;
+  for (int p = 0; p < static_cast<int>(Prim::kCount); ++p) {
+    for (unsigned bits : {16u, 32u}) {
+      if (set.has(static_cast<Prim>(p), bits)) keys.emplace_back(static_cast<Prim>(p), bits);
+    }
+  }
+  return keys;
+}
+
+TEST(MacroModelSet, DenseTableMatchesPolynomialBitwise) {
+  const MacroModelSet nonlinear = nonlinear_models();
+  for (const MacroModelSet* set : {&full_models(), &nonlinear}) {
+    const auto keys = registered(*set);
+    ASSERT_FALSE(keys.empty());
+    for (const auto& [p, bits] : keys) {
+      const PolyModel& model = set->get(p, bits).model;
+      auto check = [&](std::size_t n, std::size_t m) {
+        const std::array<double, 2> features = {static_cast<double>(n),
+                                                static_cast<double>(m)};
+        EXPECT_EQ(bits_of(set->cycles(p, n, m, bits)),
+                  bits_of(model.evaluate(features)))
+            << prim_name(p) << "@" << bits << " n=" << n << " m=" << m;
+      };
+      for (std::size_t n = 0; n < MacroModelSet::kTableSize; ++n) check(n, 0);
+      for (std::size_t n = MacroModelSet::kTableSize;
+           n < MacroModelSet::kTableSize + 5; ++n) {
+        check(n, 0);
+      }
+      check(4096, 0);
+      for (std::size_t n : {std::size_t{0}, std::size_t{17}, std::size_t{129}}) {
+        check(n, 1);
+        check(n, 9);
+      }
+    }
+  }
+}
+
+TEST(MacroModelSet, SerializeRoundTripIsByteIdentical) {
+  for (const MacroModelSet& set : {full_models(), nonlinear_models()}) {
+    const std::string text = set.serialize();
+    const MacroModelSet restored = MacroModelSet::deserialize(text);
+    EXPECT_EQ(restored.serialize(), text);
+    EXPECT_EQ(restored.describe(), set.describe());
+    for (const auto& [p, bits] : registered(set)) {
+      for (std::size_t n : {std::size_t{1}, std::size_t{64}, std::size_t{400}}) {
+        EXPECT_EQ(bits_of(restored.cycles(p, n, 0, bits)),
+                  bits_of(set.cycles(p, n, 0, bits)))
+            << prim_name(p) << "@" << bits << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(MacroModelSet, SerializeOrdersByRoutineThenRadix) {
+  // Registration order must not leak into the text.
+  MacroModelSet set;
+  set.set(Prim::kCmp, 32, {PolyModel({{0, 0}}, {1.0}), {}});
+  set.set(Prim::kCmp, 16, {PolyModel({{0, 0}}, {2.0}), {}});
+  set.set(Prim::kAddN, 32, {PolyModel({{0, 0}}, {3.0}), {}});
+  EXPECT_EQ(set.serialize(),
+            "0 32 1 2 0 0 3 0 0 0\n"
+            "10 16 1 2 0 0 2 0 0 0\n"
+            "10 32 1 2 0 0 1 0 0 0\n");
+}
+
+TEST(MacroModelSet, GetNamesTheMissingRoutine) {
+  MacroModelSet set;
+  set.set(Prim::kAddN, 16, {PolyModel({{0, 0}}, {1.0}), {}});
+  try {
+    (void)set.get(Prim::kAddN, 32);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "MacroModelSet: no model for mpn_add_n @32");
+  }
+  EXPECT_FALSE(set.has(Prim::kAddN, 8));
+  EXPECT_THROW(set.cycles(Prim::kAddN, 4, 0, 8), std::out_of_range);
+  EXPECT_THROW(set.cycles(Prim::kCount, 4, 0, 16), std::out_of_range);
+}
+
+TEST(MacroModelSet, SetRejectsUnknownRoutineOrRadix) {
+  MacroModelSet set;
+  const RoutineModel rm{PolyModel({{0, 0}}, {1.0}), {}};
+  EXPECT_THROW(set.set(Prim::kCount, 32, rm), std::invalid_argument);
+  EXPECT_THROW(set.set(static_cast<Prim>(-1), 32, rm), std::invalid_argument);
+  EXPECT_THROW(set.set(Prim::kAddN, 8, rm), std::invalid_argument);
+  EXPECT_THROW(set.set(Prim::kAddN, 64, rm), std::invalid_argument);
+  EXPECT_TRUE(registered(set).empty());
+}
+
+// --- Hardened deserialization: every bad line is a std::invalid_argument ----
+//
+// Line format: prim bits terms {factors exponent... coeff}* r2 mae samples.
+
+TEST(MacroModelSet, DeserializeAcceptsModelsAtTheLimits) {
+  // 16 terms of two factors, exponent 8: the largest model accepted.
+  std::string line = "7 16 16";
+  for (int t = 0; t < 16; ++t) line += " 2 8 " + std::to_string(t % 9) + " 0.5";
+  line += " 1 0 3";
+  const MacroModelSet set = MacroModelSet::deserialize(line);
+  EXPECT_TRUE(set.has(Prim::kDivrem, 16));
+  EXPECT_EQ(set.serialize(), line + "\n");
+}
+
+TEST(MacroModelSet, DeserializeRejectsRoutineIdOutOfRange) {
+  EXPECT_THROW(MacroModelSet::deserialize("-1 32 1 2 0 0 5 1 0 1"),
+               std::invalid_argument);
+  EXPECT_THROW(MacroModelSet::deserialize(
+                   std::to_string(static_cast<int>(Prim::kCount)) +
+                   " 32 1 2 0 0 5 1 0 1"),
+               std::invalid_argument);
+}
+
+TEST(MacroModelSet, DeserializeRejectsLimbBitsOtherThan16Or32) {
+  for (const char* bits : {"0", "8", "24", "64", "-16"}) {
+    EXPECT_THROW(MacroModelSet::deserialize(std::string("0 ") + bits +
+                                            " 1 2 0 0 5 1 0 1"),
+                 std::invalid_argument)
+        << bits;
+  }
+}
+
+TEST(MacroModelSet, DeserializeRejectsMoreThanTwoFactors) {
+  EXPECT_THROW(MacroModelSet::deserialize("0 32 1 3 0 0 0 5 1 0 1"),
+               std::invalid_argument);
+}
+
+TEST(MacroModelSet, DeserializeRejectsExponentAboveCap) {
+  EXPECT_THROW(MacroModelSet::deserialize("0 32 1 2 9 0 5 1 0 1"),
+               std::invalid_argument);
+  // Only values just past the cap: without the check, a huge exponent would
+  // make the table build loop that many times instead of failing.
+  EXPECT_THROW(MacroModelSet::deserialize("0 32 1 2 0 9 5 1 0 1"),
+               std::invalid_argument);
+}
+
+TEST(MacroModelSet, DeserializeRejectsTooManyTerms) {
+  std::string line = "0 32 17";
+  for (int t = 0; t < 17; ++t) line += " 2 0 0 1";
+  line += " 1 0 1";
+  EXPECT_THROW(MacroModelSet::deserialize(line), std::invalid_argument);
+}
+
+TEST(MacroModelSet, DeserializeRejectsNonFiniteCoefficient) {
+  for (const char* c : {"nan", "inf", "-inf", "1e999"}) {
+    EXPECT_THROW(MacroModelSet::deserialize(std::string("0 32 1 2 0 0 ") + c +
+                                            " 1 0 1"),
+                 std::invalid_argument)
+        << c;
+  }
+}
+
+TEST(MacroModelSet, DeserializeRejectsTrailingFields) {
+  EXPECT_NO_THROW(MacroModelSet::deserialize("0 32 1 2 0 0 5 1 0 1"));
+  EXPECT_THROW(MacroModelSet::deserialize("0 32 1 2 0 0 5 1 0 1 7"),
+               std::invalid_argument);
 }
 
 }  // namespace
