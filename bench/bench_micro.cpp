@@ -12,8 +12,10 @@
 #include "crypto/rsa.h"
 #include "crypto/sha1.h"
 #include "explore/estimator.h"
+#include "explore/space.h"
 #include "macromodel/models.h"
 #include "mp/modexp.h"
+#include "mp/mpn.h"
 #include "ssl/ssl.h"
 #include "support/random.h"
 
@@ -260,6 +262,49 @@ void BM_RsaSignVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaSignVerify);
 
+// Host mpn kernels (mp layer): addmul_1 at the operand sizes the 512-bit
+// exploration workload uses, and the schoolbook product every division
+// reduction, Barrett sweep and Karatsuba leaf calls.  Items are limbs.
+template <typename L>
+std::vector<L> random_limbs(Rng& rng, std::size_t n) {
+  std::vector<L> v(n);
+  for (auto& x : v) x = static_cast<L>(rng.next_u64());
+  return v;
+}
+
+template <typename L>
+void BM_Addmul1(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(10);
+  const auto a = random_limbs<L>(rng, n);
+  auto r = random_limbs<L>(rng, n);
+  const L b = static_cast<L>(rng.next_u64() | 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mpn::addmul_1(r.data(), a.data(), n, b));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK_TEMPLATE(BM_Addmul1, std::uint16_t)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK_TEMPLATE(BM_Addmul1, std::uint32_t)->Arg(8)->Arg(16)->Arg(32);
+
+template <typename L>
+void BM_MulBasecase(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(11);
+  const auto a = random_limbs<L>(rng, n);
+  const auto b = random_limbs<L>(rng, n);
+  std::vector<L> r(2 * n);
+  for (auto _ : state) {
+    mpn::mul_basecase(r.data(), a.data(), n, b.data(), n);
+    benchmark::DoNotOptimize(r.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK_TEMPLATE(BM_MulBasecase, std::uint16_t)->Arg(16)->Arg(32);
+BENCHMARK_TEMPLATE(BM_MulBasecase, std::uint32_t)->Arg(8)->Arg(16);
+
 // Macro-model rows (explore layer).  A hand-built linear model set stands in
 // for ISS characterization, so these rows time only the estimator.
 const macromodel::MacroModelSet& linear_models() {
@@ -309,6 +354,23 @@ void BM_EstimateConfig(benchmark::State& state) {
   state.SetLabel(config.name());
 }
 BENCHMARK(BM_EstimateConfig)->Arg(512);
+
+// The whole design space estimated natively at one thread: all 450
+// configurations on a 512-bit workload with two private-key operations per
+// estimate, as perfbench's design_space workload runs it.
+void BM_ExploreSpace(benchmark::State& state) {
+  Rng rng(12);
+  auto workload = explore::make_rsa_workload(512, rng);
+  workload.repetitions = 2;
+  const auto configs = all_modexp_configs();
+  for (auto _ : state) {
+    const auto report = explore::explore_modexp_space(workload, linear_models(), configs, 1);
+    benchmark::DoNotOptimize(report.ranked.data());
+  }
+  state.counters["configs_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * configs.size()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ExploreSpace)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

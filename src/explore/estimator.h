@@ -24,6 +24,15 @@ class MacroModelHook : public CostHook {
     ++events_;
   }
 
+  /// One lookup for the run; the sum still adds one term per event in
+  /// stream order, so the total is bit-identical to per-event delivery.
+  void on_prims(Prim p, std::size_t n, std::size_t m, unsigned limb_bits,
+                std::size_t count) override {
+    const double c = models_->cycles(p, n, m, limb_bits);
+    for (std::size_t i = 0; i < count; ++i) total_ += c;
+    events_ += count;
+  }
+
   double total_cycles() const { return total_; }
   std::size_t events() const { return events_; }
   void reset() {

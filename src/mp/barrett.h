@@ -50,7 +50,7 @@ class Barrett {
     // q2 = q1 * mu.
     std::vector<L> q2(q1.size() + mu_.size(), 0);
     mpn::mul(q2.data(), q1.data(), q1.size(), mu_.data(), mu_.size());
-    for (std::size_t j = 0; j < mu_.size(); ++j) note(Prim::kAddMul1, q1.size());
+    note_n(Prim::kAddMul1, q1.size(), mu_.size());
     // q3 = floor(q2 / B^(k+1)).
     std::vector<L> q3;
     if (q2.size() > k + 1) {
@@ -62,7 +62,7 @@ class Barrett {
     std::vector<L> r1(xx.begin(), xx.begin() + static_cast<std::ptrdiff_t>(k + 1));
     std::vector<L> prod(q3.size() + k, 0);
     mpn::mul(prod.data(), q3.data(), q3.size(), m_.data(), k);
-    for (std::size_t j = 0; j < k; ++j) note(Prim::kAddMul1, q3.size());
+    note_n(Prim::kAddMul1, q3.size(), k);
     std::vector<L> r2(prod.begin(), prod.begin() + static_cast<std::ptrdiff_t>(k + 1));
 
     // r = r1 - r2 (mod B^(k+1)); the true remainder is < 3m so the wrap, if
@@ -90,13 +90,17 @@ class Barrett {
     const std::size_t k = m_.size();
     std::vector<L> prod(2 * k, 0);
     mpn::mul(prod.data(), a.data(), k, b.data(), k);
-    for (std::size_t j = 0; j < k; ++j) note(Prim::kAddMul1, k);
+    note_n(Prim::kAddMul1, k, k);
     reduce(r, prod);
   }
 
  private:
   void note(Prim p, std::size_t n, std::size_t m = 0) const {
     if (hook_) hook_->on_prim(p, n, m, static_cast<unsigned>(kBits));
+  }
+  // `count` identical consecutive events.
+  void note_n(Prim p, std::size_t n, std::size_t count) const {
+    if (hook_) hook_->on_prims(p, n, 0, static_cast<unsigned>(kBits), count);
   }
 
   std::vector<L> m_;

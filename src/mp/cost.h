@@ -39,6 +39,14 @@ class CostHook {
   /// `n` is the primary operand size in limbs; `m` a secondary size
   /// (divisor limbs for kDivrem, 0 otherwise); `limb_bits` is 16 or 32.
   virtual void on_prim(Prim p, std::size_t n, std::size_t m, unsigned limb_bits) = 0;
+
+  /// `count` identical consecutive events.  The default delivers them one
+  /// by one, so a hook that only overrides on_prim sees the same stream; a
+  /// hook may override this to price the run at once.
+  virtual void on_prims(Prim p, std::size_t n, std::size_t m, unsigned limb_bits,
+                        std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) on_prim(p, n, m, limb_bits);
+  }
 };
 
 /// Convenience: emits one event if the hook is non-null.
@@ -68,14 +76,14 @@ inline void note_mul_square_events(CostHook* hook, std::size_t n,
                                    unsigned limb_bits) {
   if (!hook) return;
   if (n < karatsuba_threshold || (n & 1)) {
-    for (std::size_t j = 0; j < n; ++j) hook->on_prim(Prim::kAddMul1, n, 0, limb_bits);
+    hook->on_prims(Prim::kAddMul1, n, 0, limb_bits, n);
     return;
   }
   const std::size_t h = n / 2;
   note_mul_square_events(hook, h, karatsuba_threshold, limb_bits);  // z0
   note_mul_square_events(hook, h, karatsuba_threshold, limb_bits);  // z2
   // (a0+a1)(b0+b1) is (h+1)x(h+1) schoolbook in our implementation.
-  for (std::size_t j = 0; j < h + 1; ++j) hook->on_prim(Prim::kAddMul1, h + 1, 0, limb_bits);
+  hook->on_prims(Prim::kAddMul1, h + 1, 0, limb_bits, h + 1);
   hook->on_prim(Prim::kAddN, h, 0, limb_bits);   // asum
   hook->on_prim(Prim::kAddN, h, 0, limb_bits);   // bsum
   hook->on_prim(Prim::kSubN, 2 * h, 0, limb_bits);  // zm -= z0
@@ -87,7 +95,7 @@ inline void note_mul_square_events(CostHook* hook, std::size_t n,
 inline void note_mul_basecase(CostHook* hook, std::size_t an, std::size_t bn,
                               unsigned limb_bits) {
   if (!hook) return;
-  for (std::size_t j = 0; j < bn; ++j) hook->on_prim(Prim::kAddMul1, an, 0, limb_bits);
+  hook->on_prims(Prim::kAddMul1, an, 0, limb_bits, bn);
 }
 
 inline const char* prim_name(Prim p) {

@@ -124,6 +124,7 @@ void ModexpEngine::clear_caches() { caches_ = std::make_unique<Caches>(); }
 
 Mpz ModexpEngine::powm(const Mpz& base, const Mpz& exp, const Mpz& modulus) {
   if (modulus.is_zero()) throw std::domain_error("ModexpEngine::powm: zero modulus");
+  if (exp.is_negative()) throw std::domain_error("ModexpEngine::powm: negative exponent");
   if (modulus == Mpz(1)) return Mpz();
   if (exp.is_zero()) return Mpz(1);
   if (cfg_.radix == Radix::k16) return powm_impl<std::uint16_t>(base, exp, modulus);
@@ -224,11 +225,11 @@ Mpz ModexpEngine::powm_impl(const Mpz& base, const Mpz& exp, const Mpz& modulus)
   const std::size_t table_size = std::size_t{1} << w;
   std::vector<std::vector<L>>* table = nullptr;
   std::vector<std::vector<L>> table_local;
-  const std::string pkey = cache_key(base_red, modulus) + "/" + cfg_.name();
   const bool cache_pow = cfg_.caching == Caching::kFull;
   bool build = true;
   if (cache_pow) {
-    auto [it, inserted] = typed.powers.try_emplace(pkey);
+    auto [it, inserted] =
+        typed.powers.try_emplace(cache_key(base_red, modulus) + "/" + cfg_.name());
     table = &it->second;
     build = inserted;
   } else {
@@ -275,6 +276,8 @@ Mpz ModexpEngine::powm_impl(const Mpz& base, const Mpz& exp, const Mpz& modulus)
 }
 
 Mpz ModexpEngine::powm_crt(const Mpz& base, const Mpz& d, const CrtKey& key) {
+  // The CRT paths read only key.dp/key.dq, so check d here for every mode.
+  if (d.is_negative()) throw std::domain_error("ModexpEngine::powm_crt: negative exponent");
   const unsigned bits = cfg_.radix == Radix::k16 ? 16u : 32u;
   const Mpz n = key.p * key.q;
   switch (cfg_.crt) {

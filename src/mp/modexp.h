@@ -81,11 +81,13 @@ class ModexpEngine {
 
   /// base^exp mod modulus, ignoring the CRT axis (used for public-key ops
   /// and as the per-prime step of the CRT paths).  Montgomery variants
-  /// require an odd modulus.
+  /// require an odd modulus.  Throws std::domain_error for a zero modulus
+  /// or a negative exponent, as Mpz::powm does.
   Mpz powm(const Mpz& base, const Mpz& exp, const Mpz& modulus);
 
   /// base^d mod (p*q) using the configured CRT mode.  With CrtMode::kNone
-  /// this is powm(base, d, p*q).
+  /// this is powm(base, d, p*q).  Throws std::domain_error for a negative d
+  /// in every mode.
   Mpz powm_crt(const Mpz& base, const Mpz& d, const CrtKey& key);
 
   /// Clears all software caches (forces cold-start behaviour).

@@ -97,6 +97,10 @@ class Mont {
   void note(Prim p, std::size_t n, std::size_t m = 0) const {
     if (hook_) hook_->on_prim(p, n, m, static_cast<unsigned>(kBits));
   }
+  // `count` identical consecutive events.
+  void note_n(Prim p, std::size_t n, std::size_t count) const {
+    if (hook_) hook_->on_prims(p, n, 0, static_cast<unsigned>(kBits), count);
+  }
 
   // acc (n limbs) reduced mod n in place (acc may be >= n but < 2^(n*kBits)).
   void reduce_once(std::vector<L>& acc) const {
@@ -112,8 +116,8 @@ class Mont {
     std::vector<L> t(2 * nn + 1, 0);
     for (std::size_t j = 0; j < nn; ++j) {
       t[nn + j] = mpn::addmul_1(t.data() + j, a.data(), nn, b[j]);
-      note(Prim::kAddMul1, nn);
     }
+    note_n(Prim::kAddMul1, nn, nn);
     for (std::size_t i = 0; i < nn; ++i) {
       const L m = static_cast<L>(t[i] * n0inv_);
       const L carry = mpn::addmul_1(t.data() + i, n_.data(), nn, m);
@@ -140,14 +144,12 @@ class Mont {
     for (std::size_t i = 0; i < nn; ++i) {
       // t += a * b[i]
       L carry = mpn::addmul_1(t.data(), a.data(), nn, b[i]);
-      note(Prim::kAddMul1, nn);
       W s = static_cast<W>(t[nn]) + carry;
       t[nn] = static_cast<L>(s);
       t[nn + 1] = static_cast<L>(t[nn + 1] + static_cast<L>(s >> kBits));
       // t += m * n, then shift one limb.
       const L m = static_cast<L>(t[0] * n0inv_);
       carry = mpn::addmul_1(t.data(), n_.data(), nn, m);
-      note(Prim::kAddMul1, nn);
       s = static_cast<W>(t[nn]) + carry;
       t[nn] = static_cast<L>(s);
       t[nn + 1] = static_cast<L>(t[nn + 1] + static_cast<L>(s >> kBits));
@@ -155,6 +157,8 @@ class Mont {
       for (std::size_t k = 0; k < nn + 1; ++k) t[k] = t[k + 1];
       t[nn + 1] = 0;
     }
+    // Two addmul_1 sweeps per limb of b, all before the final SubN/Cmp.
+    note_n(Prim::kAddMul1, nn, 2 * nn);
     rp.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(nn));
     if (t[nn] || mpn::cmp(rp.data(), n_.data(), nn) >= 0) {
       mpn::sub_n(rp.data(), rp.data(), n_.data(), nn);
@@ -187,10 +191,10 @@ class Mont {
       t[nn - 1] = static_cast<L>(top);
       t[nn] = static_cast<L>(top >> kBits) + t[nn + 1];
       t[nn + 1] = 0;
-      // Cost model: one fused sweep does the work of two addmul_1 passes.
-      note(Prim::kAddMul1, nn);
-      note(Prim::kAddMul1, nn);
     }
+    // Cost model: one fused sweep per limb of b does the work of two
+    // addmul_1 passes.
+    note_n(Prim::kAddMul1, nn, 2 * nn);
     rp.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(nn));
     if (t[nn] || mpn::cmp(rp.data(), n_.data(), nn) >= 0) {
       mpn::sub_n(rp.data(), rp.data(), n_.data(), nn);

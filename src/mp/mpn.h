@@ -11,8 +11,10 @@
 // characterizes, macro-models, and accelerates with custom instructions.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace wsp::mpn {
@@ -123,14 +125,66 @@ L mul_1(L* rp, const L* a, std::size_t n, L b) {
   return carry;
 }
 
+namespace detail {
+
+using U128 = unsigned __int128;
+
+/// Limbs per 64-bit host word (4 at radix 16, 2 at radix 32).
+template <typename L>
+inline constexpr std::size_t kPerWord = sizeof(std::uint64_t) / sizeof(L);
+
+/// Largest operand, in 64-bit words, that mul_basecase packs on the stack
+/// (2048 bits); longer operands take the limb loop.
+inline constexpr std::size_t kPackedWords = 32;
+
+/// z[0..xn+yn) = x[0..xn) * y[0..yn), 64x64->128 schoolbook on host words.
+inline void mul_words(std::uint64_t* z, const std::uint64_t* x, std::size_t xn,
+                      const std::uint64_t* y, std::size_t yn) {
+  for (std::size_t i = 0; i < xn; ++i) z[i] = 0;
+  for (std::size_t j = 0; j < yn; ++j) {
+    const std::uint64_t yj = y[j];
+    std::uint64_t c = 0;
+    for (std::size_t i = 0; i < xn; ++i) {
+      const U128 t = static_cast<U128>(x[i]) * yj + z[i + j] + c;
+      z[i + j] = static_cast<std::uint64_t>(t);
+      c = static_cast<std::uint64_t>(t >> 64);
+    }
+    z[xn + j] = c;
+  }
+}
+
+}  // namespace detail
+
+// On a little-endian host, where 4 radix-16 or 2 radix-32 limbs in memory
+// are one 64-bit word, the kernels below step a word at a time and finish
+// the tail limb by limb; elsewhere they run the limb loop alone.  They
+// compute the integer the limb loop computes, so the result limbs and the
+// carry/borrow limb are the same (tests/mpn_ref.h keeps the limb loops as
+// oracles).  Cost events stay per modelled limb: the callers emit them.
+
 /// rp[0..n) += a[0..n) * b; returns the carry-out limb.
 /// This is the hot inner loop of every multiplication-based public-key
 /// operation and the main custom-instruction target in the paper (Fig. 5b).
 template <typename L>
 L addmul_1(L* rp, const L* a, std::size_t n, L b) {
   using W = typename LimbTraits<L>::Wide;
+  std::size_t i = 0;
   L carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  if constexpr (std::endian::native == std::endian::little) {
+    constexpr std::size_t kPer = detail::kPerWord<L>;
+    std::uint64_t c = 0;  // stays below 2^bits: x*b + r + c < 2^64 * 2^bits
+    for (const std::size_t end = n - n % kPer; i < end; i += kPer) {
+      std::uint64_t x = 0, r = 0;
+      std::memcpy(&x, a + i, sizeof x);
+      std::memcpy(&r, rp + i, sizeof r);
+      const detail::U128 p = static_cast<detail::U128>(x) * b + r + c;
+      r = static_cast<std::uint64_t>(p);
+      std::memcpy(rp + i, &r, sizeof r);
+      c = static_cast<std::uint64_t>(p >> 64);
+    }
+    carry = static_cast<L>(c);
+  }
+  for (; i < n; ++i) {
     const W p = static_cast<W>(a[i]) * b + rp[i] + carry;
     rp[i] = static_cast<L>(p);
     carry = static_cast<L>(p >> LimbTraits<L>::bits);
@@ -142,8 +196,24 @@ L addmul_1(L* rp, const L* a, std::size_t n, L b) {
 template <typename L>
 L submul_1(L* rp, const L* a, std::size_t n, L b) {
   using W = typename LimbTraits<L>::Wide;
+  std::size_t i = 0;
   L borrow = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  if constexpr (std::endian::native == std::endian::little) {
+    constexpr std::size_t kPer = detail::kPerWord<L>;
+    std::uint64_t c = 0;  // stays below 2^bits, as in the limb loop
+    for (const std::size_t end = n - n % kPer; i < end; i += kPer) {
+      std::uint64_t x = 0, r = 0;
+      std::memcpy(&x, a + i, sizeof x);
+      std::memcpy(&r, rp + i, sizeof r);
+      const detail::U128 p = static_cast<detail::U128>(x) * b + c;
+      const std::uint64_t lo = static_cast<std::uint64_t>(p);
+      c = static_cast<std::uint64_t>(p >> 64) + (r < lo ? 1 : 0);
+      r -= lo;
+      std::memcpy(rp + i, &r, sizeof r);
+    }
+    borrow = static_cast<L>(c);
+  }
+  for (; i < n; ++i) {
     const W p = static_cast<W>(a[i]) * b + borrow;
     const L lo = static_cast<L>(p);
     borrow = static_cast<L>(p >> LimbTraits<L>::bits);
@@ -154,8 +224,30 @@ L submul_1(L* rp, const L* a, std::size_t n, L b) {
 }
 
 /// rp[0..an+bn) = a[0..an) * b[0..bn), schoolbook.  rp must not alias a/b.
+/// On a little-endian host, operands of up to detail::kPackedWords words are
+/// packed into 64-bit words and multiplied 64x64->128; longer ones take the
+/// limb loop.
 template <typename L>
 void mul_basecase(L* rp, const L* a, std::size_t an, const L* b, std::size_t bn) {
+  if constexpr (std::endian::native == std::endian::little) {
+    constexpr std::size_t kPer = detail::kPerWord<L>;
+    const std::size_t aw = (an + kPer - 1) / kPer;
+    const std::size_t bw = (bn + kPer - 1) / kPer;
+    if (an > 0 && bn > 0 && aw <= detail::kPackedWords && bw <= detail::kPackedWords) {
+      // Left uninitialized: only words [0, aw), [0, bw) and [0, aw + bw)
+      // are read, and each is written first.
+      std::uint64_t x[detail::kPackedWords], y[detail::kPackedWords];
+      std::uint64_t z[2 * detail::kPackedWords];
+      x[aw - 1] = 0;  // zero the limbs above an in the top word
+      y[bw - 1] = 0;
+      std::memcpy(x, a, an * sizeof(L));
+      std::memcpy(y, b, bn * sizeof(L));
+      detail::mul_words(z, x, aw, y, bw);
+      // The product fits in an + bn limbs; the words above are zero.
+      std::memcpy(rp, z, (an + bn) * sizeof(L));
+      return;
+    }
+  }
   for (std::size_t i = 0; i < an + bn; ++i) rp[i] = 0;
   for (std::size_t j = 0; j < bn; ++j) {
     rp[an + j] = addmul_1(rp + j, a, an, b[j]);

@@ -135,6 +135,33 @@ TEST(Modexp, EdgeCases) {
   EXPECT_THROW(engine.powm(Mpz(5), Mpz(3), Mpz(0)), std::domain_error);
 }
 
+TEST(Modexp, NegativeExponentThrowsForEveryMulAlgo) {
+  // Mpz::powm rejects a negative exponent; the engine used to compute
+  // base^|exp| instead (3^-5 mod 101 came back as 3^5 mod 101 = 0x29).
+  EXPECT_THROW(Mpz::powm(Mpz(3), Mpz(-5), Mpz(101)), std::domain_error);
+  const RsaFixture& fx = RsaFixture::get();
+  for (MulAlgo alg : {MulAlgo::kBasecaseDiv, MulAlgo::kKaratsubaDiv, MulAlgo::kBarrett,
+                      MulAlgo::kMontSOS, MulAlgo::kMontCIOS}) {
+    for (Radix radix : {Radix::k16, Radix::k32}) {
+      ModexpConfig cfg;
+      cfg.mul = alg;
+      cfg.radix = radix;
+      ModexpEngine engine(cfg);
+      EXPECT_THROW(engine.powm(Mpz(3), Mpz(-5), Mpz(101)), std::domain_error)
+          << cfg.name();
+      EXPECT_THROW(engine.powm(Mpz(3), Mpz(-5), Mpz(1)), std::domain_error)
+          << cfg.name();
+      EXPECT_EQ(engine.powm(Mpz(3), Mpz(5), Mpz(101)), Mpz(0x29)) << cfg.name();
+      for (CrtMode crt : {CrtMode::kNone, CrtMode::kTextbook, CrtMode::kGarner}) {
+        cfg.crt = crt;
+        ModexpEngine crt_engine(cfg);
+        EXPECT_THROW(crt_engine.powm_crt(Mpz(3), -fx.d, fx.crt), std::domain_error)
+            << cfg.name();
+      }
+    }
+  }
+}
+
 TEST(Modexp, MontgomeryRejectsEvenModulus) {
   ModexpConfig cfg;
   cfg.mul = MulAlgo::kMontCIOS;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "mp/mpn.h"
+#include "mpn_ref.h"
 #include "support/random.h"
 
 namespace wsp {
@@ -153,6 +154,123 @@ TYPED_TEST(MpnTypedTest, BytesRoundTrip) {
   std::vector<std::uint8_t> back(23);
   mpn::to_bytes_le(limbs.data(), limbs.size(), back.data(), back.size());
   EXPECT_EQ(back, bytes);
+}
+
+// --- Word-wide host kernels against the limb loops of tests/mpn_ref.h ------
+//
+// Every length 0..70 is run at limb offsets 0..3, so the 64-bit words are
+// unaligned and every tail length occurs.  The buffers carry guard limbs on
+// both sides, and the whole buffer is compared, so a stray store shows.
+
+template <typename T>
+class MpnReference : public ::testing::Test {};
+TYPED_TEST_SUITE(MpnReference, LimbTypes);
+
+enum class Fill { kRandom, kOnes, kZero };
+constexpr Fill kFills[] = {Fill::kRandom, Fill::kOnes, Fill::kZero};
+constexpr std::size_t kMaxLimbs = 70;
+constexpr std::size_t kMaxOffset = 3;
+
+// n limbs of the pattern behind `offset` guard limbs, plus one guard limb.
+template <typename L>
+std::vector<L> guarded(Rng& rng, std::size_t offset, std::size_t n, Fill fill) {
+  std::vector<L> v = random_limbs<L>(rng, offset + n + 1);
+  for (std::size_t i = offset; i < offset + n; ++i) {
+    if (fill == Fill::kOnes) v[i] = static_cast<L>(~L{0});
+    if (fill == Fill::kZero) v[i] = 0;
+  }
+  return v;
+}
+
+template <typename L>
+std::vector<L> multipliers(Rng& rng) {
+  return {L{0}, L{1}, static_cast<L>(~L{0}), static_cast<L>(rng.next_u64() | 2)};
+}
+
+// Runs `fast` and `ref` on copies of the same operands and checks that they
+// leave the same buffer and return the same carry/borrow limb.
+template <typename L, typename Fast, typename Ref>
+void check_mul_1(Fast fast, Ref ref, std::uint64_t seed) {
+  Rng rng(seed);
+  for (Fill fill_a : kFills) {
+    for (Fill fill_r : kFills) {
+      for (std::size_t n = 0; n <= kMaxLimbs; ++n) {
+        for (std::size_t a_off = 0; a_off <= kMaxOffset; ++a_off) {
+          for (std::size_t r_off = 0; r_off <= kMaxOffset; ++r_off) {
+            const std::vector<L> a = guarded<L>(rng, a_off, n, fill_a);
+            const std::vector<L> r = guarded<L>(rng, r_off, n, fill_r);
+            for (L b : multipliers<L>(rng)) {
+              std::vector<L> got = r, want = r;
+              const L out = fast(got.data() + r_off, a.data() + a_off, n, b);
+              const L want_out = ref(want.data() + r_off, a.data() + a_off, n, b);
+              ASSERT_EQ(got, want) << "n=" << n << " a_off=" << a_off
+                                   << " r_off=" << r_off << " b=" << +b;
+              ASSERT_EQ(out, want_out) << "n=" << n << " a_off=" << a_off
+                                       << " r_off=" << r_off << " b=" << +b;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(MpnReference, Addmul1MatchesLimbLoop) {
+  using L = TypeParam;
+  check_mul_1<L>(mpn::addmul_1<L>, mpn_ref::addmul_1<L>, 301);
+}
+
+TYPED_TEST(MpnReference, Submul1MatchesLimbLoop) {
+  using L = TypeParam;
+  check_mul_1<L>(mpn::submul_1<L>, mpn_ref::submul_1<L>, 302);
+}
+
+template <typename L>
+void check_mul_basecase(Rng& rng, std::size_t an, std::size_t bn, std::size_t off,
+                        Fill fill_a, Fill fill_b) {
+  const std::size_t b_off = (off + 1) % (kMaxOffset + 1);
+  const std::size_t r_off = (off + 2) % (kMaxOffset + 1);
+  const std::vector<L> a = guarded<L>(rng, off, an, fill_a);
+  const std::vector<L> b = guarded<L>(rng, b_off, bn, fill_b);
+  const std::vector<L> r = guarded<L>(rng, r_off, an + bn, Fill::kRandom);
+  std::vector<L> got = r, want = r;
+  mpn::mul_basecase(got.data() + r_off, a.data() + off, an, b.data() + b_off, bn);
+  mpn_ref::mul_basecase(want.data() + r_off, a.data() + off, an, b.data() + b_off, bn);
+  ASSERT_EQ(got, want) << "an=" << an << " bn=" << bn << " off=" << off;
+}
+
+TYPED_TEST(MpnReference, MulBasecaseMatchesLimbLoop) {
+  using L = TypeParam;
+  Rng rng(303);
+  const std::pair<Fill, Fill> fills[] = {{Fill::kRandom, Fill::kRandom},
+                                         {Fill::kOnes, Fill::kOnes},
+                                         {Fill::kOnes, Fill::kRandom},
+                                         {Fill::kZero, Fill::kRandom},
+                                         {Fill::kRandom, Fill::kZero}};
+  for (const auto& [fill_a, fill_b] : fills) {
+    for (std::size_t an = 0; an <= kMaxLimbs; ++an) {
+      for (std::size_t bn : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u, 33u, 70u}) {
+        for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+          check_mul_basecase<L>(rng, an, bn, off, fill_a, fill_b);
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(MpnReference, MulBasecasePastThePackedBufferMatchesLimbLoop) {
+  using L = TypeParam;
+  Rng rng(304);
+  // Operands longer than the packed stack buffers take the limb loop.
+  constexpr std::size_t kLimit = mpn::detail::kPackedWords * mpn::detail::kPerWord<L>;
+  const std::size_t sizes[] = {1, 9, kLimit - 1, kLimit, kLimit + 1, kLimit + 5};
+  for (std::size_t an : sizes) {
+    for (std::size_t bn : sizes) {
+      for (Fill fill : {Fill::kRandom, Fill::kOnes}) {
+        check_mul_basecase<L>(rng, an, bn, an % (kMaxOffset + 1), fill, fill);
+      }
+    }
+  }
 }
 
 TEST(Mpn, DivremAddBackPath) {
