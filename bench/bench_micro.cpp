@@ -15,6 +15,7 @@
 #include "explore/space.h"
 #include "macromodel/models.h"
 #include "mp/modexp.h"
+#include "mp/montgomery.h"
 #include "mp/mpn.h"
 #include "ssl/ssl.h"
 #include "support/random.h"
@@ -262,6 +263,18 @@ void BM_RsaSignVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaSignVerify);
 
+// RSA key generation: prime candidates, trial division and Miller-Rabin on
+// the Montgomery engine.  One fixed seed, so every iteration does the same
+// work.
+void BM_GenerateKey(benchmark::State& state) {
+  const std::size_t bits = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    Rng rng(42);
+    benchmark::DoNotOptimize(rsa::generate_key(bits, rng));
+  }
+}
+BENCHMARK(BM_GenerateKey)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
+
 // Host mpn kernels (mp layer): addmul_1 at the operand sizes the 512-bit
 // exploration workload uses, and the schoolbook product every division
 // reduction, Barrett sweep and Karatsuba leaf calls.  Items are limbs.
@@ -304,6 +317,35 @@ void BM_MulBasecase(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_MulBasecase, std::uint16_t)->Arg(16)->Arg(32);
 BENCHMARK_TEMPLATE(BM_MulBasecase, std::uint32_t)->Arg(8)->Arg(16);
+
+// Montgomery products (mp layer) at 8, 16 and 32 limbs, latency-chained (each
+// result is the next left operand).  The second argument is the variant:
+// 0 SOS, 1 CIOS (the two on the word path).  Items are limbs.
+template <typename L>
+void BM_MontMul(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto variant = static_cast<MontVariant>(state.range(1));
+  Rng rng(12);
+  auto mod = random_limbs<L>(rng, n);
+  mod[0] = static_cast<L>(mod[0] | 1);
+  mod[n - 1] = static_cast<L>(mod[n - 1] | (L{1} << (mpn::LimbTraits<L>::bits - 1)));
+  const Mont<L> ctx(mod);
+  auto a = random_limbs<L>(rng, n);
+  auto b = random_limbs<L>(rng, n);
+  a[n - 1] = static_cast<L>(a[n - 1] >> 1);  // below the modulus
+  b[n - 1] = static_cast<L>(b[n - 1] >> 1);
+  std::vector<L> r(n);
+  for (auto _ : state) {
+    ctx.mul(r, a, b, variant);
+    a.swap(r);
+    benchmark::DoNotOptimize(a.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+  static constexpr const char* kNames[] = {"SOS", "CIOS"};
+  state.SetLabel(kNames[state.range(1)]);
+}
+BENCHMARK_TEMPLATE(BM_MontMul, std::uint16_t)->ArgsProduct({{8, 16, 32}, {0, 1}});
+BENCHMARK_TEMPLATE(BM_MontMul, std::uint32_t)->ArgsProduct({{8, 16, 32}, {0, 1}});
 
 // Macro-model rows (explore layer).  A hand-built linear model set stands in
 // for ISS characterization, so these rows time only the estimator.

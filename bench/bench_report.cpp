@@ -27,8 +27,10 @@
 //   --check            gate against the committed baselines; no files written
 //   --bless            rewrite the baselines from this run (accepts changes)
 //   --baseline-dir DIR baseline location (default: the committed bench/baselines)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -518,25 +520,40 @@ bool check_section(const bench::BenchResult& result,
   return report.ok();
 }
 
+constexpr support::FlagSpec kFlags[] = {
+    {"--outdir", true},  {"--only", true},         {"--with-explore", false},
+    {"--check", false},  {"--bless", false},       {"--baseline-dir", true},
+    {"--threads", true}, {"--trace", true},
+};
+
+constexpr const char* kUsage =
+    "[--outdir DIR] [--only SECTION] [--with-explore] [--check | --bless]\n"
+    "       [--baseline-dir DIR] [--threads N] [--trace FILE]\n"
+    "  Writes BENCH_<section>.json for every paper figure into --outdir (default\n"
+    "  .), or with --check gates them against --baseline-dir, or with --bless\n"
+    "  rewrites the baselines.  Sections: fig1 table1 fig4 fig5 fig6 fig8 server\n"
+    "  scenario, and sec43_explore with --with-explore.\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace wsp;
+  const support::FlagValues flags = bench::flags_or_exit(argc, argv, kFlags, kUsage);
+  const unsigned threads =
+      bench::threads_or_exit(flags, argv[0], ThreadPool::hardware_threads());
   bench::header("Machine-readable benchmark report (BENCH_*.json)",
                 "all paper figures; schema wsp-bench-v1");
-  const std::string outdir = bench::parse_string_flag(argc, argv, "--outdir", ".");
-  const std::string only = bench::parse_string_flag(argc, argv, "--only");
-  const bool with_explore = bench::parse_bool_flag(argc, argv, "--with-explore");
-  const bool check = bench::parse_bool_flag(argc, argv, "--check");
-  const bool bless = bench::parse_bool_flag(argc, argv, "--bless");
+  const std::string outdir = bench::flag_or(flags, "--outdir", ".");
+  const std::string only = bench::flag_or(flags, "--only");
+  const bool with_explore = flags.contains("--with-explore");
+  const bool check = flags.contains("--check");
+  const bool bless = flags.contains("--bless");
 #ifndef WSP_BASELINE_DIR
 #define WSP_BASELINE_DIR "bench/baselines"
 #endif
-  const std::string baseline_dir =
-      bench::parse_string_flag(argc, argv, "--baseline-dir", WSP_BASELINE_DIR);
-  const unsigned threads =
-      bench::threads_or_exit(argc, argv, ThreadPool::hardware_threads());
-  const std::string trace_path = bench::maybe_start_trace(argc, argv);
+  const std::string baseline_dir = bench::flag_or(flags, "--baseline-dir", WSP_BASELINE_DIR);
+  const std::string trace_path = bench::flag_or(flags, "--trace");
+  bench::maybe_start_trace(trace_path);
   // Plain emission leaves a replay trace next to the JSON; the gate modes
   // only measure and compare.
   g_replay_trace_dir = (check || bless) ? "" : outdir;
@@ -550,6 +567,16 @@ int main(int argc, char** argv) {
       {"fig5", run_fig5},   {"fig6", run_fig6},     {"fig8", run_fig8},
       {"server", run_server}, {"scenario", run_scenario_section},
   };
+
+  const bool only_known =
+      only.empty() || only == "sec43_explore" ||
+      std::any_of(std::begin(sections), std::end(sections),
+                  [&](const Section& s) { return only == s.name; });
+  if (!only_known) {
+    std::fprintf(stderr, "%s: unknown --only section '%s'\nusage: %s %s", argv[0],
+                 only.c_str(), argv[0], kUsage);
+    return 2;
+  }
 
   std::vector<bench::BenchResult> results;
   for (const Section& s : sections) {

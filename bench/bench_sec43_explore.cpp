@@ -15,12 +15,20 @@
 #include "macromodel/characterize.h"
 #include "support/threadpool.h"
 
+constexpr wsp::support::FlagSpec kFlags[] = {{"--threads", true}};
+
 int main(int argc, char** argv) {
   using namespace wsp;
+  const support::FlagValues flags =
+      bench::flags_or_exit(argc, argv, kFlags,
+                           "[--threads N]\n"
+                           "  Characterizes the mpn routines on the ISS, estimates all 450\n"
+                           "  RSA-1024 modexp configurations serially and on N threads, and\n"
+                           "  checks the ranking against six ISS runs.\n");
+  const unsigned threads =
+      bench::threads_or_exit(flags, argv[0], ThreadPool::hardware_threads());
   bench::header("Algorithm design-space exploration via performance macro-models",
                 "paper Sec. 4.3");
-  const unsigned threads =
-      bench::threads_or_exit(argc, argv, ThreadPool::hardware_threads());
 
   // Phase 1: one-time characterization on the cycle-accurate ISS, with
   // measured radix-16 models (mpn16 kernels) for the radix axis.

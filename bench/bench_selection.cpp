@@ -13,12 +13,20 @@
 #include "support/threadpool.h"
 #include "tie/characterize.h"
 
+constexpr wsp::support::FlagSpec kFlags[] = {{"--threads", true}};
+
 int main(int argc, char** argv) {
   using namespace wsp;
+  const support::FlagValues flags =
+      bench::flags_or_exit(argc, argv, kFlags,
+                           "[--threads N]\n"
+                           "  Measures the mpn routines' A-D curves on the ISS serially and on\n"
+                           "  N threads, then selects custom instructions under several area\n"
+                           "  budgets.\n");
+  const unsigned threads =
+      bench::threads_or_exit(flags, argv[0], ThreadPool::hardware_threads());
   bench::header("Global custom-instruction selection under area constraints",
                 "paper Sec. 3.4 methodology (design-choice ablation)");
-  const unsigned threads =
-      bench::threads_or_exit(argc, argv, ThreadPool::hardware_threads());
 
   // --- leaf A-D curves (real ISS measurements, one machine per candidate) ---
   // Measured serially and then across the pool: the ISS is deterministic and

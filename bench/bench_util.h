@@ -5,9 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "support/cli.h"
 #include "support/json.h"
@@ -26,63 +28,56 @@ inline void header(const std::string& title, const std::string& paper_ref) {
   std::printf("==========================================================\n");
 }
 
-/// Parses `--threads N` / `--threads=N` strictly (support/cli.h): N must be
-/// a whole decimal in [1, support::kMaxCliThreads].  A sign, junk, zero, an
-/// out-of-range value or a missing value throws std::invalid_argument naming
-/// the flag.  `fallback` when the flag is absent.
-inline unsigned parse_threads(int argc, char** argv, unsigned fallback = 1) {
-  unsigned value = fallback;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    std::string_view text;
-    if (arg == "--threads") {
-      if (i + 1 >= argc) throw std::invalid_argument("--threads needs a value");
-      text = argv[++i];
-    } else if (arg.starts_with("--threads=")) {
-      text = arg.substr(10);
-    } else {
-      continue;
-    }
-    value = static_cast<unsigned>(
-        support::parse_count(text, "--threads", 1, support::kMaxCliThreads));
+/// For a benchmark's main(), before it prints or writes anything: parses
+/// argv against `known` (support::parse_flags).  `--help` (or `-h`) prints
+/// `usage` and exits 0; an unknown or malformed argument prints the error
+/// and `usage` to stderr and exits 2, so a misspelt `--chek` cannot
+/// silently skip the regression gate.
+inline support::FlagValues flags_or_exit(int argc, char** argv,
+                                         std::span<const support::FlagSpec> known,
+                                         const char* usage) {
+  support::FlagValues flags;
+  try {
+    flags = support::parse_flags(argc, argv, known);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\nusage: %s %s", argv[0], e.what(), argv[0], usage);
+    std::exit(2);
   }
-  return value;
+  if (flags.contains("--help") || flags.contains("-h")) {
+    std::printf("usage: %s %s", argv[0], usage);
+    std::exit(0);
+  }
+  return flags;
+}
+
+/// The value of `name`, or `fallback` when it was not given.
+inline std::string flag_or(const support::FlagValues& flags, std::string_view name,
+                           std::string fallback = "") {
+  const auto it = flags.find(name);
+  return it == flags.end() ? std::move(fallback) : it->second;
+}
+
+/// `--threads`, strictly (support/cli.h): a whole decimal in
+/// [1, support::kMaxCliThreads].  A sign, junk, zero or an out-of-range
+/// value throws std::invalid_argument naming the flag; `fallback` when the
+/// flag is absent.
+inline unsigned parse_threads(const support::FlagValues& flags, unsigned fallback = 1) {
+  const auto it = flags.find("--threads");
+  if (it == flags.end()) return fallback;
+  return static_cast<unsigned>(
+      support::parse_count(it->second, "--threads", 1, support::kMaxCliThreads));
 }
 
 /// parse_threads for a benchmark's main(): on a bad value prints the error
 /// and exits with status 2, as wspc does.
-inline unsigned threads_or_exit(int argc, char** argv, unsigned fallback) {
+inline unsigned threads_or_exit(const support::FlagValues& flags, const char* prog,
+                                unsigned fallback) {
   try {
-    return parse_threads(argc, argv, fallback);
+    return parse_threads(flags, fallback);
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    std::fprintf(stderr, "%s: %s\n", prog, e.what());
     std::exit(2);
   }
-}
-
-/// Parses `--name VALUE` / `--name=VALUE`; `fallback` when absent.
-inline std::string parse_string_flag(int argc, char** argv,
-                                     const std::string& name,
-                                     const std::string& fallback = "") {
-  std::string value = fallback;
-  const std::string eq = name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == name && i + 1 < argc) {
-      value = argv[i + 1];
-    } else if (arg.rfind(eq, 0) == 0) {
-      value = arg.substr(eq.size());
-    }
-  }
-  return value;
-}
-
-/// True if the bare flag is present.
-inline bool parse_bool_flag(int argc, char** argv, const std::string& name) {
-  for (int i = 1; i < argc; ++i) {
-    if (name == argv[i]) return true;
-  }
-  return false;
 }
 
 // --- machine-readable bench artifacts (docs/observability.md) --------------
@@ -136,11 +131,9 @@ inline std::string write_bench_json(const BenchResult& r,
   return path;
 }
 
-/// Starts a trace session if `--trace FILE` was passed; returns the path.
-inline std::string maybe_start_trace(int argc, char** argv) {
-  const std::string path = parse_string_flag(argc, argv, "--trace");
+/// Starts a trace session if `path` (the `--trace FILE` value) is set.
+inline void maybe_start_trace(const std::string& path) {
   if (!path.empty()) trace::start();
-  return path;
 }
 
 /// Stops the session (if one was started) and writes the Chrome-trace JSON.

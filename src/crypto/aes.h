@@ -27,15 +27,8 @@ struct KeySchedule {
 KeySchedule key_schedule(const std::uint8_t* key, std::size_t key_len);
 KeySchedule key_schedule(const std::vector<std::uint8_t>& key);
 
-/// Reference single-block encrypt/decrypt (byte-oriented round operations).
-/// Both directions use the same schedule: decryption is the straight
-/// inverse cipher, applying the round keys in reverse order.
-void encrypt_block_ref(const std::uint8_t in[16], std::uint8_t out[16],
-                       const KeySchedule& ks);
-void decrypt_block_ref(const std::uint8_t in[16], std::uint8_t out[16],
-                       const KeySchedule& ks);
-
-/// Table-driven implementations (same results).
+/// Single-block encrypt/decrypt (table-driven).  Both directions use the
+/// same schedule: decryption applies the round keys in reverse order.
 void encrypt_block(const std::uint8_t in[16], std::uint8_t out[16],
                    const KeySchedule& ks);
 void decrypt_block(const std::uint8_t in[16], std::uint8_t out[16],

@@ -95,32 +95,6 @@ std::uint8_t sbox_lookup(int box, std::uint8_t v6) {
   return kSBox[box][row * 16 + col];
 }
 
-// The Feistel function on a 32-bit half with a 48-bit subkey.
-std::uint32_t feistel(std::uint32_t r, std::uint64_t k48) {
-  const std::uint64_t e = permute<48, 32>(r, kE) ^ k48;
-  std::uint32_t s_out = 0;
-  for (int i = 0; i < 8; ++i) {
-    const std::uint8_t v6 = static_cast<std::uint8_t>((e >> (42 - 6 * i)) & 0x3f);
-    s_out = (s_out << 4) | sbox_lookup(i, v6);
-  }
-  return static_cast<std::uint32_t>(permute<32, 32>(s_out, kP));
-}
-
-std::uint64_t crypt_ref(std::uint64_t block, const KeySchedule& ks, bool decrypt) {
-  const std::uint64_t ip = permute<64, 64>(block, kIP);
-  std::uint32_t l = static_cast<std::uint32_t>(ip >> 32);
-  std::uint32_t r = static_cast<std::uint32_t>(ip);
-  for (int round = 0; round < 16; ++round) {
-    const std::uint64_t k = ks.k48[decrypt ? 15 - round : round];
-    const std::uint32_t nl = r;
-    r = l ^ feistel(r, k);
-    l = nl;
-  }
-  // Note the final swap: the output is (R16, L16).
-  const std::uint64_t preout = (static_cast<std::uint64_t>(r) << 32) | l;
-  return permute<64, 64>(preout, kFP);
-}
-
 std::uint32_t feistel_sp(std::uint32_t r, std::uint64_t k48) {
   const std::uint64_t e = permute<48, 32>(r, kE) ^ k48;
   const auto& sp = fast_tables().sp;
@@ -206,12 +180,6 @@ KeySchedule key_schedule(std::uint64_t key) {
   return ks;
 }
 
-std::uint64_t encrypt_block_ref(std::uint64_t block, const KeySchedule& ks) {
-  return crypt_ref(block, ks, false);
-}
-std::uint64_t decrypt_block_ref(std::uint64_t block, const KeySchedule& ks) {
-  return crypt_ref(block, ks, true);
-}
 std::uint64_t encrypt_block(std::uint64_t block, const KeySchedule& ks) {
   return crypt_fast(block, ks, false);
 }

@@ -33,10 +33,6 @@ struct KeySchedule {
 /// Expands a 64-bit key (parity bits ignored) into 16 subkeys.
 KeySchedule key_schedule(std::uint64_t key);
 
-/// Reference single-block encrypt/decrypt (bit-level permutations).
-std::uint64_t encrypt_block_ref(std::uint64_t block, const KeySchedule& ks);
-std::uint64_t decrypt_block_ref(std::uint64_t block, const KeySchedule& ks);
-
 /// Fast single-block encrypt/decrypt (table-driven implementation).
 std::uint64_t encrypt_block(std::uint64_t block, const KeySchedule& ks);
 std::uint64_t decrypt_block(std::uint64_t block, const KeySchedule& ks);

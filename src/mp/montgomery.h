@@ -5,9 +5,20 @@
 // product followed by Montgomery reduction) and CIOS (coarsely integrated
 // operand scanning), plus FIOS as an extension used in ablations.
 // All variants are templated on the limb type to cover both radix options.
+//
+// On a little-endian host, when the modulus fills whole 64-bit words
+// (nn * limb bits % 64 == 0) and is at most 4096 bits, SOS and CIOS run on
+// those packed words (FIOS, which no workload uses, keeps its limb loop): the
+// radix-2^64 algorithm with R = 2^(64 * words) = 2^(limb bits * nn) picks the
+// one multiple M of the modulus in [0, R) that the limb loop picks, so the
+// value before the final subtraction, the result and the cost-event stream
+// are the limb loop's (tests/mont_ref.h keeps the limb loops as oracles).
+// Events stay per modelled limb: the contexts emit them, not the host loops.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -18,6 +29,108 @@ namespace wsp {
 
 enum class MontVariant { kSOS, kCIOS, kFIOS };
 
+namespace mont_detail {
+
+using U128 = unsigned __int128;
+
+/// Longest modulus, in 64-bit words (4096 bits), on the word path.  A
+/// product keeps a, b and its (2 * nw + 1)-word accumulator on the stack;
+/// longer moduli keep the limb loops.
+inline constexpr std::size_t kMaxWords = 64;
+
+inline int cmp_words(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+  for (std::size_t i = n; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+inline void sub_words(std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+  std::uint64_t borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t d = a[i] - b[i];
+    const std::uint64_t out = (a[i] < b[i]) | (d < borrow);
+    a[i] = d - borrow;
+    borrow = out;
+  }
+}
+
+/// -n0^{-1} mod 2^64 for odd n0 (Newton: each step doubles the good bits).
+inline std::uint64_t neg_inverse_word(std::uint64_t n0) {
+  std::uint64_t inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
+  return 0 - inv;
+}
+
+// The products on nw packed words, n0 = -n^{-1} mod 2^64.  Each leaves
+// the pre-subtraction value (ab + Mn) / R, with a top word of 0 or 1, in t
+// (CIOS) or in the upper half of t (SOS).  A non-zero kNw fixes nw at
+// compile time.  At 4 words (the CRT halves of RSA-512 and the primes of a
+// 512-bit key) the unrolled loops ran ~1.5x faster than the loop (g++ 12
+// -O3, x86-64); at 8 words and more, full unrolling was slower, so only 4
+// is fixed.
+
+/// CIOS: t needs nw + 2 words.
+template <std::size_t kNw>
+void cios_words(std::uint64_t* t, const std::uint64_t* a, const std::uint64_t* b,
+                const std::uint64_t* n, std::size_t n_words, std::uint64_t n0) {
+  const std::size_t nw = kNw != 0 ? kNw : n_words;
+  for (std::size_t k = 0; k < nw + 2; ++k) t[k] = 0;
+  for (std::size_t i = 0; i < nw; ++i) {
+    // t += a * b[i]
+    const std::uint64_t bi = b[i];
+    std::uint64_t c = 0;
+    for (std::size_t j = 0; j < nw; ++j) {
+      const U128 p = static_cast<U128>(a[j]) * bi + t[j] + c;
+      t[j] = static_cast<std::uint64_t>(p);
+      c = static_cast<std::uint64_t>(p >> 64);
+    }
+    U128 s = static_cast<U128>(t[nw]) + c;
+    t[nw] = static_cast<std::uint64_t>(s);
+    // Word nw + 1 is zero after every shift (t < 2R), so this sets it.
+    t[nw + 1] = static_cast<std::uint64_t>(s >> 64);
+    // t = (t + m * n) / 2^64, the shift done by index: t[0] + m * n[0] is
+    // zero mod 2^64 by the choice of m.
+    const std::uint64_t m = t[0] * n0;
+    U128 p = static_cast<U128>(m) * n[0] + t[0];
+    c = static_cast<std::uint64_t>(p >> 64);
+    for (std::size_t j = 1; j < nw; ++j) {
+      p = static_cast<U128>(m) * n[j] + t[j] + c;
+      t[j - 1] = static_cast<std::uint64_t>(p);
+      c = static_cast<std::uint64_t>(p >> 64);
+    }
+    s = static_cast<U128>(t[nw]) + c;
+    t[nw - 1] = static_cast<std::uint64_t>(s);
+    t[nw] = t[nw + 1] + static_cast<std::uint64_t>(s >> 64);
+  }
+}
+
+/// SOS: full product, then nw reduction sweeps; t needs 2 * nw + 1 words
+/// and the value lands in t[nw..2nw], top word t[2nw].
+template <std::size_t kNw>
+void sos_words(std::uint64_t* t, const std::uint64_t* a, const std::uint64_t* b,
+               const std::uint64_t* n, std::size_t n_words, std::uint64_t n0) {
+  const std::size_t nw = kNw != 0 ? kNw : n_words;
+  mpn::detail::mul_words(t, a, nw, b, nw);
+  t[2 * nw] = 0;
+  for (std::size_t i = 0; i < nw; ++i) {
+    const std::uint64_t m = t[i] * n0;
+    std::uint64_t c = 0;
+    for (std::size_t j = 0; j < nw; ++j) {
+      const U128 p = static_cast<U128>(m) * n[j] + t[i + j] + c;
+      t[i + j] = static_cast<std::uint64_t>(p);
+      c = static_cast<std::uint64_t>(p >> 64);
+    }
+    // Propagate the carry word into the upper part.
+    for (std::size_t k = i + nw; c != 0 && k <= 2 * nw; ++k) {
+      t[k] += c;
+      c = t[k] < c ? 1 : 0;
+    }
+  }
+}
+
+}  // namespace mont_detail
+
 /// Montgomery context for an odd modulus of `n` limbs.
 /// Values inside the Montgomery domain are n-limb vectors < modulus.
 template <typename L>
@@ -26,7 +139,9 @@ class Mont {
   using W = typename mpn::LimbTraits<L>::Wide;
   static constexpr int kBits = mpn::LimbTraits<L>::bits;
 
-  /// Builds the context: computes n0' = -n^{-1} mod B and R^2 mod n.
+  /// Builds the context: computes n0' = -n^{-1} mod B and R^2 mod n.  With
+  /// a hook, R^2 comes from the 2*n*kBits limb doublings whose Lshift /
+  /// SubN / Cmp events price the setup; without one, from a single division.
   /// Throws std::invalid_argument for an even or zero modulus.
   explicit Mont(std::vector<L> modulus, CostHook* hook = nullptr)
       : n_(std::move(modulus)), hook_(hook) {
@@ -42,23 +157,18 @@ class Mont {
     }
     n0inv_ = static_cast<L>(0) - static_cast<L>(inv);  // -n^{-1} mod B
 
-    // R^2 mod n by 2*n*kBits doublings of 1 (context setup; counted by the
-    // caching axis of the design space, not the per-multiplication cost).
     const std::size_t nn = n_.size();
-    std::vector<L> acc(nn, 0);
-    acc[0] = 1;
-    reduce_once(acc);
-    for (std::size_t i = 0; i < 2 * nn * static_cast<std::size_t>(kBits); ++i) {
-      // acc = 2*acc mod n
-      const L carry = mpn::lshift(acc.data(), acc.data(), nn, 1);
-      note(Prim::kLshift, nn);
-      if (carry || mpn::cmp(acc.data(), n_.data(), nn) >= 0) {
-        mpn::sub_n(acc.data(), acc.data(), n_.data(), nn);
-        note(Prim::kSubN, nn);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (nn * kBits % 64 == 0 && nn * kBits / 64 <= mont_detail::kMaxWords) {
+        nw_ = nn * kBits / 64;
+        words_.resize(nw_);
+        std::memcpy(words_.data(), n_.data(), nn * sizeof(L));
+        n0w_ = mont_detail::neg_inverse_word(words_[0]);
       }
-      note(Prim::kCmp, nn);
     }
-    r2_ = std::move(acc);
+    // With a hook, the doublings the cost model prices; without one, the
+    // same value from one division.
+    r2_ = hook_ == nullptr ? r2_divide() : r2_limbs();
   }
 
   std::size_t limbs() const { return n_.size(); }
@@ -102,6 +212,91 @@ class Mont {
     if (hook_) hook_->on_prims(p, n, 0, static_cast<unsigned>(kBits), count);
   }
 
+  // R^2 mod n by 2*n*kBits doublings of 1 (context setup; counted by the
+  // caching axis of the design space, not the per-multiplication cost).
+  std::vector<L> r2_limbs() const {
+    const std::size_t nn = n_.size();
+    std::vector<L> acc(nn, 0);
+    acc[0] = 1;
+    reduce_once(acc);
+    for (std::size_t i = 0; i < 2 * nn * static_cast<std::size_t>(kBits); ++i) {
+      // acc = 2*acc mod n
+      const L carry = mpn::lshift(acc.data(), acc.data(), nn, 1);
+      note(Prim::kLshift, nn);
+      if (carry || mpn::cmp(acc.data(), n_.data(), nn) >= 0) {
+        mpn::sub_n(acc.data(), acc.data(), n_.data(), nn);
+        note(Prim::kSubN, nn);
+      }
+      note(Prim::kCmp, nn);
+    }
+    return acc;
+  }
+
+  // R^2 mod n as the remainder of 2^(2*nn*kBits) by n.
+  std::vector<L> r2_divide() const {
+    const std::size_t nn = n_.size();
+    std::vector<L> u(2 * nn + 1, 0), q(nn + 2), r(nn);
+    u[2 * nn] = 1;
+    mpn::divrem(q.data(), r.data(), u.data(), u.size(), n_.data(), nn);
+    return r;
+  }
+
+  // One word-path product on packed words; a fixed 4-word size unrolls.
+  template <MontVariant V, std::size_t kNw>
+  void product_words(std::uint64_t* t, const std::uint64_t* a,
+                     const std::uint64_t* b) const {
+    const std::uint64_t* n = words_.data();
+    if constexpr (V == MontVariant::kSOS) {
+      mont_detail::sos_words<kNw>(t, a, b, n, nw_, n0w_);
+    } else {
+      mont_detail::cios_words<kNw>(t, a, b, n, nw_, n0w_);
+    }
+  }
+
+  // Runs SOS or CIOS on the packed words: packs a and b, multiplies, emits
+  // the limb loop's sweep events, subtracts the modulus once if the value
+  // is >= n (SubN? / Cmp) and unpacks into rp.
+  template <MontVariant V>
+  void mul_packed(std::vector<L>& rp, const std::vector<L>& a,
+                  const std::vector<L>& b) const {
+    const std::size_t nn = n_.size();
+    const std::size_t nw = nw_;
+    // a, b and the accumulator.  Left uninitialized: a and b are copied in
+    // and every accumulator word the kernels read is written first.
+    std::uint64_t scratch[4 * mont_detail::kMaxWords + 1];
+    std::uint64_t* aw = scratch;
+    std::uint64_t* bw = aw + nw;
+    std::uint64_t* t = bw + nw;
+    std::memcpy(aw, a.data(), nn * sizeof(L));
+    std::memcpy(bw, b.data(), nn * sizeof(L));
+    if (nw == 4) {
+      product_words<V, 4>(t, aw, bw);
+    } else {
+      product_words<V, 0>(t, aw, bw);
+    }
+    std::uint64_t* v = t;  // the value: t[0..nw), top word t[nw]
+    if constexpr (V == MontVariant::kSOS) {
+      v = t + nw;
+      note_n(Prim::kAddMul1, nn, nn);
+      if (hook_) {
+        for (std::size_t i = 0; i < nn; ++i) {
+          note(Prim::kAddMul1, nn);
+          note(Prim::kAdd1, nn - i);
+        }
+      }
+    } else {
+      // Two addmul_1 sweeps per limb of b.
+      note_n(Prim::kAddMul1, nn, 2 * nn);
+    }
+    if (v[nw] || mont_detail::cmp_words(v, words_.data(), nw) >= 0) {
+      mont_detail::sub_words(v, words_.data(), nw);
+      note(Prim::kSubN, nn);
+    }
+    note(Prim::kCmp, nn);
+    rp.resize(nn);
+    std::memcpy(rp.data(), v, nn * sizeof(L));
+  }
+
   // acc (n limbs) reduced mod n in place (acc may be >= n but < 2^(n*kBits)).
   void reduce_once(std::vector<L>& acc) const {
     if (mpn::cmp(acc.data(), n_.data(), n_.size()) >= 0) {
@@ -113,6 +308,10 @@ class Mont {
   void mul_sos(std::vector<L>& rp, const std::vector<L>& a,
                const std::vector<L>& b) const {
     const std::size_t nn = n_.size();
+    if (nw_ != 0) {
+      mul_packed<MontVariant::kSOS>(rp, a, b);
+      return;
+    }
     std::vector<L> t(2 * nn + 1, 0);
     for (std::size_t j = 0; j < nn; ++j) {
       t[nn + j] = mpn::addmul_1(t.data() + j, a.data(), nn, b[j]);
@@ -140,6 +339,10 @@ class Mont {
   void mul_cios(std::vector<L>& rp, const std::vector<L>& a,
                 const std::vector<L>& b) const {
     const std::size_t nn = n_.size();
+    if (nw_ != 0) {
+      mul_packed<MontVariant::kCIOS>(rp, a, b);
+      return;
+    }
     std::vector<L> t(nn + 2, 0);
     for (std::size_t i = 0; i < nn; ++i) {
       // t += a * b[i]
@@ -205,6 +408,12 @@ class Mont {
 
   std::vector<L> n_;
   L n0inv_ = 0;
+  // The word path's modulus and -n^{-1} mod 2^64; nw_ == 0 selects the
+  // limb loops (odd counts, radix 16 with nn % 4 != 0, moduli over
+  // kMaxWords words, big-endian hosts).  FIOS always runs its limb loop.
+  std::size_t nw_ = 0;
+  std::vector<std::uint64_t> words_;
+  std::uint64_t n0w_ = 0;
   std::vector<L> r2_;
   CostHook* hook_ = nullptr;
 };

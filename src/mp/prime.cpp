@@ -3,6 +3,8 @@
 #include <array>
 #include <stdexcept>
 
+#include "mp/modexp.h"
+
 namespace wsp {
 
 namespace {
@@ -11,6 +13,20 @@ constexpr std::array<std::uint32_t, 54> kSmallPrimes = {
     47,  53,  59,  61,  67,  71,  73,  79,  83,  89,  97,  101, 103, 107,
     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
+
+// |n| mod m for a one-limb m, one 32-bit limb at a time (trial division
+// without an Mpz division per small prime).
+std::uint32_t mod_limb(const Mpz& n, std::uint32_t m) {
+  const std::vector<Mpz::Limb>& limbs = n.limbs();
+  std::uint64_t r = 0;
+  for (std::size_t i = limbs.size(); i-- > 0;) r = ((r << 32) | limbs[i]) % m;
+  return static_cast<std::uint32_t>(r);
+}
+
+// The Miller-Rabin exponentiation: Montgomery CIOS at radix 2^32 with the
+// context cached, so every round on one candidate shares one R^2 mod n.
+constexpr ModexpConfig kWitnessConfig{MulAlgo::kMontCIOS, 4, CrtMode::kNone,
+                                      Radix::k32, Caching::kContext};
 }  // namespace
 
 Mpz random_bits(std::size_t bits, Rng& rng) {
@@ -39,9 +55,8 @@ Mpz random_below(const Mpz& bound, Rng& rng) {
 bool is_probable_prime(const Mpz& n, int rounds, Rng& rng) {
   if (n < Mpz(2)) return false;
   for (std::uint32_t p : kSmallPrimes) {
-    const Mpz pz(static_cast<std::int64_t>(p));
-    if (n == pz) return true;
-    if ((n % pz).is_zero()) return false;
+    if (n.limbs().size() == 1 && n.limbs()[0] == p) return true;
+    if (mod_limb(n, p) == 0) return false;
   }
   // Write n-1 = d * 2^s with d odd.
   const Mpz n_minus_1 = n - Mpz(1);
@@ -51,10 +66,12 @@ bool is_probable_prime(const Mpz& n, int rounds, Rng& rng) {
     d = d.rshift(1);
     ++s;
   }
+  // n is odd here (2 was caught above), as Montgomery needs.
+  ModexpEngine engine(kWitnessConfig);
   for (int round = 0; round < rounds; ++round) {
     // Base in [2, n-2].
     Mpz a = random_below(n - Mpz(3), rng) + Mpz(2);
-    Mpz x = Mpz::powm(a, d, n);
+    Mpz x = engine.powm(a, d, n);
     if (x == Mpz(1) || x == n_minus_1) continue;
     bool composite = true;
     for (std::size_t i = 1; i < s; ++i) {

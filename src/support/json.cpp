@@ -20,7 +20,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   Value parse_document() {
-    Value v = parse_value();
+    Value v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing garbage", pos_);
     return v;
@@ -53,11 +53,11 @@ class Parser {
     return true;
   }
 
-  Value parse_value() {
+  Value parse_value(std::size_t depth) {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return Value(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal", pos_);
@@ -72,7 +72,17 @@ class Parser {
     }
   }
 
-  Value parse_object() {
+  // `depth` counts the arrays and objects open at pos_, the one starting
+  // there included.
+  void check_depth(std::size_t depth) const {
+    if (depth > kMaxDepth) {
+      throw DepthError("json: nesting deeper than " + std::to_string(kMaxDepth) +
+                       " at offset " + std::to_string(pos_));
+    }
+  }
+
+  Value parse_object(std::size_t depth) {
+    check_depth(depth);
     expect('{');
     Value v = Value::object();
     skip_ws();
@@ -85,7 +95,7 @@ class Parser {
       const std::string key = parse_string();
       skip_ws();
       expect(':');
-      v[key] = parse_value();
+      v[key] = parse_value(depth);
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -96,7 +106,8 @@ class Parser {
     }
   }
 
-  Value parse_array() {
+  Value parse_array(std::size_t depth) {
+    check_depth(depth);
     expect('[');
     Value v = Value::array();
     skip_ws();
@@ -105,7 +116,7 @@ class Parser {
       return v;
     }
     for (;;) {
-      v.push_back(parse_value());
+      v.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;

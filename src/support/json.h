@@ -7,10 +7,22 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace wsp::json {
+
+/// Deepest array/object nesting Value::parse accepts.  The parser recurses
+/// once per level, so without a bound a file of '[' characters overflows
+/// the stack; the trace and bench schemas nest four levels at most.
+inline constexpr std::size_t kMaxDepth = 512;
+
+/// Thrown by Value::parse for a document nested deeper than kMaxDepth.
+class DepthError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// A JSON document node.  Numbers are stored as double (the trace/bench
 /// schemas never need 64-bit-exact integers above 2^53).
@@ -66,7 +78,8 @@ class Value {
   std::string dump(int indent = -1) const;
 
   /// Parses a complete document; throws std::runtime_error with an offset
-  /// on malformed input or trailing garbage.
+  /// on malformed input or trailing garbage, and DepthError (also a
+  /// runtime_error) past kMaxDepth levels of nesting.
   static Value parse(const std::string& text);
 
  private:

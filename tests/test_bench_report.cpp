@@ -2,7 +2,12 @@
 // flag parsing, the wsp-bench-v1 JSON schema, and file round-tripping.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,15 +27,20 @@ char** fake_argv(std::vector<std::string>& storage) {
   return ptrs.data();
 }
 
+// A bench binary's flag set: two value flags and two bare ones.
+constexpr support::FlagSpec kTestFlags[] = {
+    {"--threads", true}, {"--outdir", true}, {"--with-explore", false}, {"--check", false}};
+
+support::FlagValues parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  return support::parse_flags(static_cast<int>(args.size()), fake_argv(args), kTestFlags);
+}
+
 TEST(BenchFlags, ParseThreadsBothForms) {
-  std::vector<std::string> a1 = {"prog", "--threads", "4"};
-  EXPECT_EQ(bench::parse_threads(3, fake_argv(a1)), 4u);
-  std::vector<std::string> a2 = {"prog", "--threads=8"};
-  EXPECT_EQ(bench::parse_threads(2, fake_argv(a2)), 8u);
-  std::vector<std::string> a3 = {"prog"};
-  EXPECT_EQ(bench::parse_threads(1, fake_argv(a3), 2), 2u);
-  std::vector<std::string> a4 = {"prog", "--threads", "1024"};
-  EXPECT_EQ(bench::parse_threads(3, fake_argv(a4)), 1024u);
+  EXPECT_EQ(bench::parse_threads(parse({"--threads", "4"})), 4u);
+  EXPECT_EQ(bench::parse_threads(parse({"--threads=8"})), 8u);
+  EXPECT_EQ(bench::parse_threads(parse({}), 2), 2u);
+  EXPECT_EQ(bench::parse_threads(parse({"--threads", "1024"})), 1024u);
 }
 
 TEST(BenchFlags, ParseThreadsRejectsBadValues) {
@@ -38,31 +48,78 @@ TEST(BenchFlags, ParseThreadsRejectsBadValues) {
   // exit 2 on these, as wspc does, instead of starting some worker count.
   for (const char* bad : {"0", "-1", "+4", "abc", "4x", "", "1025",
                           "18446744073709551616"}) {
-    std::vector<std::string> spaced = {"prog", "--threads", bad};
-    EXPECT_THROW(bench::parse_threads(3, fake_argv(spaced)), std::invalid_argument)
+    EXPECT_THROW(bench::parse_threads(parse({"--threads", bad})), std::invalid_argument)
         << "'" << bad << "'";
-    std::vector<std::string> joined = {"prog", std::string("--threads=") + bad};
-    EXPECT_THROW(bench::parse_threads(2, fake_argv(joined)), std::invalid_argument)
+    EXPECT_THROW(bench::parse_threads(parse({std::string("--threads=") + bad})),
+                 std::invalid_argument)
         << "'" << bad << "'";
   }
-  std::vector<std::string> missing = {"prog", "--threads"};
-  EXPECT_THROW(bench::parse_threads(2, fake_argv(missing)), std::invalid_argument);
+  EXPECT_THROW(bench::parse_threads(parse({"--threads"})), std::invalid_argument);
 }
 
 TEST(BenchFlags, ParseStringFlagBothForms) {
-  std::vector<std::string> a1 = {"prog", "--outdir", "/tmp/x"};
-  EXPECT_EQ(bench::parse_string_flag(3, fake_argv(a1), "--outdir"), "/tmp/x");
-  std::vector<std::string> a2 = {"prog", "--outdir=/tmp/y"};
-  EXPECT_EQ(bench::parse_string_flag(2, fake_argv(a2), "--outdir"), "/tmp/y");
-  std::vector<std::string> a3 = {"prog"};
-  EXPECT_EQ(bench::parse_string_flag(1, fake_argv(a3), "--outdir", "dflt"),
-            "dflt");
+  EXPECT_EQ(bench::flag_or(parse({"--outdir", "/tmp/x"}), "--outdir"), "/tmp/x");
+  EXPECT_EQ(bench::flag_or(parse({"--outdir=/tmp/y"}), "--outdir"), "/tmp/y");
+  EXPECT_EQ(bench::flag_or(parse({"--outdir", "d", "--outdir=e"}), "--outdir"), "e");
+  EXPECT_EQ(bench::flag_or(parse({}), "--outdir", "dflt"), "dflt");
 }
 
 TEST(BenchFlags, ParseBoolFlag) {
-  std::vector<std::string> a1 = {"prog", "--with-explore"};
-  EXPECT_TRUE(bench::parse_bool_flag(2, fake_argv(a1), "--with-explore"));
-  EXPECT_FALSE(bench::parse_bool_flag(2, fake_argv(a1), "--trace"));
+  const support::FlagValues flags = parse({"--with-explore"});
+  EXPECT_TRUE(flags.contains("--with-explore"));
+  EXPECT_FALSE(flags.contains("--check"));
+  EXPECT_TRUE(parse({"--check", "--help"}).contains("--help"));
+  EXPECT_TRUE(parse({"-h"}).contains("-h"));
+}
+
+TEST(BenchFlags, ParseFlagsRejectsUnknownAndMalformed) {
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{"--chek"}, {"--check", "--bogus"}, {"stray"}, {"-c"},
+        {"--outdir"}, {"--check=yes"}, {"--outdirx=d"}, {"--help=1"}}) {
+    EXPECT_THROW(parse(bad), std::invalid_argument) << bad.back();
+  }
+}
+
+// Runs the bench_report binary with `args` in a fresh, empty directory and
+// returns its exit status and the number of files it left there.
+struct CliRun {
+  int status = -1;
+  std::size_t files = 0;
+};
+
+CliRun run_bench_report(const std::string& args) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("wsp_bench_report_cli_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string cmd = "cd '" + dir.string() + "' && '" WSP_BENCH_REPORT_BIN "' " +
+                          args + " > /dev/null 2>&1";
+  const int raw = std::system(cmd.c_str());
+  CliRun run;
+  if (WIFEXITED(raw)) run.status = WEXITSTATUS(raw);
+  for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir)) ++run.files;
+  fs::remove_all(dir);
+  return run;
+}
+
+// A misspelt --check used to run the whole report, write its artifacts and
+// exit 0 without gating anything.
+TEST(BenchReportCli, UnknownArgumentsExit2AndWriteNothing) {
+  for (const char* args : {"--chek", "--check --bogus", "stray", "--only",
+                           "--only nosuch --check"}) {
+    const CliRun run = run_bench_report(args);
+    EXPECT_EQ(run.status, 2) << args;
+    EXPECT_EQ(run.files, 0u) << args;
+  }
+}
+
+TEST(BenchReportCli, HelpPrintsUsageAndWritesNothing) {
+  for (const char* args : {"--help", "-h", "--check --help"}) {
+    const CliRun run = run_bench_report(args);
+    EXPECT_EQ(run.status, 0) << args;
+    EXPECT_EQ(run.files, 0u) << args;
+  }
 }
 
 bench::BenchResult sample_result() {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "support/json.h"
+#include "support/random.h"
 
 namespace wsp {
 namespace {
@@ -97,6 +98,69 @@ TEST(Json, ParseErrors) {
 TEST(Json, ParseWhitespaceTolerant) {
   const json::Value doc = json::Value::parse(" { \"a\" : [ 1 , 2 ] } \n");
   EXPECT_EQ(doc.at("a").size(), 2u);
+}
+
+// `depth` nested containers around a 0, each level an array or an object
+// ({"k": ...}) as `rng` picks, with random blanks between tokens.
+std::string nested(std::size_t depth, Rng& rng) {
+  std::string open, close;
+  for (std::size_t i = 0; i < depth; ++i) {
+    const bool object = rng.next_u64() & 1;
+    open += object ? "{\"k\":" : "[";
+    close += object ? "}" : "]";
+    if (rng.next_u64() % 4 == 0) open += ' ';
+  }
+  return open + "0" + std::string(close.rbegin(), close.rend());
+}
+
+std::size_t depth_of(const json::Value& v) {
+  std::size_t d = 0;
+  for (const json::Value* p = &v; p->is_array() || p->is_object(); ++d) {
+    p = p->is_array() ? &p->items().front() : &p->at("k");
+  }
+  return d;
+}
+
+TEST(Json, NestingUpToTheLimitParses) {
+  const std::string arrays =
+      std::string(json::kMaxDepth, '[') + "1" + std::string(json::kMaxDepth, ']');
+  EXPECT_EQ(depth_of(json::Value::parse(arrays)), json::kMaxDepth);
+  Rng rng(71);
+  EXPECT_EQ(depth_of(json::Value::parse(nested(json::kMaxDepth, rng))),
+            json::kMaxDepth);
+}
+
+TEST(Json, DeepNestingIsATypedError) {
+  // What used to overflow the stack (trace2txt exited 139 on this file).
+  EXPECT_THROW(json::Value::parse(std::string(300000, '[')), json::DepthError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(json::Value::parse(objects), json::DepthError);
+  Rng rng(72);
+  EXPECT_THROW(json::Value::parse(nested(json::kMaxDepth + 1, rng)), json::DepthError);
+  // Still a runtime_error for callers that catch the general parse failure.
+  EXPECT_THROW(json::Value::parse(std::string(json::kMaxDepth + 1, '[')),
+               std::runtime_error);
+}
+
+// Random depths on both sides of the limit, random array/object mixes, and
+// random truncations: every document parses or throws a runtime_error, and
+// an untruncated one fails exactly when it nests past kMaxDepth.
+TEST(Json, FuzzRandomNestingDepthsAndTruncations) {
+  Rng rng(73);
+  for (int iter = 0; iter < 300; ++iter) {
+    const std::size_t depth = 1 + rng.next_u64() % (2 * json::kMaxDepth);
+    std::string doc = nested(depth, rng);
+    const bool truncate = rng.next_u64() % 3 == 0;
+    if (truncate) doc.resize(rng.next_u64() % doc.size());
+    if (!truncate && depth <= json::kMaxDepth) {
+      EXPECT_EQ(depth_of(json::Value::parse(doc)), depth) << iter;
+    } else if (!truncate) {
+      EXPECT_THROW(json::Value::parse(doc), json::DepthError) << iter;
+    } else {
+      EXPECT_THROW(json::Value::parse(doc), std::runtime_error) << iter;
+    }
+  }
 }
 
 }  // namespace

@@ -19,11 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "aes_ref.h"
 #include "crypto/aes.h"
 #include "crypto/des.h"
 #include "crypto/hmac.h"
 #include "crypto/md5.h"
 #include "crypto/sha1.h"
+#include "des_ref.h"
 #include "kernels/aes_kernel.h"
 #include "kernels/des_kernel.h"
 #include "kernels/sha1_kernel.h"
@@ -70,9 +72,9 @@ TEST(KatAes, Fips197HostRefAndTtable) {
     const auto ks = aes::key_schedule(key);
     std::uint8_t ct[16], back[16];
 
-    aes::encrypt_block_ref(pt.data(), ct, ks);
+    aes_ref::encrypt_block(pt.data(), ct, ks);
     EXPECT_EQ(to_hex(ct, 16), v.ciphertext) << "ref keylen=" << key.size();
-    aes::decrypt_block_ref(ct, back, ks);
+    aes_ref::decrypt_block(ct, back, ks);
     EXPECT_EQ(to_hex(back, 16), v.plaintext) << "ref keylen=" << key.size();
 
     aes::encrypt_block(pt.data(), ct, ks);
@@ -112,8 +114,8 @@ const DesVector kDesVectors[] = {
 TEST(KatDes, Fips81HostRefAndSpTables) {
   for (const DesVector& v : kDesVectors) {
     const auto ks = des::key_schedule(v.key);
-    EXPECT_EQ(des::encrypt_block_ref(v.plaintext, ks), v.ciphertext);
-    EXPECT_EQ(des::decrypt_block_ref(v.ciphertext, ks), v.plaintext);
+    EXPECT_EQ(des_ref::encrypt_block(v.plaintext, ks), v.ciphertext);
+    EXPECT_EQ(des_ref::decrypt_block(v.ciphertext, ks), v.plaintext);
     EXPECT_EQ(des::encrypt_block(v.plaintext, ks), v.ciphertext);
     EXPECT_EQ(des::decrypt_block(v.ciphertext, ks), v.plaintext);
   }

@@ -1,7 +1,10 @@
 // Montgomery contexts: all three scanning variants, both radices, checked
-// against the Mpz reference.
+// against the Mpz reference and against the limb loops in tests/mont_ref.h.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "mont_ref.h"
 #include "mp/montgomery.h"
 #include "mp/mpz.h"
 #include "support/random.h"
@@ -115,6 +118,113 @@ TEST(MontHook, ReportsAddmulEvents) {
   ctx.mul(r, a, b, MontVariant::kCIOS);
   // CIOS does 2 addmul_1 sweeps per limb of b.
   EXPECT_EQ(counter.addmuls, 8u);
+}
+
+// Folds every event (prim, n, m, limb_bits), one by one, into an FNV-1a
+// digest.
+class EventDigest : public CostHook {
+ public:
+  void on_prim(Prim p, std::size_t n, std::size_t m, unsigned limb_bits) override {
+    for (const std::uint64_t v : {static_cast<std::uint64_t>(p), std::uint64_t{n},
+                                  std::uint64_t{m}, std::uint64_t{limb_bits}}) {
+      for (int i = 0; i < 8; ++i) {
+        digest ^= (v >> (8 * i)) & 0xff;
+        digest *= 0x100000001b3ull;
+      }
+    }
+    ++events;
+  }
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::size_t events = 0;
+};
+
+template <typename L>
+std::vector<L> random_limbs(std::size_t nn, Rng& rng) {
+  std::vector<L> v(nn);
+  for (L& x : v) x = static_cast<L>(rng.next_u64());
+  return v;
+}
+
+// Odd nn-limb moduli: 2^k - 1 (every limb all ones), 2^(k-1) + 1, and two
+// random ones (one with a full top limb, one with a top limb of 1).
+template <typename L>
+std::vector<std::vector<L>> reference_moduli(std::size_t nn, Rng& rng) {
+  constexpr int kBits = mpn::LimbTraits<L>::bits;
+  std::vector<std::vector<L>> out;
+  out.emplace_back(nn, static_cast<L>(~L{0}));
+  std::vector<L> pow_plus(nn, 0);
+  pow_plus[nn - 1] = static_cast<L>(L{1} << (kBits - 1));
+  pow_plus[0] = static_cast<L>(pow_plus[0] | 1);
+  out.push_back(pow_plus);
+  for (const L top : {static_cast<L>(0), static_cast<L>(1)}) {
+    std::vector<L> r = random_limbs<L>(nn, rng);
+    r[0] = static_cast<L>(r[0] | 1);
+    if (top != 0) r[nn - 1] = top;
+    if (r[nn - 1] == 0) r[nn - 1] = 1;
+    out.push_back(r);
+  }
+  return out;
+}
+
+// Operands below n: 0, 1, n - 1 and two random values.
+template <typename L>
+std::vector<std::vector<L>> reference_operands(const std::vector<L>& n, Rng& rng) {
+  const std::size_t nn = n.size();
+  std::vector<std::vector<L>> out;
+  out.emplace_back(nn, 0);
+  std::vector<L> one(nn, 0);
+  one[0] = 1;
+  out.push_back(one);
+  std::vector<L> n_minus_1 = n;
+  n_minus_1[0] = static_cast<L>(n_minus_1[0] - 1);  // n is odd: no borrow
+  out.push_back(n_minus_1);
+  for (int i = 0; i < 2; ++i) {
+    std::vector<L> r = random_limbs<L>(nn, rng);
+    r[nn - 1] = static_cast<L>(n[nn - 1] > 1 ? r[nn - 1] % n[nn - 1] : 0);
+    out.push_back(r);
+  }
+  return out;
+}
+
+template <typename T>
+class MontReference : public ::testing::Test {};
+TYPED_TEST_SUITE(MontReference, LimbTypes);
+
+// The word-wide SOS and CIOS products (even limb counts at radix 32,
+// nn % 4 == 0 at radix 16) against the limb loops, and the limb-loop
+// fallbacks (FIOS, every other count): the same R^2, the same result limbs and the same per-call
+// event stream, for nn = 1..40.
+TYPED_TEST(MontReference, WordPathMatchesLimbLoop) {
+  using L = TypeParam;
+  Rng rng(2101);
+  for (std::size_t nn = 1; nn <= 40; ++nn) {
+    for (const std::vector<L>& n : reference_moduli<L>(nn, rng)) {
+      EventDigest fast_setup, ref_setup;
+      Mont<L> fast(n, &fast_setup);
+      mont_ref::Mont<L> ref(n, &ref_setup);
+      ASSERT_EQ(fast.r2(), ref.r2()) << "nn " << nn;
+      ASSERT_EQ(Mont<L>(n).r2(), ref.r2()) << "hook-free R^2, nn " << nn;
+      ASSERT_EQ(fast_setup.digest, ref_setup.digest) << "nn " << nn;
+      ASSERT_EQ(fast_setup.events, ref_setup.events) << "nn " << nn;
+      const auto operands = reference_operands<L>(n, rng);
+      for (MontVariant v : {MontVariant::kSOS, MontVariant::kCIOS, MontVariant::kFIOS}) {
+        for (const auto& a : operands) {
+          for (const auto& b : operands) {
+            EventDigest fast_hook, ref_hook;
+            fast.set_hook(&fast_hook);
+            ref.set_hook(&ref_hook);
+            std::vector<L> got(nn), want(nn);
+            fast.mul(got, a, b, v);
+            ref.mul(want, a, b, v);
+            ASSERT_EQ(got, want) << "nn " << nn << " variant " << static_cast<int>(v);
+            ASSERT_EQ(fast_hook.digest, ref_hook.digest)
+                << "nn " << nn << " variant " << static_cast<int>(v);
+            ASSERT_EQ(fast_hook.events, ref_hook.events);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "crypto/rsa.h"
 #include "support/random.h"
 
@@ -121,6 +124,39 @@ TEST(Rsa, WorksUnderEveryMulAlgo) {
     ModexpEngine engine(cfg);
     EXPECT_EQ(rsa::public_op(m, key.public_key(), engine), expected)
         << to_string(alg);
+  }
+}
+
+// FNV-1a over the hex of p, q and d (each followed by a separator byte).
+std::uint64_t key_digest(const rsa::PrivateKey& key) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Mpz* v : {&key.p, &key.q, &key.d}) {
+    for (const char c : v->to_hex() + "|") {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// Pinned from the key generator that tested primality with Mpz::powm and
+// trial-divided with full Mpz divisions: a faster primality path must draw
+// the same witnesses and reach the same verdicts, so the keys stay the same.
+TEST(Rsa, GenerateKeyMatchesPinnedDigest) {
+  struct Pin {
+    std::size_t bits;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{512, 1, 0x4939aab4b02c4702ull},
+                         Pin{512, 42, 0x687e61f394865ef7ull},
+                         Pin{1024, 1, 0x1a9bb63b1555df1dull},
+                         Pin{1024, 42, 0x1fb2c1b16d71087bull}}) {
+    Rng rng(pin.seed);
+    const rsa::PrivateKey key = rsa::generate_key(pin.bits, rng);
+    EXPECT_EQ(key_digest(key), pin.digest)
+        << pin.bits << " bits, seed " << pin.seed << ": 0x" << std::hex
+        << key_digest(key);
   }
 }
 

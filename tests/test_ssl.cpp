@@ -7,6 +7,8 @@
 #include "crypto/hmac.h"
 #include "crypto/md5.h"
 #include "crypto/sha1.h"
+#include "aes_ref.h"
+#include "des_ref.h"
 #include "rc4_ref.h"
 #include "ssl/ssl.h"
 #include "ssl/workload.h"
@@ -163,12 +165,12 @@ void expect_records_match_reference(Cipher cipher, std::uint64_t seed) {
       std::uint8_t x[16];
       for (std::size_t b = 0; b < profile.iv_len; ++b) x[b] = plain[i + b] ^ chain[b];
       if (cipher == Cipher::kTripleDesCbc) {
-        std::uint64_t c = des::encrypt_block_ref(load(x), des3.k1);
-        c = des::decrypt_block_ref(c, des3.k2);
-        c = des::encrypt_block_ref(c, des3.k3);
+        std::uint64_t c = des_ref::encrypt_block(load(x), des3.k1);
+        c = des_ref::decrypt_block(c, des3.k2);
+        c = des_ref::encrypt_block(c, des3.k3);
         des::store_be64(c, want.data() + i);
       } else {
-        aes::encrypt_block_ref(x, want.data() + i, aes_ks);
+        aes_ref::encrypt_block(x, want.data() + i, aes_ks);
       }
       chain.assign(want.begin() + static_cast<std::ptrdiff_t>(i),
                    want.begin() + static_cast<std::ptrdiff_t>(i + profile.iv_len));
