@@ -1,6 +1,7 @@
 // Shared helpers for the paper-reproduction benchmark binaries.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -21,11 +22,24 @@
 
 namespace wsp::bench {
 
+/// The banner a benchmark's output starts with.
+inline std::string header_text(const std::string& title,
+                               const std::string& paper_ref) {
+  const std::string rule(58, '=');
+  return rule + "\n" + title + "\n(reproduces " + paper_ref + ")\n" + rule + "\n";
+}
+
 inline void header(const std::string& title, const std::string& paper_ref) {
-  std::printf("==========================================================\n");
-  std::printf("%s\n", title.c_str());
-  std::printf("(reproduces %s)\n", paper_ref.c_str());
-  std::printf("==========================================================\n");
+  std::fputs(header_text(title, paper_ref).c_str(), stdout);
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// Host nanoseconds since `t0`: a measurement's wall_ns.
+inline std::uint64_t ns_since(Clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
+          .count());
 }
 
 /// For a benchmark's main(), before it prints or writes anything: parses

@@ -2,7 +2,9 @@
 # Regenerates everything: build, full test suite, all paper benches, then
 # gates the fresh numbers against the committed perf baselines
 # (docs/benchmarks.md).  Outputs land in test_output.txt and
-# bench_output.txt.
+# bench_output.txt.  The paper's tables and figures are bench_report's
+# output (one section per figure, bench/figures.cpp); the glob runs it with
+# the remaining ablation and micro benchmarks.
 set -e
 cmake -B build -G Ninja
 cmake --build build

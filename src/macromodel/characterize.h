@@ -5,8 +5,8 @@
 //
 // Characterization is a one-time cost per hardware configuration; the
 // resulting MacroModelSet then supports native-speed performance estimation
-// (orders of magnitude faster than ISS runs — quantified in
-// bench_sec43_explore).
+// (orders of magnitude faster than ISS runs — quantified by
+// `bench_report --only sec43_explore`).
 #pragma once
 
 #include <vector>

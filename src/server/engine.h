@@ -69,7 +69,7 @@ class CheckpointSink {
 enum class Pricing { kBase, kOptimized };
 
 /// Fig. 8 component costs measured on the ISS (seed 21, RSA-1024, 3DES
-/// record cipher) — the bench_fig8/bench_report measurement, baked in so
+/// record cipher) — bench::fig8 (bench/figures.cpp), baked in so
 /// the server's virtual timeline never depends on re-running the ISS.
 ssl::PlatformCosts calibrated_costs(Pricing pricing);
 

@@ -8,9 +8,9 @@
 namespace wsp::server {
 
 ssl::PlatformCosts calibrated_costs(Pricing pricing) {
-  // Component costs from the Fig. 8 ISS measurement (bench_fig8_ssl /
-  // bench_report --only fig8, seed 21: RSA-1024 ops, 3DES record cipher on
-  // the base and TIE-optimized cores).  Baked in as constants so pricing a
+  // Component costs from the Fig. 8 ISS measurement (bench::fig8 in
+  // bench/figures.cpp, seed 21: RSA-1024 ops, 3DES record cipher on the
+  // base and TIE-optimized cores; test_figures keeps the two equal).  Baked in as constants so pricing a
   // session is arithmetic, not an ISS run; the unaccelerated misc/hash
   // shares come from ssl::misc_cost_defaults() either way.
   ssl::PlatformCosts c = ssl::misc_cost_defaults();

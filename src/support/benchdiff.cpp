@@ -58,13 +58,17 @@ const std::vector<ToleranceRule>& default_tolerance_table() {
       // change whenever the workload mix does, so they are informational.
       {"*digest*", Direction::kInfo, 0.0},
       // Sec. 4.3 explore sweep (BENCH_sec43_explore.json, gated by
-      // sanitize.sh via --check --with-explore): the candidate count is a
-      // property of the enumerated space, the winning estimate a modeled
-      // cycle count; the worst point is tracked but not gated — nothing
-      // optimizes for it.
+      // sanitize.sh via --check --only sec43_explore): the candidate count
+      // is a property of the enumerated space, the winning estimate a
+      // modeled cycle count; the worst point is tracked but not gated —
+      // nothing optimizes for it.  validate_mae_pct is the macro models'
+      // mean absolute error against the ISS (both deterministic).  Its
+      // iss_over_estimate is a host wall-time ratio and stays unmatched
+      // (info); parallel/equiv_mismatch falls under */equiv_mismatch.
       {"configs", Direction::kExact, 0.0},
       {"best_avg_cycles", Direction::kLowerBetter, 5.0},
       {"worst_avg_cycles", Direction::kInfo, 0.0},
+      {"validate_mae_pct", Direction::kLowerBetter, 5.0},
       // Paper speedup figures and optimized-kernel cycle counts.
       {"speedup_*", Direction::kHigherBetter, 5.0},
       {"*_opt", Direction::kLowerBetter, 5.0},

@@ -107,7 +107,7 @@ CliRun run_bench_report(const std::string& args) {
 // exit 0 without gating anything.
 TEST(BenchReportCli, UnknownArgumentsExit2AndWriteNothing) {
   for (const char* args : {"--chek", "--check --bogus", "stray", "--only",
-                           "--only nosuch --check"}) {
+                           "--only nosuch --check", "--with-explore"}) {
     const CliRun run = run_bench_report(args);
     EXPECT_EQ(run.status, 2) << args;
     EXPECT_EQ(run.files, 0u) << args;

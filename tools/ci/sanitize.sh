@@ -121,9 +121,8 @@ echo "sanitize.sh: bench_report --check (server) passed against baselines"
 # winning configuration's modeled cycles against the committed baseline
 # (BENCH_sec43_explore.json) — a selection-logic regression changes
 # `configs` or `best_avg_cycles` and fails here.
-"$BUILD_DIR"/bench/bench_report --check --with-explore --only sec43_explore \
-    > /dev/null
-echo "sanitize.sh: bench_report --check --with-explore passed against baselines"
+"$BUILD_DIR"/bench/bench_report --check --only sec43_explore > /dev/null
+echo "sanitize.sh: bench_report --check --only sec43_explore passed against baselines"
 
 echo "sanitize.sh: tier1 + observability + server/chaos tests clean under ASan/UBSan"
 
