@@ -84,19 +84,18 @@ Mpz from_limbs(const std::vector<L>& v) {
   return Mpz::from_bytes_be(be);
 }
 
-std::string cache_key(const Mpz& a) { return a.to_hex(); }
-std::string cache_key(const Mpz& a, const Mpz& b) {
-  return a.to_hex() + "|" + b.to_hex();
-}
-
 }  // namespace
 
 struct ModexpEngine::Caches {
+  // Keyed by magnitude limbs: powm's result depends only on |modulus| and
+  // on the reduced base, and an engine's config never changes, so the
+  // config is not part of the power-table key.
+  using Key = std::vector<Mpz::Limb>;
   template <typename L>
   struct Typed {
-    std::map<std::string, std::unique_ptr<Mont<L>>> mont;
-    std::map<std::string, std::unique_ptr<Barrett<L>>> barrett;
-    std::map<std::string, std::vector<std::vector<L>>> powers;
+    std::map<Key, std::unique_ptr<Mont<L>>> mont;
+    std::map<Key, std::unique_ptr<Barrett<L>>> barrett;
+    std::map<std::pair<Key, Key>, std::vector<std::vector<L>>> powers;
   };
   Typed<std::uint16_t> t16;
   Typed<std::uint32_t> t32;
@@ -146,7 +145,7 @@ Mpz ModexpEngine::powm_impl(const Mpz& base, const Mpz& exp, const Mpz& modulus)
   }
 
   auto& typed = caches_->get<L>();
-  const std::string mkey = cache_key(modulus);
+  const Caches::Key& mkey = modulus.limbs();
 
   // --- obtain the reduction context (the "cached constants" axis) ---------
   Mont<L>* mont = nullptr;
@@ -229,7 +228,7 @@ Mpz ModexpEngine::powm_impl(const Mpz& base, const Mpz& exp, const Mpz& modulus)
   bool build = true;
   if (cache_pow) {
     auto [it, inserted] =
-        typed.powers.try_emplace(cache_key(base_red, modulus) + "/" + cfg_.name());
+        typed.powers.try_emplace({base_red.limbs(), modulus.limbs()});
     table = &it->second;
     build = inserted;
   } else {
@@ -279,15 +278,14 @@ Mpz ModexpEngine::powm_crt(const Mpz& base, const Mpz& d, const CrtKey& key) {
   // The CRT paths read only key.dp/key.dq, so check d here for every mode.
   if (d.is_negative()) throw std::domain_error("ModexpEngine::powm_crt: negative exponent");
   const unsigned bits = cfg_.radix == Radix::k16 ? 16u : 32u;
-  const Mpz n = key.p * key.q;
   switch (cfg_.crt) {
     case CrtMode::kNone:
-      return powm(base, d, n);
+      return powm(base, d, key.p * key.q);
     case CrtMode::kTextbook: {
       const Mpz mp = powm(base, key.dp, key.p);
       const Mpz mq = powm(base, key.dq, key.q);
       // m = (mp*cp + mq*cq) mod n.
-      const std::size_t kl = (n.bit_length() + bits - 1) / bits;
+      const std::size_t kl = ((key.p * key.q).bit_length() + bits - 1) / bits;
       note_mul_basecase(hook_, kl, kl / 2, bits);
       note_mul_basecase(hook_, kl, kl / 2, bits);
       note_prim(hook_, Prim::kAddN, 2 * kl, 0, bits);

@@ -1,12 +1,14 @@
-// EngineCheckpoint — the full deterministic run state captured at a quiesce
-// barrier, and its wsp-replay-v1 chunk codec (docs/recovery.md).
+// EngineCheckpoint — the full deterministic run state captured at a
+// checkpoint barrier, and its wsp-replay-v1 chunk codec (docs/recovery.md).
 //
-// A checkpoint is taken by Engine::run between two arrivals, after the
-// RecordScheduler has quiesced: every pushed work item has executed and
-// every admitted session has finalized, so the session table is empty and
-// the captured state is exact and thread-invariant:
+// A checkpoint is a cut of the admission order, taken by Engine::run
+// between two arrivals: the run keeps admitting, and the checkpoint is
+// completed and handed to the sink once every session admitted before the
+// cut has finalized.  A session's outcome depends only on its own seed, so
+// that prefix is exact and thread-invariant whatever runs after it:
 //
-//   * every admitted session's outcome (a SessionEvent) in arrival order;
+//   * the outcome (a SessionEvent) of every session admitted before the
+//     cut, in arrival order;
 //   * the virtual queueing model (per-shard busy_until + pending
 //     completions, counters, latencies, degrade state);
 //   * the traffic generator's full state, snapshotted BEFORE the draw of
@@ -88,7 +90,7 @@ struct CheckpointEntry {
   bool operator==(const CheckpointEntry&) const = default;
 };
 
-/// Full deterministic engine state at one quiesce barrier.
+/// Full deterministic engine state at one checkpoint barrier.
 struct EngineCheckpoint {
   std::uint64_t seq = 0;       ///< barrier index within the run (0-based)
   double virtual_now = 0.0;    ///< the barrier's virtual time (a multiple of

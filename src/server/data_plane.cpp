@@ -79,6 +79,8 @@ DataPlane::DataPlane(const EngineConfig& config,
     : record_events_(config.record_events),
       pool_(config.threads),
       table_(config.shards),
+      pushed_(config.shards, 0),
+      finalized_(config.shards),
       sched_(pool_, config.shards, config.queue_capacity,
              config.record_batch) {
   // One server key per run (the server's identity).  Resumed sessions
@@ -115,6 +117,7 @@ void DataPlane::admit(const Admission& a) {
                         budget = a.handshake_budget, batch = a.batch] {
     run_session(*ev, session, handle, resume, budget, batch);
   });
+  ++pushed_.at(a.shard);
 }
 
 void DataPlane::run_session(SessionEvent& event, Session* session,
@@ -140,30 +143,44 @@ void DataPlane::run_session(SessionEvent& event, Session* session,
   event.repairs = session->repairs();
   event.faults = session->faults_seen();
   table_.erase(handle);
+  // The event is final: publish it to the run() thread's cut (ready()).  An
+  // RMW, so whichever worker runs the shard next extends the release
+  // sequence.
+  finalized_[event.shard].fetch_add(1, std::memory_order_release);
 }
 
 void DataPlane::restore(const SessionEvent& event) { events_.push_back(event); }
 
-void DataPlane::quiesce() {
-  sched_.quiesce();
-  if (table_.size() != 0) {
-    throw std::logic_error(
-        "server: quiesce barrier found live sessions — the data plane did "
-        "not quiesce");
+DataPlane::Cut DataPlane::cut() const { return Cut{events_.size(), pushed_}; }
+
+bool DataPlane::ready(const Cut& cut) const {
+  for (std::size_t s = 0; s < cut.pushed.size(); ++s) {
+    if (finalized_.at(s).load(std::memory_order_acquire) < cut.pushed[s]) {
+      return false;
+    }
   }
+  return true;
 }
 
-void DataPlane::capture(EngineCheckpoint& cp) const {
-  cp.entries.reserve(events_.size());
-  for (const SessionEvent& event : events_) {
+void DataPlane::capture(const Cut& cut, EngineCheckpoint& cp) const {
+  if (!ready(cut)) {
+    throw std::logic_error(
+        "server: checkpoint cut captured before every session in it "
+        "finalized");
+  }
+  cp.entries.reserve(cut.events);
+  for (std::size_t i = 0; i < cut.events; ++i) {
+    const SessionEvent& event = events_[i];
     CheckpointShard& csh = cp.shards.at(event.shard);
     csh.events_digest = chain_event(csh.events_digest, event);
     cp.entries.push_back(CheckpointEntry{event, false, {}});
   }
 }
 
+void DataPlane::drain() { sched_.drain(); }
+
 void DataPlane::fold(RunReport& rep) {
-  sched_.drain();
+  drain();
   Digest digest;
   if (record_events_) rep.events.reserve(events_.size());
   for (const SessionEvent& event : events_) {

@@ -2,14 +2,20 @@
 // pool, sharded SessionTable and RecordScheduler, turning each Admission
 // into one real session and one SessionEvent.  Events live in arrival
 // order in a deque (stable addresses); workers fill them, and the run()
-// thread reads them only after the scheduler drained, so every fold over
-// them is thread-invariant.  The destructor drains the scheduler before
-// any member is destroyed: whatever throws after the first admit, no
-// worker outlives the table, the events or the server key.
+// thread reads an event only once its session is finalized: a checkpoint
+// cut (docs/recovery.md §1) reads a prefix whose every session finalized,
+// proven by the per-shard finalized counts, and fold() reads them after
+// the scheduler drained — so every fold over them is thread-invariant.
+// The destructor drains the scheduler before any member is destroyed:
+// whatever throws after the first admit, no worker outlives the table,
+// the events or the server key.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "crypto/rsa.h"
 #include "server/engine.h"
@@ -40,14 +46,29 @@ class DataPlane {
   /// Appends a checkpoint's finalized outcome in arrival order.
   void restore(const SessionEvent& event);
 
-  /// The checkpoint quiesce barrier: RecordScheduler::quiesce's proof that
-  /// every pushed item ran, then the check that every session finalized
-  /// and left the table.  Throws std::logic_error on either violation.
-  void quiesce();
+  /// An admission-order prefix of the ledger at one checkpoint barrier:
+  /// the ledger length and each shard's push count at that instant.
+  struct Cut {
+    std::size_t events = 0;
+    std::vector<std::uint64_t> pushed;
+  };
 
-  /// After quiesce(): appends every event to cp.entries and chains the
-  /// per-shard events digests (cp.shards sized by VirtualModel::capture).
-  void capture(EngineCheckpoint& cp) const;
+  /// The cut at this instant (run() thread; O(shards), copies no event).
+  Cut cut() const;
+
+  /// True once every session pushed before `cut` has finalized: each
+  /// shard's finalized count reached its push count at the cut.  A shard
+  /// runs its sessions FIFO (scheduler.h), so the count is a prefix.
+  bool ready(const Cut& cut) const;
+
+  /// Appends events [0, cut.events) to cp.entries and chains the per-shard
+  /// events digests (cp.shards sized by VirtualModel::capture).  Throws
+  /// std::logic_error when the cut is not ready(), so an unfinished session
+  /// can never reach a checkpoint.
+  void capture(const Cut& cut, EngineCheckpoint& cp) const;
+
+  /// Blocks until every pushed session has run.  run() thread only.
+  void drain();
 
   /// Drains, then folds the events into `rep` (rep.shards sized): outcome
   /// counters, per-shard events digests, bytes_digest, the event stream
@@ -66,6 +87,10 @@ class DataPlane {
   ThreadPool pool_;
   SessionTable table_;
   std::deque<SessionEvent> events_;
+  /// Per shard: sessions pushed (run() thread only) and sessions finalized
+  /// (bumped with release ordering as each run_session's last step).
+  std::vector<std::uint64_t> pushed_;
+  std::vector<std::atomic<std::uint64_t>> finalized_;
   RecordScheduler sched_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <optional>
 #include <string>
 #include <thread>
@@ -16,22 +17,43 @@ namespace wsp::server {
 
 namespace {
 
-/// One quiesce barrier (docs/recovery.md): drain the data plane, capture
-/// the model and the finalized events, and hand the checkpoint to the
-/// sink.  `pre_draw` is the generator state from BEFORE the draw of the
-/// arrival that crossed the barrier, so resume re-draws that arrival.
-void take_checkpoint(CheckpointSink& sink, std::uint64_t seq, double at,
-                     const VirtualModel& model, DataPlane& plane,
-                     const TrafficGeneratorState& pre_draw) {
-  WSP_TRACE_SPAN("server", "checkpoint");
-  plane.quiesce();
+/// One checkpoint barrier's cut (docs/recovery.md §1), taken when the
+/// barrier fires: the model's O(shards + waiting room) state, the pre-draw
+/// generator state (from BEFORE the draw of the arrival that crossed the
+/// barrier, so resume re-draws that arrival), and the prefix lengths of
+/// the two append-only ledgers.  The O(admitted) entries and latencies are
+/// copied only when the cut is emitted.
+struct PendingCut {
   EngineCheckpoint cp;
-  cp.seq = seq;
-  cp.virtual_now = at;
-  model.capture(cp);
-  plane.capture(cp);
-  cp.generator = pre_draw;
-  sink.on_checkpoint(cp);
+  std::size_t latencies = 0;
+  DataPlane::Cut plane;
+};
+
+PendingCut cut(std::uint64_t seq, double at, const VirtualModel& model,
+               const DataPlane& plane, const TrafficGeneratorState& pre_draw) {
+  PendingCut c;
+  c.cp.seq = seq;
+  c.cp.virtual_now = at;
+  model.capture(c.cp);
+  c.cp.generator = pre_draw;
+  c.latencies = model.latency_count();
+  c.plane = plane.cut();
+  return c;
+}
+
+/// Hands pending cuts to the sink in seq order: each ready one at the
+/// front, or with `all` (after a drain) every one — DataPlane::capture
+/// throws std::logic_error on a cut the drain left unfinished.
+void emit(std::deque<PendingCut>& pending, bool all, CheckpointSink& sink,
+          const VirtualModel& model, const DataPlane& plane) {
+  while (!pending.empty() && (all || plane.ready(pending.front().plane))) {
+    WSP_TRACE_SPAN("server", "checkpoint");
+    PendingCut& c = pending.front();
+    model.capture_latencies(c.cp, c.latencies);
+    plane.capture(c.plane, c.cp);
+    sink.on_checkpoint(c.cp);
+    pending.pop_front();
+  }
 }
 
 }  // namespace
@@ -97,12 +119,22 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
   DataPlane plane(config_, scenario);
 
   // Checkpoint barriers fire at every multiple of checkpoint_every on the
-  // virtual clock, counting on from the restored barrier.
+  // virtual clock, counting on from the restored barrier.  A barrier cuts
+  // the admission order and the run keeps admitting: each pending cut goes
+  // to the sink, in seq order, once every session admitted before it has
+  // finalized, and at the latest after the drain that ends the run or
+  // precedes a CrashFault (flush).
   CheckpointSink* const sink = config_.checkpoint_sink;
   const double cp_every = config_.checkpoint_every;
   const bool checkpointing = sink != nullptr && cp_every > 0.0;
   std::uint64_t checkpoint_seq = 0;
   double next_cp = cp_every;
+  std::deque<PendingCut> pending;
+  const auto flush = [&] {
+    if (pending.empty()) return;
+    plane.drain();
+    emit(pending, /*all=*/true, *sink, model, plane);
+  };
 
   // Restore: re-arm the model, refill the event ledger in arrival order —
   // finalized outcomes verbatim, parked sessions (which only traces of
@@ -128,19 +160,21 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     if (checkpointing) pre_draw = gen.state();
     const std::optional<SessionArrival> arrival = gen.next();
     if (!arrival) break;
-    // Barriers due at/before this arrival fire first (over the pre-draw
+    // Barriers due at/before this arrival are cut first (over the pre-draw
     // generator state), then an armed crash kills the run before the
     // arrival is offered.  The order matters: a barrier scheduled before
     // the crash deadline must reach the trace even when both land between
-    // the same two arrivals.
+    // the same two arrivals, so the crash flushes every pending cut.
     const double now = arrival->at_cycles;
     const bool crash_now = crash_at > 0.0 && now >= crash_at;
     const double barrier_limit = crash_now ? crash_at : now;
     for (; checkpointing && next_cp <= barrier_limit; next_cp += cp_every) {
-      take_checkpoint(*sink, checkpoint_seq++, next_cp, model, plane,
-                      pre_draw);
+      pending.push_back(cut(checkpoint_seq++, next_cp, model, plane, pre_draw));
     }
-    if (crash_now) throw CrashFault(now, crash_at);
+    if (crash_now) {
+      flush();
+      throw CrashFault(now, crash_at);
+    }
 
     const std::optional<Admission> admission = model.offer(*arrival);
     // Closed-loop feedback runs on virtual completions (drops: the
@@ -148,7 +182,9 @@ RunReport Engine::run_internal(const TrafficScenario& scenario,
     gen.on_outcome(*arrival, admission ? admission->completion : now,
                    /*dropped=*/!admission);
     if (admission) plane.admit(*admission);
+    if (!pending.empty()) emit(pending, /*all=*/false, *sink, model, plane);
   }
+  flush();  // before model.finish sorts the latency ledger
 
   RunReport rep;
   rep.threads = config_.threads;

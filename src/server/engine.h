@@ -21,10 +21,11 @@
 //     come from this execution; they are deterministic because every
 //     session's randomness is derived from its own seed.
 //
-// run() loops over arrivals: fire due quiesce barriers, check the crash
-// deadline, model.offer, plane.admit; restored parked entries take the
-// same admit path.  The data plane drains in its destructor, so every
-// exception unwinds with no worker in flight.
+// run() loops over arrivals: cut due checkpoint barriers, check the crash
+// deadline, model.offer, plane.admit, emit the cuts whose sessions all
+// finalized; restored parked entries take the same admit path.  The data
+// plane drains in its destructor, so every exception unwinds with no
+// worker in flight.
 //
 // Fault injection and recovery (docs/faults.md): when EngineConfig.faults
 // carries nonzero rates, a FaultPlan derives each session's schedule purely
@@ -54,11 +55,13 @@ namespace wsp::server {
 
 struct EngineCheckpoint;  // full definition in server/checkpoint.h
 
-/// Receives each quiesce-barrier checkpoint as it is taken (EngineConfig::
-/// checkpoint_sink).  Called on the engine's run() thread while the data
-/// plane is fully drained; the checkpoint reference is valid only for the
-/// duration of the call.  Implementations must not call back into the
-/// engine.
+/// Receives each barrier checkpoint (EngineConfig::checkpoint_sink).
+/// Called on the engine's run() thread, in seq order, once every session
+/// admitted before the barrier's cut has finalized — workers may still be
+/// running later sessions (docs/recovery.md §1).  Every checkpoint due
+/// before a CrashFault is delivered before the throw.  The checkpoint
+/// reference is valid only for the duration of the call.  Implementations
+/// must not call back into the engine.
 class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
@@ -99,13 +102,14 @@ struct EngineConfig {
   /// turns it on; large-scale benches leave it off to avoid the per-session
   /// allocation.  Per-shard event digests are computed either way.
   bool record_events = false;
-  /// Virtual-cycle interval between quiesce-barrier checkpoints (0 = off,
+  /// Virtual-cycle interval between checkpoint barriers (0 = off,
   /// validated finite and >= 0).  At every multiple, before admitting the
-  /// arrival that crossed it, the engine drains the scheduler and hands a
-  /// full EngineCheckpoint to `checkpoint_sink`.  Barriers fire only when a
+  /// arrival that crossed it, the engine cuts the admission order, keeps
+  /// admitting, and hands the full EngineCheckpoint to `checkpoint_sink`
+  /// once the cut's sessions have finalized.  Barriers fire only when a
   /// sink is installed.  Checkpoint content is deterministic
-  /// (docs/recovery.md); the host-side cost is the drain, so pick intervals
-  /// per run, not per arrival.
+  /// (docs/recovery.md); the host-side cost is copying and encoding the
+  /// O(admitted) checkpoint, so pick intervals per run, not per arrival.
   double checkpoint_every = 0.0;
   /// Where checkpoints go (borrowed, not owned; nullptr = no barriers).
   /// server/record.h's RunRecorder is the standard sink, appending

@@ -17,7 +17,7 @@
 // drifted build fails loudly instead of chasing phantom regressions.
 // Crash-fault tolerance (docs/recovery.md): a RunRecorder writes the same
 // chunks INCREMENTALLY — inputs first, then one kCheckpoint chunk per
-// quiesce barrier, then the report/events/end tag once the run completes.
+// checkpoint barrier, then the report/events/end tag once the run completes.
 // A run killed by a CrashFault leaves a torn trace: inputs + some
 // checkpoints, no end tag.  scan_trace_for_resume() walks such a trace,
 // stops at the first tear (framing/CRC damage or a checkpoint that fails
@@ -51,7 +51,7 @@ enum class RecordChunk : std::uint64_t {
   /// informational).  Replay always runs from the lowered kScenario chunk;
   /// pre-existing binaries skip this tag, so no format version bump.
   kScenarioSource = 7,
-  /// One quiesce-barrier EngineCheckpoint (server/checkpoint.h), appended
+  /// One barrier's EngineCheckpoint (server/checkpoint.h), appended
   /// after the input chunks by RunRecorder.  Pre-existing binaries skip the
   /// unknown tag, so completed traces with checkpoints still replay on
   /// them; only the resume path reads these.

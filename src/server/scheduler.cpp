@@ -194,20 +194,6 @@ void RecordScheduler::drain() {
   pool_.wait_idle();
 }
 
-void RecordScheduler::quiesce() {
-  drain();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& s = *shards_[i];
-    if (s.ring.size_approx() != 0 ||
-        s.overflow_size.load(std::memory_order_seq_cst) != 0 ||
-        s.pump_active.load(std::memory_order_seq_cst)) {
-      throw std::logic_error(
-          "scheduler: quiesce barrier found shard " + std::to_string(i) +
-          " still busy after drain — checkpoint would lose in-flight work");
-    }
-  }
-}
-
 ShardCounters RecordScheduler::counters(unsigned shard) const {
   const Shard& s = shard_at(shard);
   ShardCounters c;

@@ -4,9 +4,11 @@
 // Per shard there is at most ONE pump task in flight at a time (an atomic
 // pump-active flag handed off with exchange()), so all work for a shard
 // executes in FIFO order on one worker — this is what lets the SessionTable
-// hand out unsynchronized Session pointers, and it keeps a session's record
-// sequence numbers consistent without per-record locks.  Different shards
-// pump concurrently on different workers.
+// hand out unsynchronized Session pointers, it keeps a session's record
+// sequence numbers consistent without per-record locks, and it makes the
+// items a shard has finished a prefix of its external pushes (the
+// DataPlane's checkpoint cuts rely on that, docs/recovery.md §1).  Different
+// shards pump concurrently on different workers.
 //
 // The queue itself is a support::MpscRing (Vyukov bounded ring): push and
 // pop are wait-free single-CAS operations, so at million-session scale the
@@ -86,14 +88,6 @@ class RecordScheduler {
   /// Blocks until every shard queue is empty and all pumps have exited.
   /// Only the pushing thread may call this, after its last push().
   void drain();
-
-  /// drain() plus a proof: after the wait, verifies every shard ring and
-  /// overflow list is actually empty and throws std::logic_error otherwise.
-  /// This is the checkpoint quiesce barrier's first step (docs/recovery.md)
-  /// — a checkpoint taken over a non-empty data plane would silently lose
-  /// work, so the invariant is checked, not assumed.  The scheduler remains
-  /// usable afterwards: the next push() restarts the shard's pump.
-  void quiesce();
 
   /// Counter snapshot (stable once drain() has returned).  Throws
   /// std::out_of_range on an invalid shard index.

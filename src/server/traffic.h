@@ -112,7 +112,7 @@ struct SessionArrival {
 
 /// The generator's full mutable state — Rng words, id/phase cursors, the
 /// virtual-clock cursor and every pending closed-loop arrival.  Snapshotting
-/// it at a quiesce barrier and restoring into a freshly constructed
+/// it at a checkpoint barrier and restoring into a freshly constructed
 /// generator (same scenario, same mean-service figures) resumes the arrival
 /// stream bit-exactly; the constructor-derived rate/weight tables are pure
 /// functions of the scenario and are NOT part of the state.  Serialized into

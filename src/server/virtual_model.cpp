@@ -285,7 +285,12 @@ void VirtualModel::capture(EngineCheckpoint& cp) const {
     csh.dropped = shards_[s].dropped;
     csh.peak_virtual_depth = shards_[s].peak_depth;
   }
-  cp.latencies = latencies_;
+}
+
+void VirtualModel::capture_latencies(EngineCheckpoint& cp,
+                                     std::size_t count) const {
+  cp.latencies.assign(latencies_.begin(),
+                      latencies_.begin() + static_cast<std::ptrdiff_t>(count));
 }
 
 void VirtualModel::restore(const EngineCheckpoint& cp) {

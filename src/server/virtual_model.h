@@ -61,9 +61,16 @@ class VirtualModel {
   /// on a phase the scenario does not have.
   Admission readmit(const CheckpointEntry& entry) const;
 
-  /// Writes the model's state into the non-entry fields of `cp` (sizing
-  /// cp.shards; events digests are the data plane's).
+  /// Writes the model's O(shards + waiting room) state into `cp`: every
+  /// field but entries and latencies (sizing cp.shards; events digests are
+  /// the data plane's).
   void capture(EngineCheckpoint& cp) const;
+  /// Length of the latency ledger, which grows by one per admission.
+  std::size_t latency_count() const { return latencies_.size(); }
+  /// Copies the ledger's first `count` (<= latency_count()) latencies, in
+  /// admission order, into cp.latencies.  Valid until finish() sorts the
+  /// ledger.
+  void capture_latencies(EngineCheckpoint& cp, std::size_t count) const;
   /// Re-arms the model from a checkpoint that fits the run
   /// (check_checkpoint_fits).
   void restore(const EngineCheckpoint& cp);

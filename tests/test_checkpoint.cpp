@@ -1,6 +1,8 @@
 // Tier-1 tests for the crash-fault tolerance layer (docs/recovery.md):
 // TrafficGenerator state snapshots, the EngineCheckpoint chunk codec and
-// its semantic validator, quiesce-barrier invariants, the CrashFault
+// its semantic validator, checkpoint-cut invariants (the sink's stream is
+// thread-invariant with many cuts pending, due cuts reach the sink before
+// a CrashFault, a throwing sink unwinds cleanly), the CrashFault
 // contract, RunRecorder torn traces, and the scan -> resume pipeline —
 // including truncation at every checkpoint-chunk boundary, rejection of
 // CRC-valid-but-lying checkpoints (stale slab handles, tampered digests,
@@ -96,6 +98,16 @@ std::vector<std::uint8_t> chunk_payload(const std::vector<std::uint8_t>& bytes,
   return {};
 }
 
+/// The chaos fault mix: every fault kind at 5%.
+server::FaultConfig chaos_faults() {
+  server::FaultConfig f;
+  f.wire_flip_rate = 0.05;
+  f.handshake_failure_rate = 0.05;
+  f.abort_rate = 0.05;
+  f.stall_rate = 0.05;
+  return f;
+}
+
 /// Captures every barrier checkpoint by value.
 struct CollectSink final : server::CheckpointSink {
   std::vector<server::EngineCheckpoint> taken;
@@ -103,6 +115,15 @@ struct CollectSink final : server::CheckpointSink {
     taken.push_back(cp);
   }
 };
+
+/// Runs `cfg` with a CollectSink installed and returns what the sink got.
+std::vector<server::EngineCheckpoint> sink_stream(
+    server::EngineConfig cfg, const server::TrafficScenario& scenario) {
+  CollectSink sink;
+  cfg.checkpoint_sink = &sink;
+  (void)server::Engine(cfg).run(scenario);
+  return sink.taken;
+}
 
 // --- traffic generator snapshots -------------------------------------------
 
@@ -255,14 +276,14 @@ TEST(CheckpointCodec, TamperedShardDigestIsMalformed) {
   }
 }
 
-// --- quiesce invariants -----------------------------------------------------
+// --- cut invariants ---------------------------------------------------------
 
 TEST(CheckpointQuiesce, ScalarPlaneParksNothing) {
   const auto scenario = crash_mix(31, 32);
   for (const auto& cp : capture_checkpoints(scenario, 4, 1.5e7)) {
     for (const auto& entry : cp.entries) {
       EXPECT_FALSE(entry.parked)
-          << "quiesce must fully finalize every admitted session";
+          << "a cut must finalize every session admitted before it";
     }
     EXPECT_EQ(cp.latencies.size(), cp.admitted());
   }
@@ -282,6 +303,55 @@ TEST(CheckpointQuiesce, CountsAndTimesAreCoherent) {
     for (const auto& sh : cp.shards) shard_admitted += sh.admitted;
     EXPECT_EQ(shard_admitted, cp.admitted());
   }
+}
+
+TEST(CheckpointCut, ManyPendingCutsGiveTheOneThreadStreamUnderChaos) {
+  // A barrier every few arrivals while 4 workers run full handshakes: cuts
+  // pile up behind unfinished sessions, yet the sink must see exactly the
+  // 1-thread stream, in seq order.
+  const auto scenario = crash_mix(35, 64);
+  server::EngineConfig cfg = engine_cfg(1);
+  cfg.faults = chaos_faults();
+  const auto ref = server::Engine(cfg).run(scenario);
+  cfg.checkpoint_every = ref.makespan_cycles / 48.0;
+  const auto serial = sink_stream(cfg, scenario);
+  ASSERT_GE(serial.size(), 24u);
+  for (std::size_t i = 0; i < serial.size(); ++i) EXPECT_EQ(serial[i].seq, i);
+  cfg.threads = 4;
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_TRUE(sink_stream(cfg, scenario) == serial) << "round " << round;
+  }
+}
+
+TEST(CheckpointCut, ThrowingSinkUnwindsWithNoWorkerInFlight) {
+  // The sink throws on its k-th checkpoint while workers run sessions
+  // admitted after that cut: the exception must reach the caller, and the
+  // data plane must drain before it frees anything (the sanitizer builds
+  // see a worker that outlives it).
+  struct Boom {};
+  struct ThrowingSink final : server::CheckpointSink {
+    std::size_t calls = 0;
+    std::size_t throw_at = 0;
+    void on_checkpoint(const server::EngineCheckpoint&) override {
+      if (++calls == throw_at) throw Boom{};
+    }
+  };
+  const auto scenario = crash_mix(36, 48);
+  server::EngineConfig cfg = engine_cfg(4);
+  const auto ref = server::Engine(cfg).run(scenario);
+  cfg.checkpoint_every = ref.makespan_cycles / 24.0;
+  for (const std::size_t k : {1u, 5u, 12u}) {
+    ThrowingSink sink;
+    sink.throw_at = k;
+    cfg.checkpoint_sink = &sink;
+    EXPECT_THROW((void)server::Engine(cfg).run(scenario), Boom) << "k=" << k;
+    EXPECT_EQ(sink.calls, k) << "no checkpoint may follow the throw";
+  }
+  // Nothing the aborted runs left behind reaches a later run.
+  cfg.checkpoint_sink = nullptr;
+  const auto again = server::Engine(cfg).run(scenario);
+  const auto mismatches = server::compare_reports(ref, again);
+  EXPECT_TRUE(mismatches.empty()) << mismatches.front();
 }
 
 // --- crash + restore --------------------------------------------------------
@@ -307,6 +377,37 @@ TEST(CheckpointCrash, CrashFaultCarriesTimingAndFiresDueBarriers) {
   // Every barrier due at or before the crash fired first, none after.
   ASSERT_FALSE(sink.taken.empty());
   for (const auto& cp : sink.taken) EXPECT_LE(cp.virtual_now, crash_at);
+}
+
+TEST(CheckpointCrash, CrashAtFourThreadsDeliversEveryDueCutInOrder) {
+  // At 4 threads several cuts are still waiting on their sessions when the
+  // crash deadline arrives: all of them must reach the sink, in seq order,
+  // before CrashFault — the same stream a 1-thread run delivers.  Chaos
+  // stalls stretch the makespan well past the last arrival, so the
+  // deadline sits at a third of it.
+  const auto scenario = crash_mix(47, 48);
+  server::EngineConfig cfg = engine_cfg(1);
+  cfg.faults = chaos_faults();
+  const auto ref = server::Engine(cfg).run(scenario);
+  const double crash_at = ref.makespan_cycles * 0.3;
+  cfg.checkpoint_every = crash_at / 16.0;
+  cfg.faults.crash_at_cycles = crash_at;
+  std::vector<server::EngineCheckpoint> streams[2];
+  for (const unsigned threads : {1u, 4u}) {
+    CollectSink sink;
+    cfg.threads = threads;
+    cfg.checkpoint_sink = &sink;
+    EXPECT_THROW((void)server::Engine(cfg).run(scenario), server::CrashFault)
+        << threads << " threads";
+    streams[threads == 4].swap(sink.taken);
+  }
+  ASSERT_GE(streams[0].size(), 8u);
+  ASSERT_EQ(streams[1].size(), streams[0].size());
+  for (std::size_t i = 0; i < streams[1].size(); ++i) {
+    EXPECT_EQ(streams[1][i].seq, i);
+    EXPECT_LE(streams[1][i].virtual_now, crash_at);
+    EXPECT_TRUE(streams[1][i] == streams[0][i]) << "seq " << i;
+  }
 }
 
 TEST(CheckpointCrash, RestoreFromAnyBarrierMatchesUninterruptedRun) {

@@ -5,8 +5,9 @@
 // --threads value, under benign and chaos fault mixes, and
 // regardless of which thread count the torn trace was recorded at.  Also a
 // designated sanitizer workload: sanitize.sh runs this suite under ASan and
-// TSan (the quiesce barrier is a scheduler drain, so it races with the
-// worker pool if anything is wrong).
+// TSan (a checkpoint cut reads the event ledger while workers still fill
+// later events, published by per-shard release counts, so it races with
+// the worker pool if anything is wrong).
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -3,7 +3,8 @@
 // of a full Engine::run — the proof that admission, pricing, degrade mode
 // and latency never depend on the data plane — and the DataPlane must
 // drain in-flight sessions before it tears anything down, however its
-// owner unwinds.  The DataPlane test is also a designated ASan/TSan
+// owner unwinds, and must refuse to capture a checkpoint cut whose
+// sessions have not all finalized.  The DataPlane test is also a designated ASan/TSan
 // workload (tools/ci/sanitize.sh).
 #include <gtest/gtest.h>
 
@@ -162,6 +163,53 @@ TEST(DataPlane, DestroyedMidHandshakeDrainsBeforeTeardown) {
         },
         std::runtime_error);
   }
+}
+
+TEST(DataPlane, CutCapturesOnlyOnceEverySessionInItFinalized) {
+  // Resumed sessions on 2 shards; a cut after the first 6, more admitted
+  // behind it.  After a drain the true cut is ready and captures exactly
+  // its prefix; a cut claiming one push more than shard 0 ever finalizes
+  // is never ready, and capturing it throws instead of reading a session
+  // that has not finished.
+  server::EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.shards = 2;
+  const server::TrafficScenario scenario =
+      bench_slice("scale", 8, 5).program.scenario;
+  server::DataPlane plane(cfg, scenario);
+  const auto admit = [&](std::uint64_t id) {
+    server::Admission a;
+    a.shard = static_cast<unsigned>(id % cfg.shards);
+    a.session.id = id;
+    a.session.transaction_bytes = 2048;
+    a.session.seed = 0x5EED0000 + id;
+    a.resume = true;
+    plane.admit(a);
+  };
+  for (std::uint64_t id = 0; id < 6; ++id) admit(id);
+  const server::DataPlane::Cut cut = plane.cut();
+  EXPECT_EQ(cut.events, 6u);
+  EXPECT_EQ(cut.pushed, (std::vector<std::uint64_t>{3, 3}));
+  for (std::uint64_t id = 6; id < 10; ++id) admit(id);
+  plane.drain();
+  ASSERT_TRUE(plane.ready(cut));
+  server::EngineCheckpoint cp;
+  cp.shards.resize(cfg.shards);
+  plane.capture(cut, cp);
+  ASSERT_EQ(cp.entries.size(), 6u);
+  for (std::uint64_t id = 0; id < 6; ++id) {
+    EXPECT_EQ(cp.entries[id].event.id, id);
+    EXPECT_TRUE(cp.entries[id].event.completed);
+    EXPECT_FALSE(cp.entries[id].parked);
+  }
+
+  server::DataPlane::Cut unfinished = plane.cut();
+  ++unfinished.pushed[0];
+  EXPECT_FALSE(plane.ready(unfinished));
+  server::EngineCheckpoint never;
+  never.shards.resize(cfg.shards);
+  EXPECT_THROW(plane.capture(unfinished, never), std::logic_error);
+  EXPECT_TRUE(never.entries.empty());
 }
 
 TEST(DataPlane, FullHandshakeWithoutServerKeyIsRejectedBeforePush) {

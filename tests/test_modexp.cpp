@@ -3,6 +3,10 @@
 // to the Mpz reference on an RSA-style workload.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <iterator>
+
 #include "mp/modexp.h"
 #include "mp/prime.h"
 #include "support/random.h"
@@ -80,6 +84,44 @@ TEST(Modexp, CachingDoesNotChangeResults) {
   const Mpz second = engine.powm(m, fx.d, fx.n);  // cache-hit path
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, Mpz::powm(m, fx.d, fx.n));
+}
+
+/// The Mpz whose 32-bit limbs are `limbs`, least significant first.
+Mpz from_limbs32(std::initializer_list<std::uint32_t> limbs) {
+  Mpz r;
+  for (auto it = std::rbegin(limbs); it != std::rend(limbs); ++it) {
+    r = r.lshift(32) + Mpz::from_u64(*it);
+  }
+  return r;
+}
+
+TEST(Modexp, FullCacheKeysDoNotCollideAcrossBaseModulusSplits) {
+  // Concatenating base and modulus limbs gives {1,3,5,7,9} for both pairs,
+  // so a naive key would serve the first pair's power table to the second.
+  const Mpz base_a = from_limbs32({1, 3});
+  const Mpz mod_a = from_limbs32({5, 7, 9});
+  const Mpz base_b = from_limbs32({1});
+  const Mpz mod_b = from_limbs32({3, 5, 7, 9});
+  ASSERT_EQ(base_a.limbs().size() + mod_a.limbs().size(),
+            base_b.limbs().size() + mod_b.limbs().size());
+  const Mpz exp = Mpz::from_hex("1f3a9c57");
+  for (const MulAlgo mul :
+       {MulAlgo::kBasecaseDiv, MulAlgo::kKaratsubaDiv, MulAlgo::kBarrett,
+        MulAlgo::kMontSOS, MulAlgo::kMontCIOS}) {
+    for (const Radix radix : {Radix::k16, Radix::k32}) {
+      ModexpConfig cfg;
+      cfg.mul = mul;
+      cfg.radix = radix;
+      cfg.caching = Caching::kFull;
+      ModexpEngine engine(cfg);
+      for (int round = 0; round < 2; ++round) {  // cold, then cache hits
+        EXPECT_EQ(engine.powm(base_a, exp, mod_a), Mpz::powm(base_a, exp, mod_a))
+            << cfg.name() << " round " << round;
+        EXPECT_EQ(engine.powm(base_b, exp, mod_b), Mpz::powm(base_b, exp, mod_b))
+            << cfg.name() << " round " << round;
+      }
+    }
+  }
 }
 
 TEST(Modexp, HookObservesFewerEventsWhenCached) {

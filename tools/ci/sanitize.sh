@@ -24,9 +24,11 @@
 #      build (tests/data/flat_closed.wspr) replayed and resumed.
 #   6. Crash -> restore smokes (docs/recovery.md): the crash-storm scenario
 #      recorded with checkpoints at 1 thread until its scheduled kill
-#      (wspc exit 3), then resumed at 8 threads from the torn trace, under
-#      both sanitizer builds; plus the CheckpointDeterminism suites and the
-#      Sec. 4.3 explore-sweep regression gate.
+#      (wspc exit 3), then resumed at 8 threads from the torn trace, and
+#      recorded at 4 threads — where checkpoint cuts are still pending
+#      across workers when the kill fires — then resumed at 1 thread, under
+#      both sanitizer builds; plus the Checkpoint suites (the cut tests
+#      under TSan too) and the Sec. 4.3 explore-sweep regression gate.
 #
 # Usage: tools/ci/sanitize.sh [build-dir]   (default: build-asan; the TSan
 # build lands next to it with a -tsan suffix)
@@ -100,8 +102,10 @@ echo "sanitize.sh: example scenarios compile; flash crowd clean under ASan/UBSan
 # Crash -> restore smoke under ASan/UBSan: record the crash-storm scenario
 # with checkpoints at 1 thread until the scheduled kill fires (wspc exits 3
 # on a CrashFault, anything else is a failure), then resume the torn trace
-# at 8 threads — the quiesce/restore machinery with the leak invariant
-# gated by wspc's exit code (docs/recovery.md).
+# at 8 threads — the cut/restore machinery with the leak invariant gated
+# by wspc's exit code (docs/recovery.md).  The 4-thread recording crashes
+# with cuts still pending behind running workers; they are flushed before
+# the throw, and the trace resumes at 1 thread.
 rc=0
 "$BUILD_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
     --threads 1 --record "$BUILD_DIR"/crash_storm.wspr \
@@ -109,6 +113,13 @@ rc=0
 [ "$rc" -eq 3 ] || { echo "crash_storm: expected exit 3, got $rc"; exit 1; }
 "$BUILD_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
     --threads 8 --resume-from "$BUILD_DIR"/crash_storm.wspr > /dev/null
+rc=0
+"$BUILD_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
+    --threads 4 --record "$BUILD_DIR"/crash_storm4.wspr \
+    --checkpoint-every 2000000 > /dev/null || rc=$?
+[ "$rc" -eq 3 ] || { echo "crash_storm: expected exit 3, got $rc"; exit 1; }
+"$BUILD_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
+    --threads 1 --resume-from "$BUILD_DIR"/crash_storm4.wspr > /dev/null
 echo "sanitize.sh: crash-storm checkpoint/resume clean under ASan/UBSan"
 
 # Bench regression gate (docs/benchmarks.md): the server section against
@@ -131,8 +142,8 @@ cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DWSP_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
       --target test_server test_server_faults test_server_determinism \
                test_scenario_determinism test_threadpool test_ring_arena \
-               test_checkpoint_determinism test_engine_parts test_fuzz \
-               wspc replay
+               test_checkpoint test_checkpoint_determinism test_engine_parts \
+               test_fuzz wspc replay
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
 (
@@ -140,9 +151,10 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # ServerScheduler includes the fault-containment tests (a poisoned task
   # racing the pump's failure accounting is the interesting interleaving);
   # ServerChaos runs the whole engine under fault injection; DataPlane
-  # unwinds with sessions in flight; the fuzz case restores mutated
-  # checkpoints at 4 threads.
-  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism|VirtualModel|DataPlane|Fuzz\.MutatedCheckpointsStraightToEngineRun' \
+  # unwinds with sessions in flight; the checkpoint-cut tests read the
+  # event ledger while 4 workers fill later events; the fuzz case restores
+  # mutated checkpoints at 4 threads.
+  ctest -R 'ServerScheduler|ServerEngine|ServerDeterminism|ServerSoak|ServerChaos|ServerSessionFaults|ServerTable|MpscRing|ServerScaleSoak|ThreadPool|ScenarioDeterminism|CheckpointDeterminism|CheckpointCut|CheckpointCrash\.CrashAtFourThreads|VirtualModel|DataPlane|Fuzz\.MutatedCheckpointsStraightToEngineRun' \
         --output-on-failure
 )
 
@@ -160,9 +172,11 @@ echo "sanitize.sh: 100k-session scale run clean under TSan"
 echo "sanitize.sh: flash-crowd scenario clean under TSan"
 
 # Crash -> restore smoke under TSan: checkpoint at 1 thread, resume at 8 —
-# the quiesce barrier is a full scheduler drain racing the worker pool, and
-# the restore re-queues the run across 8 workers; then replay the
-# torn trace's resume path through the standalone replay tool too.
+# the restore re-queues the run across 8 workers; then replay the torn
+# trace's resume path through the standalone replay tool too.  Then record
+# at 4 threads, where each cut reads the event ledger while workers still
+# fill later events and the crash flushes cuts pending behind them, and
+# resume that trace at 1 thread.
 rc=0
 "$TSAN_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
     --threads 1 --record "$TSAN_DIR"/crash_storm.wspr \
@@ -172,6 +186,13 @@ rc=0
     --threads 8 --resume-from "$TSAN_DIR"/crash_storm.wspr > /dev/null
 "$TSAN_DIR"/tools/replay "$TSAN_DIR"/crash_storm.wspr --resume --threads 8 \
     > /dev/null
+rc=0
+"$TSAN_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
+    --threads 4 --record "$TSAN_DIR"/crash_storm4.wspr \
+    --checkpoint-every 2000000 > /dev/null || rc=$?
+[ "$rc" -eq 3 ] || { echo "crash_storm: expected exit 3, got $rc"; exit 1; }
+"$TSAN_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
+    --threads 1 --resume-from "$TSAN_DIR"/crash_storm4.wspr > /dev/null
 echo "sanitize.sh: crash-storm checkpoint/resume clean under TSan"
 
 echo "sanitize.sh: scheduler/threadpool/chaos tests clean under TSan"

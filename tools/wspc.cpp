@@ -12,7 +12,7 @@
 //   --queue N       per-shard waiting room (default 64, at most 2^20)
 //   --rsa BITS      server key size (default 512, at most 4096)
 //   --record FILE   write a wsp-replay-v1 recording with the source embedded
-//   --checkpoint-every C  append a quiesce-barrier checkpoint to the
+//   --checkpoint-every C  append a barrier checkpoint to the
 //                   recording every C virtual cycles (docs/recovery.md);
 //                   requires --record, and C must be positive and finite
 //   --resume-from TRACE   crash recovery: scan TRACE (possibly torn),
