@@ -56,18 +56,26 @@ using bench::ns_since;
 // through plain function pointers.
 std::string g_replay_trace_dir;
 
-// Writes `record` as <outdir>/REPLAY_<name>.wspr when plain emission asked
-// for replay traces (docs/benchmarks.md).
-void maybe_write_replay_trace(const server::RunRecord& record,
-                              const char* name) {
-  if (g_replay_trace_dir.empty()) return;
+// Runs a bench scenario through a server::RunRecorder and returns its
+// report.  When plain emission asked for replay traces, the trace lands in
+// <outdir>/REPLAY_<name>.wspr (docs/benchmarks.md); otherwise it stays in
+// memory.
+server::RunReport run_recorded(const bench::BenchScenario& b,
+                               const char* name) {
   const std::string path =
-      g_replay_trace_dir + "/REPLAY_" + name + ".wspr";
-  if (server::write_run_record_file(record, path)) {
-    std::printf(" [replay trace %s]", path.c_str());
-  } else {
+      g_replay_trace_dir.empty()
+          ? std::string()
+          : g_replay_trace_dir + "/REPLAY_" + name + ".wspr";
+  server::RunRecorder recorder(b.config, b.program.scenario, b.program.source,
+                               path);
+  server::Engine engine(recorder.engine_config());
+  const server::RunReport report = engine.run(b.program.scenario);
+  if (!recorder.finish(report)) {
     std::fprintf(stderr, "FAILED to write %s\n", path.c_str());
+  } else if (!path.empty()) {
+    std::printf(" [replay trace %s]", path.c_str());
   }
+  return report;
 }
 
 // --- Secure-session server: Fig. 8 transactions under load ----------------
@@ -92,11 +100,9 @@ bench::BenchResult run_server() {
     // Chaos run: deterministic fault injection + recovery (docs/faults.md).
     // Recorded through the replay layer so every bench emission leaves a
     // bit-exact reproduction trace next to the JSON (docs/benchmarks.md).
-    const auto b = bench::load_bench_scenario("chaos");
-    const server::RunRecord record =
-        server::record_run(b.config, b.program.scenario, b.program.source);
-    bench::append_server_metrics(r, "chaos/", record.report);
-    maybe_write_replay_trace(record, "server_chaos");
+    bench::append_server_metrics(
+        r, "chaos/",
+        run_recorded(bench::load_bench_scenario("chaos"), "server_chaos"));
   }
   {
     // Scale run: 100k resumed sessions through the slab table and MPSC
@@ -122,7 +128,11 @@ bench::BenchResult run_server() {
     // to the previous checkpoint.
     const auto b = bench::load_bench_scenario("crash");
     const server::TrafficScenario& scenario = b.program.scenario;
-    server::Engine ref_engine(b.config);
+    // The reference records events too: compare_reports checks the resumed
+    // run's event stream against it.
+    server::EngineConfig ref_config = b.config;
+    ref_config.record_events = true;
+    server::Engine ref_engine(ref_config);
     const server::RunReport ref = ref_engine.run(scenario);
 
     server::EngineConfig crashed = b.config;
@@ -145,7 +155,7 @@ bench::BenchResult run_server() {
       const auto res = server::resume_run(scan, 8);
       resumed = res.report;
       resume_mismatch =
-          bench::reports_deterministically_equal(ref, res.report) ? 0.0 : 1.0;
+          server::compare_reports(ref, res.report).empty() ? 0.0 : 1.0;
       // Torn write: truncate into the last checkpoint chunk's header, so
       // the scan must reject it and fall back one checkpoint further.
       std::vector<std::uint8_t> torn(recorder.bytes());
@@ -155,7 +165,7 @@ bench::BenchResult run_server() {
       torn_mismatch =
           (!torn_scan.tear.empty() &&
            torn_scan.checkpoints.size() + 1 == recorder.checkpoints() &&
-           bench::reports_deterministically_equal(ref, torn_res.report))
+           server::compare_reports(ref, torn_res.report).empty())
               ? 0.0
               : 1.0;
     }
@@ -187,16 +197,14 @@ bench::BenchResult run_scenario_section() {
     const auto built_rep = built_engine.run(bench::steady_oracle());
     bench::append_server_metrics(r, "fig8/", wsp_rep);
     r.cycles["fig8/equiv_mismatch"] =
-        bench::reports_deterministically_equal(wsp_rep, built_rep) ? 0.0 : 1.0;
+        server::compare_reports(wsp_rep, built_rep).empty() ? 0.0 : 1.0;
   }
   {
     // Multi-phase program with a fault-overlay phase, recorded with its
     // source embedded.
-    const auto b = bench::load_bench_scenario("flash");
-    const server::RunRecord record =
-        server::record_run(b.config, b.program.scenario, b.program.source);
-    bench::append_server_metrics(r, "flash/", record.report);
-    maybe_write_replay_trace(record, "scenario_flash");
+    bench::append_server_metrics(
+        r, "flash/",
+        run_recorded(bench::load_bench_scenario("flash"), "scenario_flash"));
   }
   {
     // Closed loop handing over to an open loop.

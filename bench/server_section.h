@@ -136,21 +136,4 @@ inline void append_server_metrics(BenchResult& r, const std::string& prefix,
                     static_cast<double>(rep.aborted));
 }
 
-/// True when two runs agree on every deterministic field the bench layer
-/// flattens, plus the per-shard replay event digests.  The same traffic at
-/// different --threads, or resumed from a checkpoint, must compare equal
-/// here, bit for bit.
-inline bool reports_deterministically_equal(const server::RunReport& a,
-                                            const server::RunReport& b) {
-  BenchResult ra, rb;
-  append_server_metrics(ra, "", a);
-  append_server_metrics(rb, "", b);
-  if (ra.cycles != rb.cycles) return false;
-  if (a.shards.size() != b.shards.size()) return false;
-  for (std::size_t i = 0; i < a.shards.size(); ++i) {
-    if (a.shards[i].events_digest != b.shards[i].events_digest) return false;
-  }
-  return true;
-}
-
 }  // namespace wsp::bench

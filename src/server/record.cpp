@@ -441,26 +441,125 @@ void require_calibration(const ssl::PlatformCosts& rec_base,
   }
 }
 
-}  // namespace
-
-RunRecord record_run(const EngineConfig& config,
-                     const TrafficScenario& scenario,
-                     std::string scenario_source) {
-  RunRecord rec;
-  rec.git_rev = WSP_GIT_REV;
-  rec.recorded_threads = std::max(1u, config.threads);
-  rec.scenario = scenario;
-  rec.scenario_source = std::move(scenario_source);
-  rec.config = config;
-  rec.config.record_events = true;
-  Engine engine(rec.config);
-  // Store the RESOLVED config: auto-shards (shards == 0) is a property of
-  // the recording host, and a replay elsewhere must pin the same count.
-  rec.config = engine.config();
-  rec.config.record_events = true;
-  rec.report = engine.run(scenario);
-  return rec;
+/// The one chunk walker behind decode_run_record (strict) and
+/// scan_trace_for_resume (lenient).  Header errors (magic/version) and any
+/// damage before the input chunks are complete identify no run at all and
+/// always throw.  Past the inputs, a strict walk throws too; a lenient one
+/// treats framing/CRC/decode/validation damage as the tear a crash leaves
+/// behind, stops at the last good chunk and records why in `tear`.
+ResumeScan walk_trace(const std::vector<std::uint8_t>& bytes, bool lenient) {
+  ResumeScan scan;
+  replay::ChunkReader reader(bytes);
+  scan.scanned_bytes = reader.offset();
+  bool meta = false, scenario = false, config = false, costs = false,
+       report = false, events = false, ended = false, lowered = false;
+  ssl::PlatformCosts rec_base, rec_opt;
+  const auto inputs_ok = [&] { return meta && scenario && config && costs; };
+  try {
+    for (;;) {
+      const std::size_t chunk_start = reader.offset();
+      auto chunk = reader.next();
+      if (!chunk) {
+        ended = true;
+        break;
+      }
+      switch (static_cast<RecordChunk>(chunk->tag)) {
+        case RecordChunk::kMeta: {
+          Cursor c(chunk->payload);
+          scan.record.git_rev = c.str();
+          scan.record.recorded_threads = static_cast<unsigned>(c.varint());
+          meta = true;
+          break;
+        }
+        case RecordChunk::kScenario:
+          scan.record.scenario = decode_scenario(chunk->payload, &lowered);
+          scenario = true;
+          break;
+        case RecordChunk::kScenarioSource: {
+          Cursor c(chunk->payload);
+          scan.record.scenario_source = c.str();
+          break;
+        }
+        case RecordChunk::kConfig:
+          scan.record.config = decode_config(chunk->payload);
+          scan.record.config.threads = scan.record.recorded_threads;
+          scan.record.config.record_events = true;
+          config = true;
+          break;
+        case RecordChunk::kCosts: {
+          Cursor c(chunk->payload);
+          rec_base = get_costs(c);
+          rec_opt = get_costs(c);
+          costs = true;
+          break;
+        }
+        case RecordChunk::kCheckpoint: {
+          if (!inputs_ok()) {
+            throw ReplayError(ErrorKind::kMalformed, chunk_start,
+                              "checkpoint chunk before the input chunks");
+          }
+          EngineCheckpoint cp = decode_checkpoint(chunk->payload);
+          if (lowered) {
+            // A flat generator (earlier builds) kept no phase cursor and
+            // staggered its closed-loop population at construction.  In
+            // the lowered one-phase program that is phase 0, already
+            // entered, with every arrival drawn so far in it.
+            cp.generator.phase_done = cp.generator.next_id;
+            cp.generator.phase_entered = true;
+          }
+          if (cp.seq != scan.checkpoints.size()) {
+            throw ReplayError(
+                ErrorKind::kMalformed, chunk_start,
+                "checkpoint seq " + std::to_string(cp.seq) +
+                    " out of order (expected " +
+                    std::to_string(scan.checkpoints.size()) + ")");
+          }
+          if (!scan.checkpoints.empty() &&
+              cp.virtual_now <= scan.checkpoints.back().virtual_now) {
+            throw ReplayError(ErrorKind::kMalformed, chunk_start,
+                              "checkpoint virtual time not increasing");
+          }
+          scan.checkpoints.push_back(std::move(cp));
+          break;
+        }
+        case RecordChunk::kReport:
+          scan.record.report = decode_report(chunk->payload);
+          report = true;
+          break;
+        case RecordChunk::kEvents:
+          scan.record.report.events = decode_events(chunk->payload);
+          events = true;
+          break;
+        default:
+          // Unknown chunk tags are skipped (CRC already validated): room for
+          // forward-compatible additions within the same format version.
+          break;
+      }
+      scan.scanned_bytes = reader.offset();
+    }
+  } catch (const ReplayError& e) {
+    if (!lenient || !inputs_ok()) throw;
+    scan.tear = e.what();
+  }
+  if (!inputs_ok()) {
+    throw ReplayError(ErrorKind::kMalformed, bytes.size(),
+                      "trace ends before the input chunks are complete");
+  }
+  require_calibration(rec_base, rec_opt, scan.record.git_rev);
+  scan.complete = ended && report && events && scan.tear.empty();
+  if (!scan.complete) {
+    if (!lenient) {
+      throw ReplayError(ErrorKind::kMalformed, bytes.size(),
+                        "run record is missing a required chunk");
+    }
+    // Don't hand out a half-read outcome: a report without its event stream
+    // (or vice versa) is not a verification target.
+    scan.record.report = RunReport{};
+  }
+  return scan;
 }
+
+}  // namespace
 
 std::vector<std::uint8_t> encode_run_record(const RunRecord& record) {
   replay::VectorSink sink;
@@ -473,79 +572,11 @@ std::vector<std::uint8_t> encode_run_record(const RunRecord& record) {
 }
 
 RunRecord decode_run_record(const std::vector<std::uint8_t>& bytes) {
-  replay::ChunkReader reader(bytes);
-  RunRecord rec;
-  bool meta = false, scenario = false, config = false, costs = false,
-       report = false, events = false;
-  ssl::PlatformCosts rec_base, rec_opt;
-  while (auto chunk = reader.next()) {
-    switch (static_cast<RecordChunk>(chunk->tag)) {
-      case RecordChunk::kMeta: {
-        Cursor c(chunk->payload);
-        rec.git_rev = c.str();
-        rec.recorded_threads = static_cast<unsigned>(c.varint());
-        meta = true;
-        break;
-      }
-      case RecordChunk::kScenario:
-        rec.scenario = decode_scenario(chunk->payload);
-        scenario = true;
-        break;
-      case RecordChunk::kScenarioSource: {
-        Cursor c(chunk->payload);
-        rec.scenario_source = c.str();
-        break;
-      }
-      case RecordChunk::kConfig:
-        rec.config = decode_config(chunk->payload);
-        rec.config.threads = rec.recorded_threads;
-        rec.config.record_events = true;
-        config = true;
-        break;
-      case RecordChunk::kCosts: {
-        Cursor c(chunk->payload);
-        rec_base = get_costs(c);
-        rec_opt = get_costs(c);
-        costs = true;
-        break;
-      }
-      case RecordChunk::kReport:
-        rec.report = decode_report(chunk->payload);
-        report = true;
-        break;
-      case RecordChunk::kEvents:
-        rec.report.events = decode_events(chunk->payload);
-        events = true;
-        break;
-      case RecordChunk::kCheckpoint:
-        // Resume-only data (scan_trace_for_resume): a completed trace's
-        // checkpoints are dead weight for plain replay, which re-runs from
-        // the inputs anyway.
-        break;
-      default:
-        // Unknown chunk tags are skipped (CRC already validated): room for
-        // forward-compatible additions within the same format version.
-        break;
-    }
-  }
-  if (!meta || !scenario || !config || !costs || !report || !events) {
-    throw ReplayError(ErrorKind::kMalformed, bytes.size(),
-                      "run record is missing a required chunk");
-  }
-  require_calibration(rec_base, rec_opt, rec.git_rev);
-  return rec;
+  return std::move(walk_trace(bytes, /*lenient=*/false).record);
 }
 
-bool write_run_record_file(const RunRecord& record, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = encode_run_record(record);
-  replay::FileSink sink(path);
-  sink.write(bytes.data(), bytes.size());
-  sink.finish();
-  return sink.ok();
-}
-
-RunRecord read_run_record_file(const std::string& path) {
-  return decode_run_record(replay::read_file(path));
+ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes) {
+  return walk_trace(bytes, /*lenient=*/true);
 }
 
 namespace {
@@ -646,17 +677,6 @@ unsigned replay_threads(unsigned recorded_threads, unsigned threads_override) {
   return std::clamp(recorded_threads, 1u, ThreadPool::hardware_threads());
 }
 
-ReplayResult replay_run(const RunRecord& record, unsigned threads_override) {
-  ReplayResult result;
-  EngineConfig cfg = record.config;
-  cfg.record_events = true;
-  cfg.threads = replay_threads(record.recorded_threads, threads_override);
-  Engine engine(cfg);
-  result.report = engine.run(record.scenario);
-  result.mismatches = compare_reports(record.report, result.report);
-  return result;
-}
-
 // --- incremental recording + crash/resume ----------------------------------
 
 /// Every byte goes to the in-memory mirror and, when a path was given, to
@@ -681,8 +701,8 @@ RunRecorder::RunRecorder(const EngineConfig& config,
                          const TrafficScenario& scenario,
                          std::string scenario_source, const std::string& path)
     : path_(path) {
-  // Resolve exactly like record_run: auto-shards (shards == 0) is a property
-  // of the recording host, and a resume elsewhere must pin the same count.
+  // Store the RESOLVED config: auto-shards (shards == 0) is a property of
+  // the recording host, and a replay elsewhere must pin the same count.
   resolved_ = Engine(config).config();
   resolved_.record_events = true;
   tee_ = std::make_unique<Tee>(path);
@@ -750,116 +770,6 @@ bool RunRecorder::ok() const { return !tee_->file || tee_->file->ok(); }
 
 std::string RunRecorder::error() const {
   return tee_->file ? tee_->file->error() : std::string();
-}
-
-ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes) {
-  ResumeScan scan;
-  // Header errors (magic/version) identify no run at all: let them throw.
-  replay::ChunkReader reader(bytes);
-  scan.scanned_bytes = reader.offset();
-  bool meta = false, scenario = false, config = false, costs = false,
-       report = false, events = false, ended = false, lowered = false;
-  ssl::PlatformCosts rec_base, rec_opt;
-  const auto inputs_ok = [&] { return meta && scenario && config && costs; };
-  try {
-    for (;;) {
-      const std::size_t chunk_start = reader.offset();
-      auto chunk = reader.next();
-      if (!chunk) {
-        ended = true;
-        break;
-      }
-      switch (static_cast<RecordChunk>(chunk->tag)) {
-        case RecordChunk::kMeta: {
-          Cursor c(chunk->payload);
-          scan.record.git_rev = c.str();
-          scan.record.recorded_threads = static_cast<unsigned>(c.varint());
-          meta = true;
-          break;
-        }
-        case RecordChunk::kScenario:
-          scan.record.scenario = decode_scenario(chunk->payload, &lowered);
-          scenario = true;
-          break;
-        case RecordChunk::kScenarioSource: {
-          Cursor c(chunk->payload);
-          scan.record.scenario_source = c.str();
-          break;
-        }
-        case RecordChunk::kConfig:
-          scan.record.config = decode_config(chunk->payload);
-          scan.record.config.threads = scan.record.recorded_threads;
-          scan.record.config.record_events = true;
-          config = true;
-          break;
-        case RecordChunk::kCosts: {
-          Cursor c(chunk->payload);
-          rec_base = get_costs(c);
-          rec_opt = get_costs(c);
-          costs = true;
-          break;
-        }
-        case RecordChunk::kCheckpoint: {
-          if (!inputs_ok()) {
-            throw ReplayError(ErrorKind::kMalformed, chunk_start,
-                              "checkpoint chunk before the input chunks");
-          }
-          EngineCheckpoint cp = decode_checkpoint(chunk->payload);
-          if (lowered) {
-            // A flat generator (earlier builds) kept no phase cursor and
-            // staggered its closed-loop population at construction.  In
-            // the lowered one-phase program that is phase 0, already
-            // entered, with every arrival drawn so far in it.
-            cp.generator.phase_done = cp.generator.next_id;
-            cp.generator.phase_entered = true;
-          }
-          if (cp.seq != scan.checkpoints.size()) {
-            throw ReplayError(
-                ErrorKind::kMalformed, chunk_start,
-                "checkpoint seq " + std::to_string(cp.seq) +
-                    " out of order (expected " +
-                    std::to_string(scan.checkpoints.size()) + ")");
-          }
-          if (!scan.checkpoints.empty() &&
-              cp.virtual_now <= scan.checkpoints.back().virtual_now) {
-            throw ReplayError(ErrorKind::kMalformed, chunk_start,
-                              "checkpoint virtual time not increasing");
-          }
-          scan.checkpoints.push_back(std::move(cp));
-          break;
-        }
-        case RecordChunk::kReport:
-          scan.record.report = decode_report(chunk->payload);
-          report = true;
-          break;
-        case RecordChunk::kEvents:
-          scan.record.report.events = decode_events(chunk->payload);
-          events = true;
-          break;
-        default:
-          break;  // unknown tags skipped, as in decode_run_record
-      }
-      scan.scanned_bytes = reader.offset();
-    }
-  } catch (const ReplayError& e) {
-    // Before the inputs are complete there is no run to resume — the caller
-    // gets the error.  After them, damage is what a crash looks like: stop
-    // at the last good chunk and record why.
-    if (!inputs_ok()) throw;
-    scan.tear = e.what();
-  }
-  if (!inputs_ok()) {
-    throw ReplayError(ErrorKind::kMalformed, bytes.size(),
-                      "trace ends before the input chunks are complete");
-  }
-  require_calibration(rec_base, rec_opt, scan.record.git_rev);
-  scan.complete = ended && report && events && scan.tear.empty();
-  if (!scan.complete) {
-    // Don't hand out a half-read outcome: a report without its event stream
-    // (or vice versa) is not a verification target.
-    scan.record.report = RunReport{};
-  }
-  return scan;
 }
 
 ReplayResult resume_run(const ResumeScan& scan, unsigned threads_override) {

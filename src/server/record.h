@@ -9,21 +9,21 @@
 // (varint + delta ids + bit-exact doubles, CRC-framed chunks), a typical
 // record is a few KB for a few hundred sessions.
 //
-// replay_run() re-runs the engine from the recorded inputs — at ANY thread
-// count, since threads are outside the determinism contract — and verifies
-// the outcome bit-exactly, reporting every mismatching field by name.  A
+// One writer, one reader, one re-run.  A RunRecorder writes every trace,
+// incrementally: inputs first, then one kCheckpoint chunk per checkpoint
+// barrier, then the report/events/end tag once the run completes; a run
+// killed by a CrashFault leaves a torn trace (inputs + some checkpoints, no
+// end tag).  One chunk walker reads both shapes through two entry points:
+// decode_run_record() demands a complete trace and throws a typed
+// ReplayError on any damage, scan_trace_for_resume() stops at the first
+// tear.  resume_run() re-runs the engine from the inputs — or from the last
+// valid checkpoint — at ANY thread count, since threads are outside the
+// determinism contract, and, for a complete trace, verifies the outcome
+// bit-exactly through compare_reports(), naming every mismatching field.  A
 // calibration mismatch (the binary's calibrated_costs differ from the
-// recording's) is reported before the engine even runs, so a replay on a
-// drifted build fails loudly instead of chasing phantom regressions.
-// Crash-fault tolerance (docs/recovery.md): a RunRecorder writes the same
-// chunks INCREMENTALLY — inputs first, then one kCheckpoint chunk per
-// checkpoint barrier, then the report/events/end tag once the run completes.
-// A run killed by a CrashFault leaves a torn trace: inputs + some
-// checkpoints, no end tag.  scan_trace_for_resume() walks such a trace,
-// stops at the first tear (framing/CRC damage or a checkpoint that fails
-// semantic validation) and resume_run() restores the last valid checkpoint
-// and continues the run — producing a report bit-identical to the
-// uninterrupted run's deterministic fields.
+// recording's) is refused while reading, before the engine even runs, so a
+// replay on a drifted build fails loudly instead of chasing phantom
+// regressions (docs/recovery.md).
 #pragma once
 
 #include <cstdint>
@@ -69,25 +69,17 @@ struct RunRecord {
   RunReport report;               ///< deterministic fields + events only
 };
 
-/// Runs the engine with event recording enabled and packages the result.
-/// `scenario_source` (optional) embeds the originating .wsp text into the
-/// recording (RecordChunk::kScenarioSource).
-RunRecord record_run(const EngineConfig& config,
-                     const TrafficScenario& scenario,
-                     std::string scenario_source = {});
-
+/// The in-memory codec pair.  encode_run_record writes the chunks a
+/// RunRecorder writes for a finished run without checkpoints.
 std::vector<std::uint8_t> encode_run_record(const RunRecord& record);
 
-/// Throws replay::ReplayError on any malformed/truncated/version-skewed
-/// input; a structurally valid stream missing a required chunk, or whose
-/// scenario TrafficScenario::validate() rejects, is ErrorKind::kMalformed.
+/// Reads a complete trace strictly.  Throws replay::ReplayError on any
+/// malformed/truncated/version-skewed input, with its kind and byte offset;
+/// a structurally valid stream missing a required chunk, or whose scenario
+/// TrafficScenario::validate() rejects, or whose checkpoints fail the
+/// checks scan_trace_for_resume applies, is ErrorKind::kMalformed.  Throws
+/// exactly when scan_trace_for_resume() would not call the trace complete.
 RunRecord decode_run_record(const std::vector<std::uint8_t>& bytes);
-
-/// Returns false when the file cannot be written.
-bool write_run_record_file(const RunRecord& record, const std::string& path);
-
-/// Throws replay::ReplayError (kTruncated covers unreadable files).
-RunRecord read_run_record_file(const std::string& path);
 
 struct ReplayResult {
   std::vector<std::string> mismatches;  ///< empty = bit-identical
@@ -99,7 +91,10 @@ struct ReplayResult {
 /// Field-by-field comparison of two reports' deterministic sections —
 /// scalars, latency quantiles, per-shard reports (event digests first) and
 /// the full event streams.  Returns one human-readable line per mismatch;
-/// empty = bit-identical.  Shared by replay_run and the crash-resume path.
+/// empty = bit-identical.  NaN latencies compare equal.  The one report
+/// equality: resume_run verifies with it, and the bench gates and tests
+/// compare two runs with `compare_reports(a, b).empty()` (both runs need
+/// record_events for their event streams to match).
 std::vector<std::string> compare_reports(const RunReport& want,
                                          const RunReport& got);
 
@@ -109,14 +104,9 @@ std::vector<std::string> compare_reports(const RunReport& want,
 /// on it, so a crafted value must not decide how many threads start.
 unsigned replay_threads(unsigned recorded_threads, unsigned threads_override);
 
-/// Re-runs the recorded scenario and verifies every deterministic field,
-/// per-shard digest and session event, at replay_threads() workers (the
-/// thread-invariance contract makes any count legal).
-ReplayResult replay_run(const RunRecord& record, unsigned threads_override = 0);
-
 // --- incremental recording + crash/resume ----------------------------------
 
-/// Incremental wsp-replay-v1 writer and the standard CheckpointSink: the
+/// The wsp-replay-v1 writer and the standard CheckpointSink: the
 /// input chunks (meta/scenario/source/config/costs) are written by the
 /// constructor, each on_checkpoint() appends one kCheckpoint chunk (flushed
 /// to the OS immediately, so a later kill loses at most the bytes after the
@@ -188,14 +178,15 @@ struct ResumeScan {
   /// Trace carries the end tag plus report and events: a finished run.
   bool complete = false;
   /// Every checkpoint up to the first tear, stream order (seq 0, 1, ...).
-  std::vector<EngineCheckpoint> checkpoints;
+  std::vector<EngineCheckpoint> checkpoints{};
   /// Bytes consumed before the scan stopped (tear point or stream end).
   std::size_t scanned_bytes = 0;
   /// Empty for a clean scan; otherwise why it stopped early (the tear).
-  std::string tear;
+  std::string tear{};
 };
 
-/// Walks a trace for crash recovery.  The input chunks MUST decode — any
+/// Reads a possibly torn trace for crash recovery, through the same chunk
+/// walker as decode_run_record.  The input chunks MUST decode — any
 /// error before meta/scenario/config/costs are all present is rethrown
 /// (such a trace identifies no run to resume), as is a calibration
 /// mismatch against this binary.  PAST the inputs, damage is expected —
@@ -208,15 +199,16 @@ struct ResumeScan {
 /// program (phase_done = next_id, phase_entered = true).
 ResumeScan scan_trace_for_resume(const std::vector<std::uint8_t>& bytes);
 
-/// Restores the scan's last valid checkpoint and continues the run at
-/// replay_threads() workers (the resume determinism contract covers any
-/// count).
-/// With no usable checkpoint the run simply restarts from the beginning:
-/// resume is always possible, recovery work is what checkpoints buy.
-/// Never re-crashes regardless of the recorded fault config.  When the
-/// scan is `complete`, the resumed report is verified against the recorded
-/// one exactly like replay_run; for torn traces mismatches stays empty —
-/// the caller compares against an uninterrupted reference run instead.
+/// The one re-run: restores the scan's last valid checkpoint and continues
+/// the run at replay_threads() workers (the resume determinism contract
+/// covers any count).  With no checkpoint the run starts from the
+/// beginning — a plain replay is `resume_run({decode_run_record(bytes),
+/// true})`, and a torn trace with none left still resumes: recovery work
+/// is what checkpoints buy.  Never re-crashes regardless of the recorded
+/// fault config.  When the scan is `complete`, the re-run's report is
+/// verified against the recorded one with compare_reports(); for torn
+/// traces mismatches stays empty — the caller compares against an
+/// uninterrupted reference run instead.
 /// Throws replay::ReplayError(kMalformed) when the checkpoint does not fit
 /// the recorded scenario/config (CRC-valid corruption).
 ReplayResult resume_run(const ResumeScan& scan, unsigned threads_override = 0);

@@ -642,7 +642,8 @@ TEST(CheckpointLegacy, FlatClosedLoopFixtureReplaysAndResumes) {
   EXPECT_EQ(rec.scenario.phases[0].model, server::ArrivalModel::kClosedLoop);
   EXPECT_EQ(rec.scenario.phases[0].users, 4u);
   for (const unsigned threads : {1u, 4u}) {
-    const auto replayed = server::replay_run(rec, threads);
+    const auto replayed =
+        server::resume_run({.record = rec, .complete = true}, threads);
     EXPECT_TRUE(replayed.ok()) << threads << " threads: "
                                << replayed.mismatches.front();
   }

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "crypto/aes.h"
 #include "crypto/des.h"
@@ -372,14 +375,40 @@ const FuzzTrace& fuzz_trace() {
   return trace;
 }
 
-/// Scans and (when the scan yields checkpoints) resumes `bytes`.  Any
-/// non-ReplayError escape fails the test outright.  Returns true when the
-/// resume ran and matched the reference.
+/// Reads `bytes` through both entry points of the one trace reader.  The
+/// strict decode_run_record must throw a typed ReplayError exactly when the
+/// lenient scan does not call the trace complete (or throws itself); any
+/// other escape fails the test outright.  Returns the scan, if it did not
+/// throw.
+std::optional<server::ResumeScan> scan_agreeing_with_decode(
+    const std::vector<std::uint8_t>& bytes) {
+  bool decoded = true;
+  try {
+    (void)server::decode_run_record(bytes);
+  } catch (const replay::ReplayError&) {
+    decoded = false;
+  }
+  try {
+    server::ResumeScan scan = server::scan_trace_for_resume(bytes);
+    EXPECT_EQ(decoded, scan.complete)
+        << "the readers disagree on a " << bytes.size() << "-byte trace";
+    return scan;
+  } catch (const replay::ReplayError&) {
+    EXPECT_FALSE(decoded) << "decoded a " << bytes.size()
+                          << "-byte trace the scan rejects";
+    return std::nullopt;
+  }
+}
+
+/// Scans and resumes `bytes`, after checking that the two readers agree on
+/// it.  Returns true when the resume ran and matched the reference; a typed
+/// rejection is the acceptable outcome for damage.
 bool scan_resume_survives(const std::vector<std::uint8_t>& bytes,
                           const server::RunReport& reference) {
+  const auto scan = scan_agreeing_with_decode(bytes);
+  if (!scan) return false;
   try {
-    const auto scan = server::scan_trace_for_resume(bytes);
-    const auto result = server::resume_run(scan);
+    const auto result = server::resume_run(*scan);
     const auto mismatches =
         server::compare_reports(reference, result.report);
     EXPECT_TRUE(mismatches.empty())
@@ -388,6 +417,24 @@ bool scan_resume_survives(const std::vector<std::uint8_t>& bytes,
   } catch (const replay::ReplayError&) {
     return false;  // typed rejection: the acceptable outcome for damage
   }
+}
+
+TEST(Fuzz, ReadersAgreeOnEveryPrefixOfACompleteTrace) {
+  // Scan + decode only (no resume), so every prefix is cheap.  Only the
+  // whole file is complete; there both readers return the same record.
+  const auto bytes = replay::read_file(WSP_TEST_DATA_DIR "/flat_closed.wspr");
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<std::uint8_t> prefix(bytes.begin(), bytes.begin() + cut);
+    const auto scan = scan_agreeing_with_decode(prefix);
+    EXPECT_FALSE(scan && scan->complete) << "prefix of " << cut << " bytes";
+  }
+  const auto scan = scan_agreeing_with_decode(bytes);
+  ASSERT_TRUE(scan && scan->complete);
+  const server::RunRecord decoded = server::decode_run_record(bytes);
+  EXPECT_EQ(server::encode_run_record(decoded),
+            server::encode_run_record(scan->record));
+  EXPECT_EQ(server::compare_reports(decoded.report, scan->record.report),
+            std::vector<std::string>{});
 }
 
 TEST(Fuzz, ResumeTraceTruncatedAtEveryByte) {

@@ -533,20 +533,30 @@ TEST(ReplayRunRecord, PhaseWithUnknownCipherIdIsMalformed) {
 }
 
 TEST(ReplayRunRecord, FileRoundTrip) {
-  server::RunRecord rec;
-  rec.git_rev = "filetest";
-  rec.scenario = program(4);
-  rec.config.shards = 2;
-  rec.report.shards.resize(2);
+  // The one trace writer: the recorder's file holds exactly its in-memory
+  // stream, which decodes, and which the in-memory codec re-encodes
+  // byte for byte (a finished run without checkpoints).
+  server::EngineConfig cfg;
+  cfg.shards = 2;
+  server::RunReport report;
+  report.admitted = 4;
+  report.shards.resize(2);
   const std::string path = ::testing::TempDir() + "/roundtrip.wspr";
-  ASSERT_TRUE(server::write_run_record_file(rec, path));
-  const server::RunRecord back = server::read_run_record_file(path);
-  EXPECT_EQ(back.git_rev, "filetest");
+  server::RunRecorder recorder(cfg, program(4), "scenario source", path);
+  ASSERT_TRUE(recorder.finish(report));
+  const std::vector<std::uint8_t> bytes = replay::read_file(path);
   std::remove(path.c_str());
+  EXPECT_EQ(bytes, recorder.bytes());
+  const server::RunRecord back = server::decode_run_record(bytes);
+  EXPECT_EQ(back.scenario_source, "scenario source");
+  EXPECT_EQ(back.config.shards, 2u);
+  EXPECT_EQ(back.report.admitted, 4u);
+  EXPECT_EQ(server::encode_run_record(back), bytes);
 
-  EXPECT_FALSE(server::write_run_record_file(rec, "/nonexistent-dir-xyz/x"));
+  server::RunRecorder unwritable(cfg, program(4), {}, "/nonexistent-dir-xyz/x");
+  EXPECT_FALSE(unwritable.ok());
   try {
-    (void)server::read_run_record_file("/nonexistent-dir-xyz/x");
+    (void)replay::read_file("/nonexistent-dir-xyz/x");
     FAIL() << "expected ReplayError";
   } catch (const ReplayError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kTruncated);

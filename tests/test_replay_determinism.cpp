@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "server/record.h"
+#include "record_util.h"
 #include "server_section.h"
 
 namespace wsp {
@@ -26,18 +26,17 @@ bench::BenchScenario chaos(unsigned threads, std::uint64_t seed,
 
 TEST(ReplayDeterminism, RecordAtOneThreadReplayAtEight) {
   const auto b = chaos(1, 74, 64);
-  const server::RunRecord rec =
-      server::record_run(b.config, b.program.scenario);
+  const server::RunRecord rec = test::record(b.config, b.program.scenario);
   ASSERT_EQ(rec.recorded_threads, 1u);
   ASSERT_GT(rec.report.faults_injected, 0u) << "chaos plan injected nothing";
   ASSERT_EQ(rec.report.events.size(), rec.report.admitted);
 
-  const server::ReplayResult res = server::replay_run(rec, 8);
+  const server::ReplayResult res = test::replay(rec, 8);
   EXPECT_TRUE(res.ok()) << res.mismatches.size() << " mismatches, first: "
                         << (res.mismatches.empty() ? "" : res.mismatches[0]);
   EXPECT_EQ(res.report.threads, 8u);
 
-  // Spot-check the per-session digests directly, not just via replay_run.
+  // Spot-check the per-session digests directly, not just via resume_run.
   ASSERT_EQ(res.report.events.size(), rec.report.events.size());
   for (std::size_t i = 0; i < rec.report.events.size(); ++i) {
     EXPECT_EQ(res.report.events[i].digest(), rec.report.events[i].digest())
@@ -53,24 +52,24 @@ TEST(ReplayDeterminism, RecordAtOneThreadReplayAtEight) {
 
 TEST(ReplayDeterminism, DiskRoundTripThenReplayAtDifferentThreads) {
   const auto b = chaos(2, 75, 48);
-  const server::RunRecord rec =
-      server::record_run(b.config, b.program.scenario);
   const std::string path = ::testing::TempDir() + "/chaos_run.wspr";
-  ASSERT_TRUE(server::write_run_record_file(rec, path));
-  const server::RunRecord loaded = server::read_run_record_file(path);
+  const server::RunRecord rec = server::decode_run_record(
+      test::record_trace(b.config, b.program.scenario, {}, path));
+  const server::RunRecord loaded =
+      server::decode_run_record(replay::read_file(path));
   std::remove(path.c_str());
 
   EXPECT_EQ(loaded.report.events, rec.report.events);
-  const server::ReplayResult res = server::replay_run(loaded, 5);
+  const server::ReplayResult res = test::replay(loaded, 5);
   EXPECT_TRUE(res.ok()) << (res.mismatches.empty() ? "" : res.mismatches[0]);
 }
 
 TEST(ReplayDeterminism, TamperedRecordReportsMismatch) {
   const auto b = chaos(1, 76, 32);
-  server::RunRecord rec = server::record_run(b.config, b.program.scenario);
+  server::RunRecord rec = test::record(b.config, b.program.scenario);
   ASSERT_FALSE(rec.report.events.empty());
   rec.report.events[0].wire_bytes ^= 1;  // claim a different byte total
-  const server::ReplayResult res = server::replay_run(rec, 4);
+  const server::ReplayResult res = test::replay(rec, 4);
   EXPECT_FALSE(res.ok());
 }
 

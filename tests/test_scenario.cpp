@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "scenario/compile.h"
 #include "server/engine.h"
@@ -186,8 +187,9 @@ TEST(ScenarioEquivalence, OnePhaseOpenLoopMatchesFlatFig8Bitwise) {
   // steady.wsp) produces a report IDENTICAL to the hand-built program —
   // same Rng draws, same IEEE mean-service arithmetic, same everything.
   const auto compiled = bench::load_bench_scenario("steady").program;
-  EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(bench::steady_oracle())));
+  EXPECT_EQ(server::compare_reports(run_with(compiled.scenario),
+                                    run_with(bench::steady_oracle())),
+            std::vector<std::string>{});
 }
 
 TEST(ScenarioEquivalence, OnePhaseClosedLoopMatchesFlatBitwise) {
@@ -205,15 +207,19 @@ TEST(ScenarioEquivalence, OnePhaseClosedLoopMatchesFlatBitwise) {
   ph.users = 8;
   ph.think_cycles = 6e6;
   built.phases = {ph};
-  EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(built)));
+  EXPECT_EQ(
+      server::compare_reports(run_with(compiled.scenario), run_with(built)),
+      std::vector<std::string>{});
 }
 
 TEST(ScenarioEquivalence, FaultOverlayMatchesEngineFaultConfigBitwise) {
   // The bench scenarios carry their fault mix as a phase overlay; an
   // engine-wide FaultConfig can carry the same mix.  Both key one FaultPlan
   // off the scenario seed, so the two forms must agree bit for bit.
-  const bench::BenchScenario b = bench::load_bench_scenario("chaos");
+  // Every run records events: the resumed run below carries its event
+  // stream, and compare_reports checks it.
+  bench::BenchScenario b = bench::load_bench_scenario("chaos");
+  b.config.record_events = true;
   const server::TrafficScenario& overlay = b.program.scenario;
   ASSERT_EQ(overlay.seed, 74u);
   ASSERT_EQ(overlay.phases.size(), 1u);
@@ -225,8 +231,9 @@ TEST(ScenarioEquivalence, FaultOverlayMatchesEngineFaultConfigBitwise) {
 
   const server::RunReport ref = server::Engine(engine_wide).run(plain);
   ASSERT_GT(ref.faults_injected, 0u);
-  EXPECT_TRUE(bench::reports_deterministically_equal(
-      ref, server::Engine(b.config).run(overlay)));
+  EXPECT_EQ(
+      server::compare_reports(ref, server::Engine(b.config).run(overlay)),
+      std::vector<std::string>{});
 
   // A crash armed engine-wide over the overlay's rates, then crash ->
   // resume_run, still lands on the engine-wide reference.
@@ -244,7 +251,8 @@ TEST(ScenarioEquivalence, FaultOverlayMatchesEngineFaultConfigBitwise) {
   ASSERT_GT(recorder.checkpoints(), 0u);
   const server::ReplayResult resumed = server::resume_run(
       server::scan_trace_for_resume(recorder.bytes()), 3);
-  EXPECT_TRUE(bench::reports_deterministically_equal(ref, resumed.report));
+  EXPECT_EQ(server::compare_reports(ref, resumed.report),
+            std::vector<std::string>{});
 }
 
 TEST(ScenarioEquivalence, ResumeOnMatchesFlatResumeSessionsBitwise) {
@@ -272,8 +280,9 @@ TEST(ScenarioEquivalence, ResumeOnMatchesFlatResumeSessionsBitwise) {
   ph.cipher_mix = {{ssl::Cipher::kRc4, 1}};
   ph.size_mix = {{256, 1}, {512, 1}};
   built.phases = {ph};
-  EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(built)));
+  EXPECT_EQ(
+      server::compare_reports(run_with(compiled.scenario), run_with(built)),
+      std::vector<std::string>{});
 }
 
 TEST(ScenarioEquivalence, WeightedMixEqualsDuplicatedGridEntries) {
@@ -302,8 +311,9 @@ TEST(ScenarioEquivalence, WeightedMixEqualsDuplicatedGridEntries) {
                    {ssl::Cipher::kRc4, 1}};
   ph.size_mix = {{1024, 1}, {4096, 1}, {4096, 1}};
   built.phases = {ph};
-  EXPECT_TRUE(bench::reports_deterministically_equal(
-      run_with(compiled.scenario), run_with(built)));
+  EXPECT_EQ(
+      server::compare_reports(run_with(compiled.scenario), run_with(built)),
+      std::vector<std::string>{});
 }
 
 TEST(ScenarioPrograms, MultiPhaseRunsAllPhasesAndKeepsLeakInvariant) {

@@ -8,7 +8,7 @@
 #include "scenario/compile.h"
 #include "server/engine.h"
 #include "server/record.h"
-#include "server_section.h"
+#include "record_util.h"
 
 namespace wsp {
 namespace {
@@ -50,8 +50,9 @@ TEST(ScenarioDeterminism, ReportBitIdenticalAcrossThreads) {
   EXPECT_GT(reference.faults_injected, 0u);
   for (unsigned threads : {2u, 8u}) {
     const auto rep = run_with(compiled.scenario, threads);
-    EXPECT_TRUE(bench::reports_deterministically_equal(reference, rep))
-        << "threads=" << threads;
+    const auto mismatches = server::compare_reports(reference, rep);
+    EXPECT_TRUE(mismatches.empty())
+        << "threads=" << threads << ": " << mismatches.front();
   }
 }
 
@@ -61,7 +62,7 @@ TEST(ScenarioDeterminism, RecordReplayRoundTripWithEmbeddedSource) {
   cfg.threads = 2;
   cfg.shards = 4;
   const server::RunRecord rec =
-      server::record_run(cfg, compiled.scenario, compiled.source);
+      test::record(cfg, compiled.scenario, compiled.source);
 
   // The codec round-trips the program and the source text bit-exactly.
   const auto bytes = server::encode_run_record(rec);
@@ -76,7 +77,7 @@ TEST(ScenarioDeterminism, RecordReplayRoundTripWithEmbeddedSource) {
 
   // Replay the decoded record at different thread counts: bit-identical.
   for (unsigned threads : {1u, 8u}) {
-    const server::ReplayResult result = server::replay_run(back, threads);
+    const server::ReplayResult result = test::replay(back, threads);
     EXPECT_TRUE(result.ok()) << "threads=" << threads << ": "
                              << (result.mismatches.empty()
                                      ? ""

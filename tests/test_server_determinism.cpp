@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "server/engine.h"
+#include "record_util.h"
 #include "server/record.h"
 #include "server/session_table.h"
 #include "server_section.h"
@@ -395,7 +396,7 @@ TEST(ServerDeterminism, ResumeModeRecordReplayRoundTrip) {
   cfg.queue_capacity = 32;
   cfg.record_batch = 4;
 
-  const server::RunRecord rec = server::record_run(cfg, scenario);
+  const server::RunRecord rec = test::record(cfg, scenario);
   EXPECT_EQ(rec.scenario.phases[0].resume_fraction, 1.0);
   EXPECT_EQ(rec.report.memory_per_session,
             server::SessionTable::bytes_per_session());
@@ -405,7 +406,7 @@ TEST(ServerDeterminism, ResumeModeRecordReplayRoundTrip) {
   EXPECT_EQ(decoded.report.memory_per_session, rec.report.memory_per_session);
 
   for (unsigned threads : {1u, 8u}) {
-    const auto result = server::replay_run(decoded, threads);
+    const auto result = test::replay(decoded, threads);
     EXPECT_TRUE(result.ok()) << "threads=" << threads << ": "
                              << (result.mismatches.empty()
                                      ? ""

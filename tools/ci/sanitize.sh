@@ -7,8 +7,9 @@
 #      tree is built with -D_GLIBCXX_ASSERTIONS, so every std::vector/array
 #      index and iterator range in those runs is bounds-checked too.
 #      The tier-1 group includes the engine-parts tests (the virtual model
-#      alone against full runs, and a DataPlane destroyed mid-handshake)
-#      and the fuzzer's mutated checkpoints fed straight to Engine::run.
+#      alone against full runs, and a DataPlane destroyed mid-handshake),
+#      the fuzzer's mutated checkpoints fed straight to Engine::run, and the
+#      wspc/replay command-line cases (ToolsCli).
 #   2. A short TSan pass over the record scheduler: the determinism and
 #      chaos tests drive the sharded session table, record scheduler and
 #      fault-containment path from multiple worker threads, which is
@@ -24,11 +25,12 @@
 #      build (tests/data/flat_closed.wspr) replayed and resumed.
 #   6. Crash -> restore smokes (docs/recovery.md): the crash-storm scenario
 #      recorded with checkpoints at 1 thread until its scheduled kill
-#      (wspc exit 3), then resumed at 8 threads from the torn trace, and
-#      recorded at 4 threads — where checkpoint cuts are still pending
-#      across workers when the kill fires — then resumed at 1 thread, under
-#      both sanitizer builds; plus the Checkpoint suites (the cut tests
-#      under TSan too) and the Sec. 4.3 explore-sweep regression gate.
+#      (wspc exit 3), then resumed with `replay --resume` at 8 threads from
+#      the torn trace, and recorded at 4 threads — where checkpoint cuts are
+#      still pending across workers when the kill fires — then resumed at 1
+#      thread, under both sanitizer builds; plus the Checkpoint suites (the
+#      cut tests under TSan too) and the Sec. 4.3 explore-sweep regression
+#      gate.
 #
 # Usage: tools/ci/sanitize.sh [build-dir]   (default: build-asan; the TSan
 # build lands next to it with a -tsan suffix)
@@ -103,7 +105,7 @@ echo "sanitize.sh: example scenarios compile; flash crowd clean under ASan/UBSan
 # with checkpoints at 1 thread until the scheduled kill fires (wspc exits 3
 # on a CrashFault, anything else is a failure), then resume the torn trace
 # at 8 threads — the cut/restore machinery with the leak invariant gated
-# by wspc's exit code (docs/recovery.md).  The 4-thread recording crashes
+# by replay's exit code (docs/recovery.md).  The 4-thread recording crashes
 # with cuts still pending behind running workers; they are flushed before
 # the throw, and the trace resumes at 1 thread.
 rc=0
@@ -111,15 +113,15 @@ rc=0
     --threads 1 --record "$BUILD_DIR"/crash_storm.wspr \
     --checkpoint-every 2000000 > /dev/null || rc=$?
 [ "$rc" -eq 3 ] || { echo "crash_storm: expected exit 3, got $rc"; exit 1; }
-"$BUILD_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
-    --threads 8 --resume-from "$BUILD_DIR"/crash_storm.wspr > /dev/null
+"$BUILD_DIR"/tools/replay "$BUILD_DIR"/crash_storm.wspr --resume --threads 8 \
+    > /dev/null
 rc=0
 "$BUILD_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
     --threads 4 --record "$BUILD_DIR"/crash_storm4.wspr \
     --checkpoint-every 2000000 > /dev/null || rc=$?
 [ "$rc" -eq 3 ] || { echo "crash_storm: expected exit 3, got $rc"; exit 1; }
-"$BUILD_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
-    --threads 1 --resume-from "$BUILD_DIR"/crash_storm4.wspr > /dev/null
+"$BUILD_DIR"/tools/replay "$BUILD_DIR"/crash_storm4.wspr --resume --threads 1 \
+    > /dev/null
 echo "sanitize.sh: crash-storm checkpoint/resume clean under ASan/UBSan"
 
 # Bench regression gate (docs/benchmarks.md): the server section against
@@ -172,18 +174,15 @@ echo "sanitize.sh: 100k-session scale run clean under TSan"
 echo "sanitize.sh: flash-crowd scenario clean under TSan"
 
 # Crash -> restore smoke under TSan: checkpoint at 1 thread, resume at 8 —
-# the restore re-queues the run across 8 workers; then replay the torn
-# trace's resume path through the standalone replay tool too.  Then record
-# at 4 threads, where each cut reads the event ledger while workers still
-# fill later events and the crash flushes cuts pending behind them, and
-# resume that trace at 1 thread.
+# the restore re-queues the run across 8 workers.  Then record at 4
+# threads, where each cut reads the event ledger while workers still fill
+# later events and the crash flushes cuts pending behind them, and resume
+# that trace at 1 thread.
 rc=0
 "$TSAN_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
     --threads 1 --record "$TSAN_DIR"/crash_storm.wspr \
     --checkpoint-every 2000000 > /dev/null || rc=$?
 [ "$rc" -eq 3 ] || { echo "crash_storm: expected exit 3, got $rc"; exit 1; }
-"$TSAN_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
-    --threads 8 --resume-from "$TSAN_DIR"/crash_storm.wspr > /dev/null
 "$TSAN_DIR"/tools/replay "$TSAN_DIR"/crash_storm.wspr --resume --threads 8 \
     > /dev/null
 rc=0
@@ -191,8 +190,8 @@ rc=0
     --threads 4 --record "$TSAN_DIR"/crash_storm4.wspr \
     --checkpoint-every 2000000 > /dev/null || rc=$?
 [ "$rc" -eq 3 ] || { echo "crash_storm: expected exit 3, got $rc"; exit 1; }
-"$TSAN_DIR"/tools/wspc run "$SRC_DIR"/examples/scenarios/crash_storm.wsp \
-    --threads 1 --resume-from "$TSAN_DIR"/crash_storm4.wspr > /dev/null
+"$TSAN_DIR"/tools/replay "$TSAN_DIR"/crash_storm4.wspr --resume --threads 1 \
+    > /dev/null
 echo "sanitize.sh: crash-storm checkpoint/resume clean under TSan"
 
 echo "sanitize.sh: scheduler/threadpool/chaos tests clean under TSan"

@@ -6,27 +6,34 @@
 // recorded at --threads 8 under a single thread (or a debugger) is the
 // point of the format.
 //
-// Crash recovery (docs/recovery.md): --resume scans a possibly-torn trace —
-// one a crashed run left without its end tag, or with a partially-written
-// checkpoint chunk at the tail — restores the last valid checkpoint and
-// continues the run.  For a complete trace the resumed outcome is verified
-// against the recording just like a plain replay; for a torn trace there is
-// no recorded outcome, so the resumed report is printed instead.
+// A plain replay reads the trace strictly (decode_run_record), so a torn
+// trace is refused.  Crash recovery (docs/recovery.md) is --resume, the one
+// resume CLI: it scans a possibly-torn trace — one a crashed run left
+// without its end tag, or with a partially-written checkpoint chunk at the
+// tail — restores the last valid checkpoint and continues the run.  Both
+// re-run through server::resume_run.  For a complete trace the outcome is
+// verified against the recording; for a torn trace there is no recorded
+// outcome, so the resumed report is printed instead.
 //
 // Usage: replay TRACE_FILE [--threads N] [--dump] [--resume]
 //   --threads N   re-run with N worker threads, 1..1024 (default: as
 //                 recorded, capped at this host's hardware threads)
 //   --dump        print the recorded header/summary, do not re-run
+//                 (ignored with --resume)
 //   --resume      crash recovery: restore the last valid checkpoint
 //
-// Exit codes: 0 replay/resume verified, 1 mismatch (for --resume also a
-// leaked session: completed + aborted != admitted), 2 usage error, invalid
-// --threads, or unreadable/invalid trace (for --resume: damage before the
-// input chunks completed).
+// Flags are parsed strictly (support::parse_flags): an unknown flag, a
+// missing value or an invalid --threads exits 2; --help prints usage.
+//
+// Exit codes: 0 replay/resume verified, 1 mismatch or a leaked session
+// (completed + aborted != admitted), 2 usage error, invalid --threads, or
+// unreadable/invalid trace (for --resume: damage before the input chunks
+// completed).
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "server/record.h"
 #include "server/traffic.h"
@@ -36,6 +43,12 @@
 namespace {
 
 using namespace wsp;
+
+constexpr support::FlagSpec kFlags[] = {
+    {"--threads", true}, {"--dump", false}, {"--resume", false}};
+
+constexpr const char* kUsage =
+    "usage: replay TRACE_FILE [--threads N] [--dump] [--resume]\n";
 
 void dump_record(const server::RunRecord& rec) {
   const server::RunReport& r = rec.report;
@@ -116,51 +129,59 @@ void dump_record(const server::RunRecord& rec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
+  // TRACE_FILE comes first; parse_flags reads the flags after it.
+  const int skip = argc >= 2 && argv[1][0] != '-' ? 1 : 0;
+  support::FlagValues flags;
   unsigned threads = 0;
-  bool dump = false;
-  bool resume = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--dump") {
-      dump = true;
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if ((arg == "--threads" && i + 1 < argc) ||
-               arg.rfind("--threads=", 0) == 0) {
-      const std::string value =
-          arg == "--threads" ? argv[++i] : arg.substr(std::strlen("--threads="));
-      try {
-        threads = static_cast<unsigned>(support::parse_count(
-            value, "--threads", 1, support::kMaxCliThreads));
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "replay: %s\n", e.what());
-        return 2;
-      }
-    } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
-      path = arg;
-    } else {
-      std::fprintf(stderr,
-                   "usage: replay TRACE_FILE [--threads N] [--dump] "
-                   "[--resume]\n");
-      return 2;
+  try {
+    flags = support::parse_flags(argc - skip, argv + skip, kFlags);
+    if (const auto it = flags.find("--threads"); it != flags.end()) {
+      threads = static_cast<unsigned>(support::parse_count(
+          it->second, "--threads", 1, support::kMaxCliThreads));
     }
-  }
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "usage: replay TRACE_FILE [--threads N] [--dump] "
-                 "[--resume]\n");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "replay: %s\n%s", e.what(), kUsage);
     return 2;
   }
+  if (flags.contains("--help") || flags.contains("-h")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  if (skip == 0) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  const std::string path = argv[1];
+  const bool resume = flags.contains("--resume");
+  const char* const mode = resume ? "resume" : "replay";
 
-  if (resume) {
-    server::ResumeScan scan;
-    try {
-      scan = server::scan_trace_for_resume(wsp::replay::read_file(path));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "resume: %s: %s\n", path.c_str(), e.what());
-      return 2;
+  // Plain replay reads the trace strictly and re-runs it from its inputs;
+  // --resume reads it leniently and keeps the checkpoints it found.
+  server::ResumeScan scan;
+  try {
+    const std::vector<std::uint8_t> bytes = wsp::replay::read_file(path);
+    if (resume) {
+      scan = server::scan_trace_for_resume(bytes);
+    } else {
+      scan = {.record = server::decode_run_record(bytes), .complete = true};
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s: %s\n", mode, path.c_str(), e.what());
+    return 2;
+  }
+  const unsigned run_threads =
+      server::replay_threads(scan.record.recorded_threads, threads);
+
+  if (!resume) {
+    if (flags.contains("--dump")) {
+      dump_record(scan.record);
+      return 0;
+    }
+    std::printf("replaying %s (recorded at %s, %zu sessions) on %u "
+                "threads...\n",
+                path.c_str(), scan.record.git_rev.c_str(),
+                scan.record.scenario.total_sessions(), run_threads);
+  } else {
     std::printf("scanned %s: %zu bytes, %zu checkpoint%s, %s\n", path.c_str(),
                 scan.scanned_bytes, scan.checkpoints.size(),
                 scan.checkpoints.size() == 1 ? "" : "s",
@@ -172,82 +193,56 @@ int main(int argc, char** argv) {
                   "(%llu of the run's arrivals already offered) on %u "
                   "threads...\n",
                   static_cast<unsigned long long>(cp.seq), cp.virtual_now,
-                  static_cast<unsigned long long>(cp.offered),
-                  server::replay_threads(scan.record.recorded_threads,
-                                         threads));
+                  static_cast<unsigned long long>(cp.offered), run_threads);
     } else {
       std::printf("no usable checkpoint; restarting the run from the "
                   "beginning on %u threads...\n",
-                  server::replay_threads(scan.record.recorded_threads,
-                                         threads));
+                  run_threads);
     }
-    server::ReplayResult result;
-    try {
-      result = server::resume_run(scan, threads);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "resume: %s: %s\n", path.c_str(), e.what());
-      return 2;
-    }
-    if (!result.ok()) {
-      std::fprintf(stderr, "resume FAILED: %zu mismatches\n",
-                   result.mismatches.size());
-      for (const std::string& m : result.mismatches) {
-        std::fprintf(stderr, "  %s\n", m.c_str());
-      }
-      return 1;
-    }
-    const server::RunReport& r = result.report;
-    if (r.completed + r.aborted != r.admitted) {
-      // The leak invariant: a torn trace has no recorded outcome to verify
-      // against, so this is the gate that still holds for it.
-      std::fprintf(stderr,
-                   "resume FAILED: leaked sessions (admitted %llu != "
-                   "completed %llu + aborted %llu)\n",
-                   static_cast<unsigned long long>(r.admitted),
-                   static_cast<unsigned long long>(r.completed),
-                   static_cast<unsigned long long>(r.aborted));
-      return 1;
-    }
-    std::printf("resume OK: offered %llu, admitted %llu, completed %llu, "
-                "aborted %llu, dropped %llu%s\n",
-                static_cast<unsigned long long>(r.offered),
-                static_cast<unsigned long long>(r.admitted),
-                static_cast<unsigned long long>(r.completed),
-                static_cast<unsigned long long>(r.aborted),
-                static_cast<unsigned long long>(r.dropped),
-                scan.complete
-                    ? " — verified bit-identical against the recording"
-                    : " (torn trace: no recorded outcome to verify against)");
-    return 0;
   }
 
-  server::RunRecord rec;
+  server::ReplayResult result;
   try {
-    rec = server::read_run_record_file(path);
+    result = server::resume_run(scan, threads);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "replay: %s: %s\n", path.c_str(), e.what());
+    std::fprintf(stderr, "%s: %s: %s\n", mode, path.c_str(), e.what());
     return 2;
   }
-
-  if (dump) {
-    dump_record(rec);
-    return 0;
-  }
-
-  std::printf("replaying %s (recorded at %s, %zu sessions) on %u threads...\n",
-              path.c_str(), rec.git_rev.c_str(), rec.scenario.total_sessions(),
-              server::replay_threads(rec.recorded_threads, threads));
-  const server::ReplayResult result = server::replay_run(rec, threads);
   if (!result.ok()) {
-    std::fprintf(stderr, "replay FAILED: %zu mismatches\n",
+    std::fprintf(stderr, "%s FAILED: %zu mismatches\n", mode,
                  result.mismatches.size());
     for (const std::string& m : result.mismatches) {
       std::fprintf(stderr, "  %s\n", m.c_str());
     }
     return 1;
   }
-  std::printf("replay OK: RunReport, %zu shard digests and %zu session "
-              "events bit-identical\n",
-              result.report.shards.size(), result.report.events.size());
+  const server::RunReport& r = result.report;
+  if (r.completed + r.aborted != r.admitted) {
+    // The leak invariant: a torn trace has no recorded outcome to verify
+    // against, so this is the gate that still holds for it.
+    std::fprintf(stderr,
+                 "%s FAILED: leaked sessions (admitted %llu != completed "
+                 "%llu + aborted %llu)\n",
+                 mode, static_cast<unsigned long long>(r.admitted),
+                 static_cast<unsigned long long>(r.completed),
+                 static_cast<unsigned long long>(r.aborted));
+    return 1;
+  }
+  if (!resume) {
+    std::printf("replay OK: RunReport, %zu shard digests and %zu session "
+                "events bit-identical\n",
+                r.shards.size(), r.events.size());
+    return 0;
+  }
+  std::printf("resume OK: offered %llu, admitted %llu, completed %llu, "
+              "aborted %llu, dropped %llu%s\n",
+              static_cast<unsigned long long>(r.offered),
+              static_cast<unsigned long long>(r.admitted),
+              static_cast<unsigned long long>(r.completed),
+              static_cast<unsigned long long>(r.aborted),
+              static_cast<unsigned long long>(r.dropped),
+              scan.complete
+                  ? " — verified bit-identical against the recording"
+                  : " (torn trace: no recorded outcome to verify against)");
   return 0;
 }

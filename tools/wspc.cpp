@@ -11,30 +11,28 @@
 //                   virtual model)
 //   --queue N       per-shard waiting room (default 64, at most 2^20)
 //   --rsa BITS      server key size (default 512, at most 4096)
-//   --record FILE   write a wsp-replay-v1 recording with the source embedded
+//   --record FILE   write a wsp-replay-v1 recording (server::RunRecorder)
+//                   with the source embedded
 //   --checkpoint-every C  append a barrier checkpoint to the
 //                   recording every C virtual cycles (docs/recovery.md);
 //                   requires --record, and C must be positive and finite
-//   --resume-from TRACE   crash recovery: scan TRACE (possibly torn),
-//                   restore its last valid checkpoint and continue; the
-//                   run comes from the trace's lowered scenario, so FILE is
-//                   only compiled to validate it.  Engine shape flags are
-//                   ignored (the recorded config wins); --threads applies.
 //
-// Numeric values are parsed strictly (support/cli.h): a sign, a trailing
-// character or an out-of-range value exits 2 instead of turning into 0
-// ("auto" shards) or a wrapped count.
+// Flags are parsed strictly (support::parse_flags, support/cli.h): an
+// unknown flag exits 2, and a sign, a trailing character or an
+// out-of-range value exits 2 instead of turning into 0 ("auto" shards) or
+// a wrapped count.
 //
-// Exit codes: 0 success, 1 compile error / leak / resume mismatch
-// (diagnostic on stderr), 2 usage, I/O or argument error, 3 the scenario's
-// scheduled crash fault fired — the recording holds the checkpoints written
-// so far and `wspc run FILE --resume-from TRACE` (or `replay TRACE
-// --resume`) recovers it.  Compile diagnostics carry file:line:col and a
-// stable Ennn code — `wspc check` is what tools/ci/sanitize.sh runs over
-// examples/scenarios/ and bench/scenarios/.
+// Exit codes: 0 success, 1 compile error / leak (diagnostic on stderr), 2
+// usage, I/O or argument error, 3 the scenario's scheduled crash fault
+// fired — with --record, the recording holds the checkpoints written so far
+// (possibly none) and `replay TRACE --resume` recovers it.  Compile
+// diagnostics carry file:line:col and a stable Ennn code — `wspc check` is
+// what tools/ci/sanitize.sh runs over examples/scenarios/ and
+// bench/scenarios/.
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,14 +51,19 @@ using namespace wsp;
 /// scenario needs (scale runs at 32768).
 constexpr std::uint64_t kMaxQueue = std::uint64_t{1} << 20;
 
+constexpr support::FlagSpec kRunFlags[] = {
+    {"--threads", true}, {"--shards", true}, {"--queue", true},
+    {"--rsa", true},     {"--record", true}, {"--checkpoint-every", true}};
+
+constexpr const char* kUsage =
+    "usage: wspc check FILE...\n"
+    "       wspc dump FILE\n"
+    "       wspc run FILE [--threads N] [--shards N] [--queue N]\n"
+    "                     [--rsa BITS] [--record FILE]\n"
+    "                     [--checkpoint-every CYCLES]\n";
+
 int usage() {
-  std::fprintf(stderr,
-               "usage: wspc check FILE...\n"
-               "       wspc dump FILE\n"
-               "       wspc run FILE [--threads N] [--shards N] [--queue N]\n"
-               "                     [--rsa BITS] [--record FILE]\n"
-               "                     [--checkpoint-every CYCLES]\n"
-               "                     [--resume-from TRACE]\n");
+  std::fputs(kUsage, stderr);
   return 2;
 }
 
@@ -132,41 +135,37 @@ int cmd_dump(const std::string& file) {
   return 0;
 }
 
-int cmd_run(const std::string& file, int argc, char** argv, int i) {
+int cmd_run(const std::string& file, int argc, char** argv) {
   server::EngineConfig cfg;
   cfg.threads = 1;
   cfg.shards = 4;
   std::string record_path;
-  std::string resume_path;
   try {
-    for (; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
-        return argv[++i];
-      };
-      if (arg == "--threads") {
+    // argv[0] is FILE; parse_flags reads the flags after it.
+    const support::FlagValues flags = support::parse_flags(argc, argv, kRunFlags);
+    if (flags.contains("--help") || flags.contains("-h")) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    for (const auto& [flag, value] : flags) {
+      if (flag == "--threads") {
         cfg.threads = static_cast<unsigned>(
-            support::parse_count(next(), arg, 1, support::kMaxCliThreads));
-      } else if (arg == "--shards") {
+            support::parse_count(value, flag, 1, support::kMaxCliThreads));
+      } else if (flag == "--shards") {
         cfg.shards = static_cast<unsigned>(
-            support::parse_count(next(), arg, 1, support::kMaxCliThreads));
-      } else if (arg == "--queue") {
-        cfg.queue_capacity = support::parse_count(next(), arg, 1, kMaxQueue);
-      } else if (arg == "--rsa") {
-        cfg.rsa_bits = support::parse_count(next(), arg, 512, 4096);
-      } else if (arg == "--record") {
-        record_path = next();
-      } else if (arg == "--checkpoint-every") {
-        cfg.checkpoint_every = support::parse_positive(next(), arg);
-      } else if (arg == "--resume-from") {
-        resume_path = next();
-      } else {
-        return usage();
+            support::parse_count(value, flag, 1, support::kMaxCliThreads));
+      } else if (flag == "--queue") {
+        cfg.queue_capacity = support::parse_count(value, flag, 1, kMaxQueue);
+      } else if (flag == "--rsa") {
+        cfg.rsa_bits = support::parse_count(value, flag, 512, 4096);
+      } else if (flag == "--record") {
+        record_path = value;
+      } else if (flag == "--checkpoint-every") {
+        cfg.checkpoint_every = support::parse_positive(value, flag);
       }
     }
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "wspc: %s\n", e.what());
+    std::fprintf(stderr, "wspc: %s\n%s", e.what(), kUsage);
     return 2;
   }
   if (cfg.checkpoint_every > 0.0 && record_path.empty()) {
@@ -187,65 +186,44 @@ int cmd_run(const std::string& file, int argc, char** argv, int i) {
   }
 
   try {
+    // --record runs through the one trace writer: inputs first, each
+    // checkpoint flushed as the run goes, so a crash leaves a resumable
+    // (torn) trace behind — with no checkpoints, one that restarts.
+    std::optional<server::RunRecorder> recorder;
+    if (!record_path.empty()) {
+      recorder.emplace(cfg, compiled.scenario, compiled.source, record_path);
+      if (!recorder->ok()) {
+        std::fprintf(stderr, "wspc: %s\n", recorder->error().c_str());
+        return 2;
+      }
+    }
     server::RunReport report;
-    if (!resume_path.empty()) {
-      // Crash recovery: the run comes from the trace's lowered scenario
-      // and recorded config; only --threads applies on top.
-      const server::ResumeScan scan =
-          server::scan_trace_for_resume(replay::read_file(resume_path));
-      std::printf("resuming %s: %zu checkpoint(s), %s%s%s\n",
-                  resume_path.c_str(), scan.checkpoints.size(),
-                  scan.complete ? "complete trace" : "torn trace",
-                  scan.tear.empty() ? "" : "; tear: ", scan.tear.c_str());
-      const server::ReplayResult res =
-          server::resume_run(scan, cfg.threads);
-      if (!res.ok()) {
-        std::fprintf(stderr, "wspc: resume diverged from the recording: "
-                             "%zu mismatches\n",
-                     res.mismatches.size());
-        for (const std::string& m : res.mismatches) {
-          std::fprintf(stderr, "  %s\n", m.c_str());
-        }
-        return 1;
-      }
-      report = res.report;
-    } else if (!record_path.empty()) {
-      if (cfg.checkpoint_every > 0.0) {
-        // Incremental recording: each checkpoint is flushed to the file as
-        // the run goes, so a crash leaves a resumable trace behind.
-        server::RunRecorder recorder(cfg, compiled.scenario, compiled.source,
-                                     record_path);
-        try {
-          server::Engine engine(recorder.engine_config());
-          report = engine.run(compiled.scenario);
-        } catch (const server::CrashFault& e) {
-          recorder.crash();
-          std::fprintf(stderr,
-                       "wspc: %s\n  %s holds %zu checkpoint(s); recover "
-                       "with `wspc run %s --resume-from %s`\n",
-                       e.what(), record_path.c_str(), recorder.checkpoints(),
-                       file.c_str(), record_path.c_str());
-          return 3;
-        }
-        if (!recorder.finish(report)) {
-          std::fprintf(stderr, "wspc: %s\n", recorder.error().c_str());
-          return 2;
-        }
-        std::printf("recorded %s (%zu checkpoints)\n", record_path.c_str(),
-                    recorder.checkpoints());
-      } else {
-        const server::RunRecord rec =
-            server::record_run(cfg, compiled.scenario, compiled.source);
-        if (!server::write_run_record_file(rec, record_path)) {
-          std::fprintf(stderr, "wspc: cannot write %s\n", record_path.c_str());
-          return 2;
-        }
-        report = rec.report;
-        std::printf("recorded %s\n", record_path.c_str());
-      }
-    } else {
-      server::Engine engine(cfg);
+    try {
+      server::Engine engine(recorder ? recorder->engine_config() : cfg);
       report = engine.run(compiled.scenario);
+    } catch (const server::CrashFault& e) {
+      if (!recorder) {
+        // Without --record nothing is left to resume from; the distinct
+        // exit code still tells the caller what happened.
+        std::fprintf(stderr, "wspc: %s (no recording to resume from)\n",
+                     e.what());
+        return 3;
+      }
+      recorder->crash();
+      std::fprintf(stderr,
+                   "wspc: %s\n  %s holds %zu checkpoint(s); recover with "
+                   "`replay %s --resume`\n",
+                   e.what(), record_path.c_str(), recorder->checkpoints(),
+                   record_path.c_str());
+      return 3;
+    }
+    if (recorder) {
+      if (!recorder->finish(report)) {
+        std::fprintf(stderr, "wspc: %s\n", recorder->error().c_str());
+        return 2;
+      }
+      std::printf("recorded %s (%zu checkpoints)\n", record_path.c_str(),
+                  recorder->checkpoints());
     }
     std::printf("scenario '%s': offered %llu, admitted %llu, completed %llu, "
                 "aborted %llu, dropped %llu\n",
@@ -278,11 +256,6 @@ int cmd_run(const std::string& file, int argc, char** argv, int i) {
       return 1;
     }
     return 0;
-  } catch (const server::CrashFault& e) {
-    // A crash without --record --checkpoint-every leaves nothing to resume
-    // from; the distinct exit code still tells the caller what happened.
-    std::fprintf(stderr, "wspc: %s (no recording to resume from)\n", e.what());
-    return 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "wspc: %s\n", e.what());
     return 2;
@@ -304,7 +277,7 @@ int main(int argc, char** argv) {
     return cmd_dump(argv[2]);
   }
   if (cmd == "run") {
-    return cmd_run(argv[2], argc, argv, 3);
+    return cmd_run(argv[2], argc - 2, argv + 2);
   }
   return usage();
 }
