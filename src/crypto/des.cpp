@@ -95,9 +95,37 @@ std::uint8_t sbox_lookup(int box, std::uint8_t v6) {
   return kSBox[box][row * 16 + col];
 }
 
+std::uint32_t rotr32(std::uint32_t v, int n) { return (v >> n) | (v << (32 - n)); }
+
+// Rotates each 32-bit half of a 64-bit block right by n (0 < n < 32).
+std::uint64_t rotr_halves(std::uint64_t v, int n) {
+  return (static_cast<std::uint64_t>(rotr32(static_cast<std::uint32_t>(v >> 32), n)) << 32) |
+         rotr32(static_cast<std::uint32_t>(v), n);
+}
+
+using SpTables = std::array<std::array<std::uint32_t, 64>, 8>;
+
+// The combined S-box + P tables in the standard bit order (sp_table).
+const SpTables& sp_tables() {
+  static const SpTables tabs = [] {
+    SpTables t{};
+    for (int box = 0; box < 8; ++box) {
+      for (int v = 0; v < 64; ++v) {
+        const std::uint32_t sv = sbox_lookup(box, static_cast<std::uint8_t>(v));
+        // Place the 4-bit S-box output at its position in the 32-bit
+        // pre-permutation word, then permute.
+        const std::uint32_t positioned = sv << (28 - 4 * box);
+        t[box][v] = static_cast<std::uint32_t>(permute<32, 32>(positioned, kP));
+      }
+    }
+    return t;
+  }();
+  return tabs;
+}
+
 std::uint32_t feistel_sp(std::uint32_t r, std::uint64_t k48) {
   const std::uint64_t e = permute<48, 32>(r, kE) ^ k48;
-  const auto& sp = fast_tables().sp;
+  const SpTables& sp = sp_tables();
   std::uint32_t out = 0;
   for (int i = 0; i < 8; ++i) {
     out |= sp[i][(e >> (42 - 6 * i)) & 0x3f];
@@ -114,47 +142,96 @@ inline std::uint64_t scatter(const std::uint64_t (&tab)[8][256],
          tab[6][(v >> 8) & 0xff] | tab[7][v & 0xff];
 }
 
-// 16 Feistel rounds, two per iteration so the halves never swap: on exit
-// (l, r) = (L16, R16).  Decryption runs the subkeys in reverse.
-void stage16(std::uint32_t& l, std::uint32_t& r, const KeySchedule& ks,
+// 16 Feistel rounds over N independent blocks, two rounds per iteration so
+// the halves never swap: on exit (l[j], r[j]) = (L16, R16) of block j.
+// Each round finishes all N blocks before the next starts, so the N
+// dependent lookup chains overlap instead of queueing behind one another.
+// Decryption runs the subkeys in reverse.
+template <int N>
+void stage16(std::uint32_t (&l)[N], std::uint32_t (&r)[N], const KeySchedule& ks,
              bool decrypt, const FastTables& t) {
   if (decrypt) {
     for (int i = 15; i > 0; i -= 2) {
-      l ^= feistel_fast(r, ks.k6[i].data(), t);
-      r ^= feistel_fast(l, ks.k6[i - 1].data(), t);
+      for (int j = 0; j < N; ++j) l[j] ^= feistel_fast(r[j], ks.kw[i].data(), t);
+      for (int j = 0; j < N; ++j) r[j] ^= feistel_fast(l[j], ks.kw[i - 1].data(), t);
     }
   } else {
     for (int i = 0; i < 16; i += 2) {
-      l ^= feistel_fast(r, ks.k6[i].data(), t);
-      r ^= feistel_fast(l, ks.k6[i + 1].data(), t);
+      for (int j = 0; j < N; ++j) l[j] ^= feistel_fast(r[j], ks.kw[i].data(), t);
+      for (int j = 0; j < N; ++j) r[j] ^= feistel_fast(l[j], ks.kw[i + 1].data(), t);
     }
   }
 }
 
-std::uint64_t crypt_fast(std::uint64_t block, const KeySchedule& ks,
-                         bool decrypt) {
-  const FastTables& t = fast_tables();
-  const std::uint64_t ip = scatter(t.ip, block);
-  std::uint32_t l = static_cast<std::uint32_t>(ip >> 32);
-  std::uint32_t r = static_cast<std::uint32_t>(ip);
-  stage16(l, r, ks, decrypt, t);
-  return scatter(t.fp, (static_cast<std::uint64_t>(r) << 32) | l);
+// IP of N blocks into (l, r) halves in the rotated form the rounds use,
+// and FP of the (R, L) preoutputs back (FastTables).
+template <int N>
+void ip_split(const std::uint64_t (&b)[N], std::uint32_t (&l)[N],
+              std::uint32_t (&r)[N], const FastTables& t) {
+  for (int j = 0; j < N; ++j) {
+    const std::uint64_t ip = scatter(t.ip, b[j]);
+    l[j] = static_cast<std::uint32_t>(ip >> 32);
+    r[j] = static_cast<std::uint32_t>(ip);
+  }
+}
+template <int N>
+void fp_join(const std::uint32_t (&l)[N], const std::uint32_t (&r)[N],
+             std::uint64_t (&b)[N], const FastTables& t) {
+  for (int j = 0; j < N; ++j) {
+    b[j] = scatter(t.fp, (static_cast<std::uint64_t>(r[j]) << 32) | l[j]);
+  }
 }
 
-// Fused EDE: each stage's pre-output swap feeds the next stage's IP
-// through an FP.IP pair that cancels, so the only thing left between
-// stages is the half swap — expressed by exchanging the (l, r) roles.
-std::uint64_t crypt_3des(std::uint64_t block, const KeySchedule& a,
-                         const KeySchedule& b, const KeySchedule& c,
-                         bool decrypt) {
+// Single DES over N blocks in place.
+template <int N>
+void crypt_fast(std::uint64_t (&b)[N], const KeySchedule& ks, bool decrypt) {
   const FastTables& t = fast_tables();
-  const std::uint64_t ip = scatter(t.ip, block);
-  std::uint32_t l = static_cast<std::uint32_t>(ip >> 32);
-  std::uint32_t r = static_cast<std::uint32_t>(ip);
+  std::uint32_t l[N], r[N];
+  ip_split(b, l, r, t);
+  stage16(l, r, ks, decrypt, t);
+  fp_join(l, r, b, t);
+}
+
+// Fused EDE over N blocks in place: each stage's pre-output swap feeds the
+// next stage's IP through an FP.IP pair that cancels, so the only thing
+// left between stages is the half swap — expressed by exchanging the
+// (l, r) roles.
+template <int N>
+void crypt_3des(std::uint64_t (&b)[N], const KeySchedule& a, const KeySchedule& m,
+                const KeySchedule& c, bool decrypt) {
+  const FastTables& t = fast_tables();
+  std::uint32_t l[N], r[N];
+  ip_split(b, l, r, t);
   stage16(l, r, a, decrypt, t);
-  stage16(r, l, b, !decrypt, t);
+  stage16(r, l, m, !decrypt, t);
   stage16(l, r, c, decrypt, t);
-  return scatter(t.fp, (static_cast<std::uint64_t>(r) << 32) | l);
+  fp_join(l, r, b, t);
+}
+
+// CBC decryption of n bytes (a multiple of 8): `block(x)` decrypts the
+// blocks of x in place, for x of 4 blocks and of 1.  All four ciphertext
+// blocks are loaded before anything is stored, so in == out is safe.
+template <class BlockFn>
+void cbc_decrypt(const std::uint8_t* in, std::uint8_t* out, std::size_t n,
+                 std::uint64_t& chain, BlockFn block) {
+  std::uint64_t prev = chain;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    std::uint64_t c[4], p[4];
+    for (int j = 0; j < 4; ++j) p[j] = c[j] = load_be64(in + i + 8 * j);
+    block(p);
+    store_be64(p[0] ^ prev, out + i);
+    for (int j = 1; j < 4; ++j) store_be64(p[j] ^ c[j - 1], out + i + 8 * j);
+    prev = c[3];
+  }
+  for (; i < n; i += 8) {
+    std::uint64_t p[1] = {load_be64(in + i)};
+    const std::uint64_t c = p[0];
+    block(p);
+    store_be64(p[0] ^ prev, out + i);
+    prev = c;
+  }
+  chain = prev;
 }
 
 std::uint32_t rotl28(std::uint32_t v, int n) {
@@ -174,17 +251,22 @@ KeySchedule key_schedule(std::uint64_t key) {
     const std::uint64_t cd = (static_cast<std::uint64_t>(c) << 28) | d;
     ks.k48[round] = permute<48, 56>(cd, kPC2);
     for (int i = 0; i < 8; ++i) {
-      ks.k6[round][i] = static_cast<std::uint8_t>((ks.k48[round] >> (42 - 6 * i)) & 0x3f);
+      const auto chunk = static_cast<std::uint32_t>((ks.k48[round] >> (42 - 6 * i)) & 0x3f);
+      ks.kw[round][i % 2] |= chunk << (26 - 8 * (i / 2));
     }
   }
   return ks;
 }
 
 std::uint64_t encrypt_block(std::uint64_t block, const KeySchedule& ks) {
-  return crypt_fast(block, ks, false);
+  std::uint64_t b[1] = {block};
+  crypt_fast(b, ks, false);
+  return b[0];
 }
 std::uint64_t decrypt_block(std::uint64_t block, const KeySchedule& ks) {
-  return crypt_fast(block, ks, true);
+  std::uint64_t b[1] = {block};
+  crypt_fast(b, ks, true);
+  return b[0];
 }
 
 TripleKeySchedule triple_key_schedule(std::uint64_t key1, std::uint64_t key2,
@@ -194,10 +276,14 @@ TripleKeySchedule triple_key_schedule(std::uint64_t key1, std::uint64_t key2,
 }
 
 std::uint64_t encrypt_block_3des(std::uint64_t block, const TripleKeySchedule& ks) {
-  return crypt_3des(block, ks.k1, ks.k2, ks.k3, false);
+  std::uint64_t b[1] = {block};
+  crypt_3des(b, ks.k1, ks.k2, ks.k3, false);
+  return b[0];
 }
 std::uint64_t decrypt_block_3des(std::uint64_t block, const TripleKeySchedule& ks) {
-  return crypt_3des(block, ks.k3, ks.k2, ks.k1, true);
+  std::uint64_t b[1] = {block};
+  crypt_3des(b, ks.k3, ks.k2, ks.k1, true);
+  return b[0];
 }
 
 namespace {
@@ -205,6 +291,24 @@ void check_len(std::size_t n) {
   if (n % 8 != 0) throw std::invalid_argument("des: length must be multiple of 8");
 }
 }  // namespace
+
+void encrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out, std::size_t n,
+                      const TripleKeySchedule& ks, std::uint64_t& chain) {
+  check_len(n);
+  std::uint64_t prev = chain;
+  for (std::size_t i = 0; i < n; i += 8) {
+    prev = encrypt_block_3des(load_be64(in + i) ^ prev, ks);
+    store_be64(prev, out + i);
+  }
+  chain = prev;
+}
+
+void decrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out, std::size_t n,
+                      const TripleKeySchedule& ks, std::uint64_t& chain) {
+  check_len(n);
+  cbc_decrypt(in, out, n, chain,
+              [&ks](auto& b) { crypt_3des(b, ks.k3, ks.k2, ks.k1, true); });
+}
 
 std::vector<std::uint8_t> encrypt_ecb(const std::vector<std::uint8_t>& data,
                                       const KeySchedule& ks) {
@@ -242,17 +346,13 @@ std::vector<std::uint8_t> decrypt_cbc(const std::vector<std::uint8_t>& data,
                                       const KeySchedule& ks, std::uint64_t iv) {
   check_len(data.size());
   std::vector<std::uint8_t> out(data.size());
-  std::uint64_t chain = iv;
-  for (std::size_t i = 0; i < data.size(); i += 8) {
-    const std::uint64_t c = load_be64(data.data() + i);
-    store_be64(decrypt_block(c, ks) ^ chain, out.data() + i);
-    chain = c;
-  }
+  cbc_decrypt(data.data(), out.data(), data.size(), iv,
+              [&ks](auto& b) { crypt_fast(b, ks, true); });
   return out;
 }
 
 const std::array<std::uint32_t, 64>& sp_table(int sbox) {
-  return fast_tables().sp[static_cast<std::size_t>(sbox)];
+  return sp_tables()[static_cast<std::size_t>(sbox)];
 }
 
 std::uint8_t sbox(int i, std::uint8_t v) { return sbox_lookup(i, v); }
@@ -274,18 +374,12 @@ const FastTables& fast_tables() {
     for (int p = 0; p < 8; ++p) {
       for (int v = 0; v < 256; ++v) {
         const std::uint64_t x = static_cast<std::uint64_t>(v) << (56 - 8 * p);
-        t.ip[p][v] = initial_permutation(x);
-        t.fp[p][v] = final_permutation(x);
+        t.ip[p][v] = rotr_halves(initial_permutation(x), 1);
+        t.fp[p][v] = final_permutation(rotr_halves(x, 31));
       }
     }
     for (int box = 0; box < 8; ++box) {
-      for (int v = 0; v < 64; ++v) {
-        const std::uint32_t sv = sbox_lookup(box, static_cast<std::uint8_t>(v));
-        // Place the 4-bit S-box output at its position in the 32-bit
-        // pre-permutation word, then permute.
-        const std::uint32_t positioned = sv << (28 - 4 * box);
-        t.sp[box][v] = static_cast<std::uint32_t>(permute<32, 32>(positioned, kP));
-      }
+      for (int v = 0; v < 64; ++v) t.sp[box][v] = rotr32(sp_tables()[box][v], 1);
     }
     return t;
   }();

@@ -36,27 +36,22 @@ std::vector<std::uint8_t> seal(Sa& sa, const std::vector<std::uint8_t>& payload,
   const auto ks = des::triple_key_schedule(key_part(sa.enc_key, 0),
                                            key_part(sa.enc_key, 1),
                                            key_part(sa.enc_key, 2));
-  // Pad to the 8-byte block with a pad-length trailer byte.
-  std::vector<std::uint8_t> plain = payload;
-  const std::uint8_t pad =
-      static_cast<std::uint8_t>(8 - ((plain.size() + 1) % 8)) % 8;
-  plain.insert(plain.end(), pad, 0);
-  plain.push_back(pad);
-
   const std::uint64_t iv = rng.next_u64();
-  std::vector<std::uint8_t> ct(plain.size());
-  std::uint64_t chain = iv;
-  for (std::size_t i = 0; i < plain.size(); i += 8) {
-    chain = des::encrypt_block_3des(des::load_be64(plain.data() + i) ^ chain, ks);
-    des::store_be64(chain, ct.data() + i);
-  }
-
   std::vector<std::uint8_t> packet;
   put_u32(packet, sa.spi);
   put_u32(packet, ++sa.seq);
   packet.resize(packet.size() + 8);
   des::store_be64(iv, packet.data() + 8);
-  packet.insert(packet.end(), ct.begin(), ct.end());
+  // The payload, padded to the 8-byte block with a pad-length trailer
+  // byte, encrypted in place.
+  const std::uint8_t pad =
+      static_cast<std::uint8_t>(8 - ((payload.size() + 1) % 8)) % 8;
+  packet.insert(packet.end(), payload.begin(), payload.end());
+  packet.insert(packet.end(), pad, 0);
+  packet.push_back(pad);
+  std::uint64_t chain = iv;
+  des::encrypt_cbc_3des(packet.data() + 16, packet.data() + 16, packet.size() - 16,
+                        ks, chain);
 
   const auto mac = hmac_sha1(sa.auth_key, packet);
   packet.insert(packet.end(), mac.begin(), mac.begin() + kIcvLen);
@@ -83,17 +78,9 @@ std::vector<std::uint8_t> open(const Sa& sa,
   const auto ks = des::triple_key_schedule(key_part(sa.enc_key, 0),
                                            key_part(sa.enc_key, 1),
                                            key_part(sa.enc_key, 2));
-  const std::uint64_t iv = des::load_be64(packet.data() + 8);
-  const std::size_t ct_len = body.size() - 16;
-  std::vector<std::uint8_t> plain(ct_len);
-  std::uint64_t chain = iv;
-  for (std::size_t i = 0; i < ct_len; ++i) {
-    if (i % 8 == 0) {
-      const std::uint64_t c = des::load_be64(body.data() + 16 + i);
-      des::store_be64(des::decrypt_block_3des(c, ks) ^ chain, plain.data() + i);
-      chain = c;
-    }
-  }
+  std::uint64_t chain = des::load_be64(packet.data() + 8);  // the IV
+  std::vector<std::uint8_t> plain(body.size() - 16);
+  des::decrypt_cbc_3des(body.data() + 16, plain.data(), plain.size(), ks, chain);
   if (plain.empty()) throw std::runtime_error("esp: empty payload");
   const std::uint8_t pad = plain.back();
   if (pad + 1u > plain.size()) throw std::runtime_error("esp: bad padding");

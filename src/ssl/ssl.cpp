@@ -158,10 +158,7 @@ struct SecureChannel::Impl {
         const des::TripleKeySchedule& ks = cached_des3_ks();
         auto out = cbc_pad(std::move(plain), 8);
         std::uint64_t chain = load64(iv_enc);
-        for (std::size_t i = 0; i < out.size(); i += 8) {
-          chain = des::encrypt_block_3des(des::load_be64(out.data() + i) ^ chain, ks);
-          des::store_be64(chain, out.data() + i);
-        }
+        des::encrypt_cbc_3des(out.data(), out.data(), out.size(), ks, chain);
         iv_enc.assign(8, 0);
         des::store_be64(chain, iv_enc.data());  // CBC residue chaining
         return out;
@@ -189,11 +186,7 @@ struct SecureChannel::Impl {
         const des::TripleKeySchedule& ks = cached_des3_ks();
         std::vector<std::uint8_t> out(ct.size());
         std::uint64_t chain = load64(iv_dec);
-        for (std::size_t i = 0; i < ct.size(); i += 8) {
-          const std::uint64_t c = des::load_be64(ct.data() + i);
-          des::store_be64(des::decrypt_block_3des(c, ks) ^ chain, out.data() + i);
-          chain = c;
-        }
+        des::decrypt_cbc_3des(ct.data(), out.data(), ct.size(), ks, chain);
         iv_dec.assign(8, 0);
         des::store_be64(chain, iv_dec.data());
         return cbc_unpad(std::move(out));

@@ -96,9 +96,14 @@ TEST(Des, FFunctionMatchesSpTables) {
     const std::uint64_t k = rng.next_u64() & 0xFFFFFFFFFFFFull;
     const std::uint32_t want = f_bitwise(r, k);
     EXPECT_EQ(des::f_function(r, k), want) << std::hex << r << " " << k;
-    std::uint8_t chunks[8];
-    for (int j = 0; j < 8; ++j) chunks[j] = static_cast<std::uint8_t>((k >> (42 - 6 * j)) & 0x3f);
-    EXPECT_EQ(des::feistel_fast(r, chunks, t), want) << std::hex << r << " " << k;
+    std::uint32_t words[2] = {0, 0};
+    for (int j = 0; j < 8; ++j) {
+      words[j % 2] |= static_cast<std::uint32_t>((k >> (42 - 6 * j)) & 0x3f) << (26 - 8 * (j / 2));
+    }
+    // feistel_fast works on halves rotated right by one.
+    const auto rotr1 = [](std::uint32_t x) { return (x >> 1) | (x << 31); };
+    EXPECT_EQ(des::feistel_fast(rotr1(r), words, t), rotr1(want))
+        << std::hex << r << " " << k;
   }
 }
 
@@ -172,6 +177,132 @@ TEST(DesModes, CbcRoundTripAndChaining) {
   const auto ct2 = des::encrypt_cbc(rep, ks, iv);
   EXPECT_NE(std::vector<std::uint8_t>(ct2.begin(), ct2.begin() + 8),
             std::vector<std::uint8_t>(ct2.begin() + 8, ct2.begin() + 16));
+}
+
+// CBC over the bitwise reference blocks, one block at a time: `crypt`
+// maps one 64-bit block; the residue is the last ciphertext block.
+template <class Crypt>
+std::vector<std::uint8_t> ref_cbc(const std::vector<std::uint8_t>& in,
+                                  std::uint64_t iv, bool decrypt, Crypt crypt) {
+  std::vector<std::uint8_t> out(in.size());
+  std::uint64_t chain = iv;
+  for (std::size_t i = 0; i < in.size(); i += 8) {
+    const std::uint64_t x = des::load_be64(in.data() + i);
+    if (decrypt) {
+      des::store_be64(crypt(x) ^ chain, out.data() + i);
+      chain = x;
+    } else {
+      chain = crypt(x ^ chain);
+      des::store_be64(chain, out.data() + i);
+    }
+  }
+  return out;
+}
+
+// Every length from 0 to 12 blocks, so each 4-block group count meets
+// every tail of 0..3 single blocks, and one record-sized buffer
+// (1024 + 24 B: 131 blocks, tail 3).
+std::vector<std::size_t> cbc_test_lengths() {
+  std::vector<std::size_t> lens;
+  for (std::size_t b = 0; b <= 12; ++b) lens.push_back(8 * b);
+  lens.push_back(1024 + 24);
+  return lens;
+}
+
+std::uint64_t last_block_or(const std::vector<std::uint8_t>& ct, std::uint64_t iv) {
+  return ct.empty() ? iv : des::load_be64(ct.data() + ct.size() - 8);
+}
+
+TEST(TripleDesCbc, MatchesReferenceEdeBothDirections) {
+  Rng rng(70);
+  const auto ks = des::triple_key_schedule(rng.next_u64(), rng.next_u64(),
+                                           rng.next_u64());
+  const auto ede = [&ks](std::uint64_t b) {
+    return des_ref::encrypt_block(
+        des_ref::decrypt_block(des_ref::encrypt_block(b, ks.k1), ks.k2), ks.k3);
+  };
+  const auto ded = [&ks](std::uint64_t b) {
+    return des_ref::decrypt_block(
+        des_ref::encrypt_block(des_ref::decrypt_block(b, ks.k3), ks.k2), ks.k1);
+  };
+  for (const std::size_t n : cbc_test_lengths()) {
+    const auto data = rng.bytes(n);
+    const std::uint64_t iv = rng.next_u64();
+    const auto want_ct = ref_cbc(data, iv, false, ede);
+    const auto want_pt = ref_cbc(data, iv, true, ded);
+
+    // Out of place.
+    std::vector<std::uint8_t> out(n, 0x5a);
+    std::uint64_t chain = iv;
+    des::encrypt_cbc_3des(data.data(), out.data(), n, ks, chain);
+    EXPECT_EQ(out, want_ct) << "encrypt n=" << n;
+    EXPECT_EQ(chain, last_block_or(want_ct, iv)) << "encrypt n=" << n;
+    chain = iv;
+    des::decrypt_cbc_3des(data.data(), out.data(), n, ks, chain);
+    EXPECT_EQ(out, want_pt) << "decrypt n=" << n;
+    EXPECT_EQ(chain, last_block_or(data, iv)) << "decrypt n=" << n;
+
+    // In place.
+    auto buf = data;
+    chain = iv;
+    des::encrypt_cbc_3des(buf.data(), buf.data(), n, ks, chain);
+    EXPECT_EQ(buf, want_ct) << "in-place encrypt n=" << n;
+    EXPECT_EQ(chain, last_block_or(want_ct, iv)) << "in-place encrypt n=" << n;
+    buf = data;
+    chain = iv;
+    des::decrypt_cbc_3des(buf.data(), buf.data(), n, ks, chain);
+    EXPECT_EQ(buf, want_pt) << "in-place decrypt n=" << n;
+    EXPECT_EQ(chain, last_block_or(data, iv)) << "in-place decrypt n=" << n;
+
+    // And back.
+    chain = iv;
+    des::decrypt_cbc_3des(want_ct.data(), out.data(), n, ks, chain);
+    EXPECT_EQ(out, data) << "round trip n=" << n;
+  }
+}
+
+TEST(TripleDesCbc, ChainedCallsEqualOneCall) {
+  Rng rng(71);
+  const auto ks = des::triple_key_schedule(rng.next_u64(), rng.next_u64(),
+                                           rng.next_u64());
+  const std::size_t n = 1024 + 24;
+  const auto data = rng.bytes(n);
+  const std::uint64_t iv = rng.next_u64();
+  for (const bool decrypt : {false, true}) {
+    const auto run = decrypt ? des::decrypt_cbc_3des : des::encrypt_cbc_3des;
+    std::vector<std::uint8_t> whole(n);
+    std::uint64_t whole_chain = iv;
+    run(data.data(), whole.data(), n, ks, whole_chain);
+    for (const std::size_t split : {0, 8, 16, 24, 32, 40, 56, 64, 520, 1040, 1048}) {
+      std::vector<std::uint8_t> parts(n);
+      std::uint64_t chain = iv;
+      run(data.data(), parts.data(), split, ks, chain);
+      run(data.data() + split, parts.data() + split, n - split, ks, chain);
+      EXPECT_EQ(parts, whole) << "decrypt=" << decrypt << " split=" << split;
+      EXPECT_EQ(chain, whole_chain) << "decrypt=" << decrypt << " split=" << split;
+    }
+  }
+}
+
+TEST(TripleDesCbc, RejectsBadLength) {
+  const auto ks = des::triple_key_schedule(1, 2, 3);
+  std::uint8_t buf[16] = {};
+  std::uint64_t chain = 0;
+  EXPECT_THROW(des::encrypt_cbc_3des(buf, buf, 12, ks, chain), std::invalid_argument);
+  EXPECT_THROW(des::decrypt_cbc_3des(buf, buf, 15, ks, chain), std::invalid_argument);
+}
+
+TEST(DesModes, CbcMatchesReferenceAtEveryTail) {
+  Rng rng(72);
+  const auto ks = des::key_schedule(rng.next_u64());
+  const auto enc = [&ks](std::uint64_t b) { return des_ref::encrypt_block(b, ks); };
+  const auto dec = [&ks](std::uint64_t b) { return des_ref::decrypt_block(b, ks); };
+  for (const std::size_t n : cbc_test_lengths()) {
+    const auto data = rng.bytes(n);
+    const std::uint64_t iv = rng.next_u64();
+    EXPECT_EQ(des::encrypt_cbc(data, ks, iv), ref_cbc(data, iv, false, enc)) << n;
+    EXPECT_EQ(des::decrypt_cbc(data, ks, iv), ref_cbc(data, iv, true, dec)) << n;
+  }
 }
 
 TEST(DesModes, RejectsBadLength) {

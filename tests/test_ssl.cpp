@@ -189,6 +189,37 @@ TEST(SslRecordOracle, TripleDesRecordsMatchReferenceCbc) {
   expect_records_match_reference(Cipher::kTripleDesCbc, 441);
 }
 
+// Every payload length 0..80 gives a padded 3DES record of 3..13 blocks,
+// so the record layer's CBC decryption meets every 4-block tail; each
+// record is opened right after it is sealed, the order Session::pump uses.
+TEST(SslRecordOracle, TripleDesSealOpenAtEveryLength) {
+  Rng rng(445);
+  const auto key = rng.bytes(24);
+  const auto mac_key = rng.bytes(20);
+  const auto iv = rng.bytes(8);
+  ssl::SecureChannel channel(Cipher::kTripleDesCbc, key, mac_key, iv);
+  for (std::size_t len = 0; len <= 80; ++len) {
+    const auto payload = rng.bytes(len);
+    const auto sealed = channel.seal(payload);
+    EXPECT_EQ(sealed.size(), (len + 20) / 8 * 8 + 8) << "len=" << len;
+    EXPECT_EQ(channel.open(sealed), payload) << "len=" << len;
+  }
+}
+
+// A channel whose residue differs (same keys, another IV) decrypts the
+// first block wrong, so the MAC check fails.
+TEST(SslRecordOracle, TripleDesWrongResidueFailsOpen) {
+  Rng rng(446);
+  const auto key = rng.bytes(24);
+  const auto mac_key = rng.bytes(20);
+  auto iv = rng.bytes(8);
+  ssl::SecureChannel sealer(Cipher::kTripleDesCbc, key, mac_key, iv);
+  iv[7] ^= 0x01;
+  ssl::SecureChannel opener(Cipher::kTripleDesCbc, key, mac_key, iv);
+  const auto sealed = sealer.seal(rng.bytes(41));
+  EXPECT_THROW(opener.open(sealed), std::runtime_error);
+}
+
 TEST(SslRecordOracle, AesRecordsMatchReferenceCbc) {
   expect_records_match_reference(Cipher::kAes128Cbc, 442);
 }

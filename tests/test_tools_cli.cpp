@@ -85,7 +85,8 @@ TEST(ToolsCli, ReplayRejectsUnknownFlagsAndBadThreads) {
   const ScratchDir dir;
   const std::string trace = "'" + kParkedTrace + "' ";
   for (const char* args : {"--bogus", "--threads 0", "--threads=-1",
-                           "--threads", "--resume=1"}) {
+                           "--threads", "--resume=1", "--dump --resume",
+                           "--resume --dump"}) {
     EXPECT_EQ(dir.run(WSP_REPLAY_BIN, trace + args), 2) << args;
   }
   EXPECT_EQ(dir.run(WSP_REPLAY_BIN, "--resume"), 2) << "no trace";

@@ -15,15 +15,15 @@
 // verified against the recording; for a torn trace there is no recorded
 // outcome, so the resumed report is printed instead.
 //
-// Usage: replay TRACE_FILE [--threads N] [--dump] [--resume]
+// Usage: replay TRACE_FILE [--threads N] [--dump | --resume]
 //   --threads N   re-run with N worker threads, 1..1024 (default: as
 //                 recorded, capped at this host's hardware threads)
 //   --dump        print the recorded header/summary, do not re-run
-//                 (ignored with --resume)
 //   --resume      crash recovery: restore the last valid checkpoint
 //
 // Flags are parsed strictly (support::parse_flags): an unknown flag, a
-// missing value or an invalid --threads exits 2; --help prints usage.
+// missing value, an invalid --threads or --dump with --resume exits 2;
+// --help prints usage.
 //
 // Exit codes: 0 replay/resume verified, 1 mismatch or a leaked session
 // (completed + aborted != admitted), 2 usage error, invalid --threads, or
@@ -48,7 +48,7 @@ constexpr support::FlagSpec kFlags[] = {
     {"--threads", true}, {"--dump", false}, {"--resume", false}};
 
 constexpr const char* kUsage =
-    "usage: replay TRACE_FILE [--threads N] [--dump] [--resume]\n";
+    "usage: replay TRACE_FILE [--threads N] [--dump | --resume]\n";
 
 void dump_record(const server::RunRecord& rec) {
   const server::RunReport& r = rec.report;
@@ -146,6 +146,11 @@ int main(int argc, char** argv) {
   if (flags.contains("--help") || flags.contains("-h")) {
     std::fputs(kUsage, stdout);
     return 0;
+  }
+  if (flags.contains("--dump") && flags.contains("--resume")) {
+    std::fprintf(stderr, "replay: --dump and --resume exclude each other\n%s",
+                 kUsage);
+    return 2;
   }
   if (skip == 0) {
     std::fputs(kUsage, stderr);
