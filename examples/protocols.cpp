@@ -31,10 +31,9 @@ int main() {
               wep::open(frame, wep_key) == payload ? "ok" : "FAILED");
 
   // --- network layer: IPsec ESP ---------------------------------------------
-  esp::Sa sa;
-  sa.spi = 0xC0DE;
-  sa.enc_key = rng.bytes(24);
-  sa.auth_key = rng.bytes(20);
+  const auto esp_enc_key = rng.bytes(24);
+  const auto esp_auth_key = rng.bytes(20);
+  esp::Sa sa(0xC0DE, esp_enc_key, esp_auth_key);
   const auto packet = esp::seal(sa, payload, rng);
   std::uint32_t seq = 0;
   const auto esp_plain = esp::open(sa, packet, &seq);

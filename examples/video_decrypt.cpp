@@ -29,8 +29,9 @@ int main() {
   std::copy(ivb.begin(), ivb.end(), iv.begin());
 
   // Produce one encrypted "frame" with the host library.
-  const auto plain_frame = rng.bytes(frame_bytes);
-  const auto cipher_frame = aes::encrypt_cbc(plain_frame, ks, iv);
+  auto cipher_frame = rng.bytes(frame_bytes);
+  aes::encrypt_cbc(cipher_frame.data(), cipher_frame.data(), cipher_frame.size(),
+                   ks, iv);
 
   for (auto variant : {kernels::AesKernelVariant::kBase,
                        kernels::AesKernelVariant::kTiePartial}) {

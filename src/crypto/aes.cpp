@@ -19,9 +19,9 @@ struct Tables {
   std::array<std::uint8_t, 256> inv_sbox{};
   /// te[i][b]: SubBytes + MixColumns contribution of byte lane i.
   std::array<std::array<std::uint32_t, 256>, 4> te{};
-  /// imc[i][b]: InvMixColumns contribution of byte b in row i (the column
-  /// (14b, 9b, 13b, 11b) rotated per row).
-  std::array<std::array<std::uint32_t, 256>, 4> imc{};
+  /// td[i][b]: InvSubBytes + InvMixColumns contribution of byte lane i,
+  /// the column (14s, 9s, 13s, 11s) of s = inv_sbox[b] rotated per lane.
+  std::array<std::array<std::uint32_t, 256>, 4> td{};
   Tables();
 };
 
@@ -74,9 +74,17 @@ inline std::uint32_t te_column(const Tables& t, std::uint32_t a, std::uint32_t b
          t.te[2][(c >> 8) & 0xff] ^ t.te[3][d & 0xff];
 }
 
+inline std::uint32_t td_column(const Tables& t, std::uint32_t a, std::uint32_t b,
+                               std::uint32_t c, std::uint32_t d) {
+  return t.td[0][a >> 24] ^ t.td[1][(b >> 16) & 0xff] ^
+         t.td[2][(c >> 8) & 0xff] ^ t.td[3][d & 0xff];
+}
+
+/// InvMixColumns of one column word: td[i][sbox[x]] = InvMixColumns
+/// contribution of x in row i, since inv_sbox undoes sbox.
 inline std::uint32_t inv_mix_column(const Tables& t, std::uint32_t w) {
-  return t.imc[0][w >> 24] ^ t.imc[1][(w >> 16) & 0xff] ^
-         t.imc[2][(w >> 8) & 0xff] ^ t.imc[3][w & 0xff];
+  return t.td[0][t.sbox[w >> 24]] ^ t.td[1][t.sbox[(w >> 16) & 0xff]] ^
+         t.td[2][t.sbox[(w >> 8) & 0xff]] ^ t.td[3][t.sbox[w & 0xff]];
 }
 
 /// SubBytes + ShiftRows + MixColumns + AddRoundKey(k).
@@ -105,12 +113,40 @@ inline State decrypt_last_round(const State& s, const std::uint32_t* k,
           gather(t.inv_sbox, s[3], s[2], s[1], s[0]) ^ k[3]};
 }
 
-/// InvShiftRows + InvSubBytes + AddRoundKey(k) + InvMixColumns, with the
-/// untransformed schedule.
+/// One round of the equivalent inverse cipher: InvShiftRows +
+/// InvSubBytes + InvMixColumns + AddRoundKey(k), with k an
+/// InvMixColumns-transformed round key (KeySchedule::inv_round_keys).
 inline State decrypt_round(const State& s, const std::uint32_t* k, const Tables& t) {
-  const State x = decrypt_last_round(s, k, t);
-  return {inv_mix_column(t, x[0]), inv_mix_column(t, x[1]),
-          inv_mix_column(t, x[2]), inv_mix_column(t, x[3])};
+  return {td_column(t, s[0], s[3], s[2], s[1]) ^ k[0],
+          td_column(t, s[1], s[0], s[3], s[2]) ^ k[1],
+          td_column(t, s[2], s[1], s[0], s[3]) ^ k[2],
+          td_column(t, s[3], s[2], s[1], s[0]) ^ k[3]};
+}
+
+// Whole-block bodies, inlined into every block and CBC loop so the state
+// stays in registers instead of passing through a call.
+[[gnu::always_inline]] inline State encrypt_state(State s, const KeySchedule& ks,
+                                                const Tables& t) {
+  const std::uint32_t* rk = ks.round_keys.data();
+  s = xor_state(s, rk);
+  for (int round = 1; round < ks.rounds; ++round) {
+    s = encrypt_round(s, rk + 4 * round, t);
+  }
+  return encrypt_last_round(s, rk + 4 * ks.rounds, t);
+}
+
+[[gnu::always_inline]] inline State decrypt_state(State s, const KeySchedule& ks,
+                                                const Tables& t) {
+  const std::uint32_t* rk = ks.inv_round_keys.data();
+  s = xor_state(s, rk + 4 * ks.rounds);
+  for (int round = ks.rounds - 1; round >= 1; --round) {
+    s = decrypt_round(s, rk + 4 * round, t);
+  }
+  return decrypt_last_round(s, rk, t);
+}
+
+void check_len16(std::size_t n) {
+  if (n % 16 != 0) throw std::invalid_argument("aes: length must be multiple of 16");
 }
 
 std::uint32_t sub_word(std::uint32_t w) {
@@ -175,17 +211,18 @@ Tables::Tables() {
     te[2][static_cast<std::size_t>(v)] = (t0 >> 16) | (t0 << 16);
     te[3][static_cast<std::size_t>(v)] = (t0 >> 24) | (t0 << 8);
   }
-  // InvMixColumns tables: the column (14b, 9b, 13b, 11b) rotated per row.
+  // Decryption tables: the InvMixColumns column (14b, 9b, 13b, 11b) of
+  // b = InvSubBytes(v), rotated per lane.
   for (int v = 0; v < 256; ++v) {
-    const auto b = static_cast<std::uint8_t>(v);
+    const std::uint8_t b = inv_sbox[static_cast<std::size_t>(v)];
     const std::uint32_t u0 = (static_cast<std::uint32_t>(gf_mul(b, 14)) << 24) |
                              (static_cast<std::uint32_t>(gf_mul(b, 9)) << 16) |
                              (static_cast<std::uint32_t>(gf_mul(b, 13)) << 8) |
                              gf_mul(b, 11);
-    imc[0][static_cast<std::size_t>(v)] = u0;
-    imc[1][static_cast<std::size_t>(v)] = (u0 >> 8) | (u0 << 24);
-    imc[2][static_cast<std::size_t>(v)] = (u0 >> 16) | (u0 << 16);
-    imc[3][static_cast<std::size_t>(v)] = (u0 >> 24) | (u0 << 8);
+    td[0][static_cast<std::size_t>(v)] = u0;
+    td[1][static_cast<std::size_t>(v)] = (u0 >> 8) | (u0 << 24);
+    td[2][static_cast<std::size_t>(v)] = (u0 >> 16) | (u0 << 16);
+    td[3][static_cast<std::size_t>(v)] = (u0 >> 24) | (u0 << 8);
   }
 }
 
@@ -217,6 +254,11 @@ KeySchedule key_schedule(const std::uint8_t* key, std::size_t key_len) {
     ks.round_keys[static_cast<std::size_t>(i)] =
         ks.round_keys[static_cast<std::size_t>(i - nk)] ^ t;
   }
+  ks.inv_round_keys = ks.round_keys;
+  const Tables& tabs = tables();
+  for (std::size_t i = 4; i < static_cast<std::size_t>(4 * rounds); ++i) {
+    ks.inv_round_keys[i] = inv_mix_column(tabs, ks.round_keys[i]);
+  }
   return ks;
 }
 
@@ -226,31 +268,13 @@ KeySchedule key_schedule(const std::vector<std::uint8_t>& key) {
 
 void encrypt_block(const std::uint8_t in[16], std::uint8_t out[16],
                    const KeySchedule& ks) {
-  const Tables& t = tables();
-  const std::uint32_t* rk = ks.round_keys.data();
-  State s = xor_state(load_state(in), rk);
-  for (int round = 1; round < ks.rounds; ++round) {
-    s = encrypt_round(s, rk + 4 * round, t);
-  }
-  store_state(encrypt_last_round(s, rk + 4 * ks.rounds, t), out);
+  store_state(encrypt_state(load_state(in), ks, tables()), out);
 }
 
 void decrypt_block(const std::uint8_t in[16], std::uint8_t out[16],
                    const KeySchedule& ks) {
-  const Tables& t = tables();
-  const std::uint32_t* rk = ks.round_keys.data();
-  State s = xor_state(load_state(in), rk + 4 * ks.rounds);
-  for (int round = ks.rounds - 1; round >= 1; --round) {
-    s = decrypt_round(s, rk + 4 * round, t);
-  }
-  store_state(decrypt_last_round(s, rk, t), out);
+  store_state(decrypt_state(load_state(in), ks, tables()), out);
 }
-
-namespace {
-void check_len16(std::size_t n) {
-  if (n % 16 != 0) throw std::invalid_argument("aes: length must be multiple of 16");
-}
-}  // namespace
 
 std::vector<std::uint8_t> encrypt_ecb(const std::vector<std::uint8_t>& data,
                                       const KeySchedule& ks) {
@@ -272,40 +296,29 @@ std::vector<std::uint8_t> decrypt_ecb(const std::vector<std::uint8_t>& data,
   return out;
 }
 
-std::vector<std::uint8_t> encrypt_cbc(const std::vector<std::uint8_t>& data,
-                                      const KeySchedule& ks,
-                                      const std::array<std::uint8_t, 16>& iv) {
-  check_len16(data.size());
-  std::vector<std::uint8_t> out(data.size());
-  std::array<std::uint8_t, 16> chain = iv;
-  std::uint8_t buf[16];
-  for (std::size_t i = 0; i < data.size(); i += 16) {
-    for (int b = 0; b < 16; ++b) {
-      buf[b] = static_cast<std::uint8_t>(data[i + static_cast<std::size_t>(b)] ^
-                                         chain[static_cast<std::size_t>(b)]);
-    }
-    encrypt_block(buf, out.data() + i, ks);
-    for (int b = 0; b < 16; ++b) chain[static_cast<std::size_t>(b)] = out[i + static_cast<std::size_t>(b)];
+void encrypt_cbc(const std::uint8_t* in, std::uint8_t* out, std::size_t n,
+                 const KeySchedule& ks, std::array<std::uint8_t, 16>& chain) {
+  check_len16(n);
+  const Tables& t = tables();
+  State c = load_state(chain.data());
+  for (std::size_t i = 0; i < n; i += 16) {
+    c = encrypt_state(xor_state(load_state(in + i), c.data()), ks, t);
+    store_state(c, out + i);
   }
-  return out;
+  store_state(c, chain.data());
 }
 
-std::vector<std::uint8_t> decrypt_cbc(const std::vector<std::uint8_t>& data,
-                                      const KeySchedule& ks,
-                                      const std::array<std::uint8_t, 16>& iv) {
-  check_len16(data.size());
-  std::vector<std::uint8_t> out(data.size());
-  std::array<std::uint8_t, 16> chain = iv;
-  std::uint8_t buf[16];
-  for (std::size_t i = 0; i < data.size(); i += 16) {
-    decrypt_block(data.data() + i, buf, ks);
-    for (int b = 0; b < 16; ++b) {
-      out[i + static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>(buf[b] ^ chain[static_cast<std::size_t>(b)]);
-      chain[static_cast<std::size_t>(b)] = data[i + static_cast<std::size_t>(b)];
-    }
+void decrypt_cbc(const std::uint8_t* in, std::uint8_t* out, std::size_t n,
+                 const KeySchedule& ks, std::array<std::uint8_t, 16>& chain) {
+  check_len16(n);
+  const Tables& t = tables();
+  State prev = load_state(chain.data());
+  for (std::size_t i = 0; i < n; i += 16) {
+    const State c = load_state(in + i);  // loaded before out + i is written
+    store_state(xor_state(decrypt_state(c, ks, t), prev.data()), out + i);
+    prev = c;
   }
-  return out;
+  store_state(prev, chain.data());
 }
 
 const std::array<std::uint8_t, 256>& sbox() { return tables().sbox; }

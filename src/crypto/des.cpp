@@ -152,13 +152,13 @@ void stage16(std::uint32_t (&l)[N], std::uint32_t (&r)[N], const KeySchedule& ks
              bool decrypt, const FastTables& t) {
   if (decrypt) {
     for (int i = 15; i > 0; i -= 2) {
-      for (int j = 0; j < N; ++j) l[j] ^= feistel_fast(r[j], ks.kw[i].data(), t);
-      for (int j = 0; j < N; ++j) r[j] ^= feistel_fast(l[j], ks.kw[i - 1].data(), t);
+      for (int j = 0; j < N; ++j) l[j] = feistel_fast(r[j], ks.kw[i].data(), t, l[j]);
+      for (int j = 0; j < N; ++j) r[j] = feistel_fast(l[j], ks.kw[i - 1].data(), t, r[j]);
     }
   } else {
     for (int i = 0; i < 16; i += 2) {
-      for (int j = 0; j < N; ++j) l[j] ^= feistel_fast(r[j], ks.kw[i].data(), t);
-      for (int j = 0; j < N; ++j) r[j] ^= feistel_fast(l[j], ks.kw[i + 1].data(), t);
+      for (int j = 0; j < N; ++j) l[j] = feistel_fast(r[j], ks.kw[i].data(), t, l[j]);
+      for (int j = 0; j < N; ++j) r[j] = feistel_fast(l[j], ks.kw[i + 1].data(), t, r[j]);
     }
   }
 }
@@ -295,12 +295,28 @@ void check_len(std::size_t n) {
 void encrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out, std::size_t n,
                       const TripleKeySchedule& ks, std::uint64_t& chain) {
   check_len(n);
-  std::uint64_t prev = chain;
+  // IP is a bit permutation, so IP(P ^ C) = IP(P) ^ IP(C), and IP(C) of a
+  // ciphertext block C = FP(R16, L16) is the pre-output (R16, L16) itself:
+  // in the rotated form the rounds use, the (r, l) they leave.  The chain
+  // runs through the 48 rounds only; IP of the next plaintext block and FP
+  // of this ciphertext block are off it.
+  const FastTables& t = fast_tables();
+  const std::uint64_t iv = scatter(t.ip, chain);
+  std::uint32_t l[1] = {static_cast<std::uint32_t>(iv)};
+  std::uint32_t r[1] = {static_cast<std::uint32_t>(iv >> 32)};
+  std::uint64_t c = chain;
   for (std::size_t i = 0; i < n; i += 8) {
-    prev = encrypt_block_3des(load_be64(in + i) ^ prev, ks);
-    store_be64(prev, out + i);
+    const std::uint64_t p = scatter(t.ip, load_be64(in + i));
+    const std::uint32_t pl = static_cast<std::uint32_t>(p >> 32) ^ r[0];
+    r[0] = static_cast<std::uint32_t>(p) ^ l[0];
+    l[0] = pl;
+    stage16(l, r, ks.k1, false, t);
+    stage16(r, l, ks.k2, true, t);
+    stage16(l, r, ks.k3, false, t);
+    c = scatter(t.fp, (static_cast<std::uint64_t>(r[0]) << 32) | l[0]);
+    store_be64(c, out + i);
   }
-  chain = prev;
+  chain = c;
 }
 
 void decrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out, std::size_t n,
@@ -379,7 +395,7 @@ const FastTables& fast_tables() {
       }
     }
     for (int box = 0; box < 8; ++box) {
-      for (int v = 0; v < 64; ++v) t.sp[box][v] = rotr32(sp_tables()[box][v], 1);
+      for (int b = 0; b < 256; ++b) t.sp[box][b] = rotr32(sp_tables()[box][b >> 2], 1);
     }
     return t;
   }();

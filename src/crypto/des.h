@@ -1,19 +1,25 @@
 // DES and Triple-DES ("private-key operations" of the paper's platform).
 //
-// Two functionally identical block implementations are provided:
-//  * a reference implementation that applies every FIPS-46 permutation
-//    bit by bit (used as ground truth), and
-//  * a fast table-driven implementation: IP/FP through 8x256 byte-scatter
-//    tables, halves kept rotated by one bit so that E is windows of the
-//    half and of one rotate of it, each keyed by one XOR, and combined
-//    S-box + P-permutation (SP) lookup tables — the classic
-//    well-optimized software structure that the paper's baseline
-//    measurements represent.  3DES runs fused: one IP, 48 rounds, one FP.
-//    CBC decryption, which has no chain between blocks, runs four blocks
-//    through each round side by side.
-// The fast round tables and Feistel function (FastTables, feistel_fast) are
-// exported so tests can check them against the bitwise oracle; the SP
-// tables and key schedules are exported so the XR32 kernels
+// One table-driven implementation, the classic well-optimized software
+// structure that the paper's baseline measurements represent:
+//  * IP/FP through 8x256 byte-scatter tables, with both halves kept
+//    rotated right by one bit between them, so E is windows of the half
+//    and of one rotate of it, each keyed by one XOR (KeySchedule::kw);
+//  * byte-indexed S-box + P-permutation (SP) tables: each keyed 6-bit
+//    chunk sits in the top of a byte, so a round is eight byte extracts
+//    and eight lookups, with no masks;
+//  * the round sums its lookups as a balanced XOR tree with the other half
+//    folded in first, not as one chain of nine XORs (feistel_fast);
+//  * 3DES fused: one IP, 48 rounds, one FP.  CBC encryption keeps its
+//    chain in IP form, IP(P ^ C) = IP(P) ^ IP(C), and IP(C) of the last
+//    ciphertext is the swapped pre-output the rounds just left, so the IP
+//    of each plaintext block and the FP of each ciphertext block run off
+//    the chain.  CBC decryption, which has no chain between blocks, runs
+//    four blocks through each round side by side.
+// The bit-level FIPS-46 cipher is the test oracle in tests/des_ref.h.  The
+// fast round tables and Feistel function (FastTables, feistel_fast) are
+// exported so tests can check them against it; the unrotated SP tables and
+// the key schedules are exported so the XR32 kernels
 // (src/kernels/des_kernel.*) can place them in simulator memory.
 #pragma once
 
@@ -57,7 +63,8 @@ std::uint64_t decrypt_block_3des(std::uint64_t block, const TripleKeySchedule& k
 /// std::invalid_argument); in == out is allowed.  `chain` carries the CBC
 /// residue: the IV on entry, the last ciphertext block on exit, so two
 /// calls over consecutive spans equal one call over both.  Encryption is
-/// serial (each block needs the previous ciphertext); decryption runs four
+/// serial (each block needs the previous ciphertext) and chains in IP
+/// form, so only the 48 rounds sit on the chain; decryption runs four
 /// independent blocks side by side and the last n/8 % 4 one at a time.
 void encrypt_cbc_3des(const std::uint8_t* in, std::uint8_t* out, std::size_t n,
                       const TripleKeySchedule& ks, std::uint64_t& chain);
@@ -106,26 +113,36 @@ struct FastTables {
   /// contribution back left by one before final_permutation.
   std::uint64_t ip[8][256];
   std::uint64_t fp[8][256];
-  /// sp[i][v] = rotr32(sp_table(i)[v], 1): the round output already in
-  /// the rotated form.
-  std::array<std::array<std::uint32_t, 64>, 8> sp;
+  /// sp[i][b] = rotr32(sp_table(i)[b >> 2], 1): the round output already
+  /// in the rotated form, indexed by the byte whose top six bits are the
+  /// S-box input (the low two bits are don't-cares).
+  std::array<std::array<std::uint32_t, 256>, 8> sp;
 };
 const FastTables& fast_tables();
 
-/// f_function without the E permute, on a rotated half r' = rotr32(r, 1),
-/// returning rotr32(f(r), 1).  The eight 6-bit E groups are windows of r':
-/// the even groups 0, 2, 4, 6 are the disjoint windows at bits 31..26,
-/// 23..18, 15..10 and 7..2, and the odd groups 1, 3, 5, 7 are the same
-/// windows of rotl32(r', 4).  So one XOR with k[0] (KeySchedule::kw[r][0])
-/// keys four S-box inputs and one with k[1] the other four.
+/// l ^ f_function(r) without the E permute, on rotated halves
+/// l' = rotr32(l, 1) and r' = rotr32(r, 1), returning
+/// rotr32(l ^ f(r), 1).  The eight 6-bit E groups are windows of r': the
+/// even groups 0, 2, 4, 6 are the disjoint windows at bits 31..26, 23..18,
+/// 15..10 and 7..2, and the odd groups 1, 3, 5, 7 are the same windows of
+/// rotl32(r', 4).  So one XOR with k[0] (KeySchedule::kw[r][0]) keys four
+/// S-box inputs and one with k[1] the other four, each in the top of a
+/// byte.  The nine terms are summed as a balanced tree: each partial sum
+/// passes through an empty asm, which the optimizer cannot see into, so
+/// it cannot reassociate the tree back into one chain of nine XORs.
 inline std::uint32_t feistel_fast(std::uint32_t r, const std::uint32_t k[2],
-                                  const FastTables& t) {
+                                  const FastTables& t, std::uint32_t l = 0) {
   const std::uint32_t u = r ^ k[0];
   const std::uint32_t v = ((r << 4) | (r >> 28)) ^ k[1];
-  return t.sp[0][u >> 26] ^ t.sp[2][(u >> 18) & 0x3f] ^
-         t.sp[4][(u >> 10) & 0x3f] ^ t.sp[6][(u >> 2) & 0x3f] ^
-         t.sp[1][v >> 26] ^ t.sp[3][(v >> 18) & 0x3f] ^
-         t.sp[5][(v >> 10) & 0x3f] ^ t.sp[7][(v >> 2) & 0x3f];
+  std::uint32_t a = l ^ t.sp[0][u >> 24];
+  std::uint32_t b = t.sp[2][(u >> 16) & 0xff] ^ t.sp[4][(u >> 8) & 0xff];
+  std::uint32_t c = t.sp[6][u & 0xff] ^ t.sp[1][v >> 24];
+  std::uint32_t d = t.sp[3][(v >> 16) & 0xff] ^ t.sp[5][(v >> 8) & 0xff];
+  asm("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d));
+  a ^= b;
+  c ^= d;
+  asm("" : "+r"(a), "+r"(c));
+  return (a ^ c) ^ t.sp[7][v & 0xff];
 }
 
 /// Big-endian conversion helpers (DES blocks are big-endian byte streams).

@@ -10,15 +10,31 @@
 #include <cstdint>
 #include <vector>
 
+#include "crypto/des.h"
+#include "crypto/hmac.h"
 #include "support/random.h"
 
 namespace wsp::esp {
 
-struct Sa {  ///< security association (one direction)
+/// A security association (one direction).  The 3DES key schedule and the
+/// HMAC key state are built once, from the keys the constructor takes, and
+/// cannot be replaced afterwards, so every packet of the SA runs on the
+/// schedule of its own key.
+class Sa {
+ public:
+  /// Throws std::invalid_argument unless `enc_key` is 24 bytes (3DES EDE).
+  Sa(std::uint32_t spi, const std::vector<std::uint8_t>& enc_key,
+     const std::vector<std::uint8_t>& auth_key);
+
   std::uint32_t spi = 0;
-  std::vector<std::uint8_t> enc_key;   ///< 24 bytes (3DES EDE)
-  std::vector<std::uint8_t> auth_key;  ///< HMAC-SHA1 key
-  std::uint32_t seq = 0;               ///< outbound sequence counter
+  std::uint32_t seq = 0;  ///< outbound sequence counter
+
+  const des::TripleKeySchedule& cipher() const { return cipher_; }
+  const HmacSha1& auth() const { return auth_; }
+
+ private:
+  des::TripleKeySchedule cipher_;
+  HmacSha1 auth_;
 };
 
 /// Builds a protected packet: spi || seq || iv || ciphertext || icv(12).

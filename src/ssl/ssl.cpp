@@ -1,5 +1,7 @@
 #include "ssl/ssl.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -27,12 +29,6 @@ const char* to_string(Cipher cipher) {
 
 namespace {
 
-std::uint64_t load64(const std::vector<std::uint8_t>& v) {
-  std::uint64_t out = 0;
-  for (std::size_t i = 0; i < 8 && i < v.size(); ++i) out = (out << 8) | v[i];
-  return out;
-}
-
 std::vector<std::uint8_t> cbc_pad(std::vector<std::uint8_t> data, std::size_t block) {
   const std::size_t pad = block - (data.size() % block);
   data.insert(data.end(), pad, static_cast<std::uint8_t>(pad));
@@ -58,8 +54,9 @@ struct SecureChannel::Impl {
   std::vector<std::uint8_t> mac_key;
   // The same channel object is shared by the sealing and the opening
   // endpoint (in-process transport), so each side keeps its own sequence
-  // number and cipher chaining state.
-  std::vector<std::uint8_t> iv_enc, iv_dec;
+  // number and CBC residue (the IV, then the last ciphertext block; 3DES
+  // uses the first 8 bytes).
+  std::array<std::uint8_t, 16> iv_enc{}, iv_dec{};
   std::uint64_t seq_out = 0, seq_in = 0;
 
   // Key schedules, derived on first use and shared by both directions: the
@@ -78,9 +75,8 @@ struct SecureChannel::Impl {
     if (!des3_ks_cache) {
       // EDE with the key split in three 8-byte parts.
       des3_ks_cache = std::make_unique<des::TripleKeySchedule>(des::triple_key_schedule(
-          load64({cipher_key.begin(), cipher_key.begin() + 8}),
-          load64({cipher_key.begin() + 8, cipher_key.begin() + 16}),
-          load64({cipher_key.begin() + 16, cipher_key.begin() + 24})));
+          des::load_be64(cipher_key.data()), des::load_be64(cipher_key.data() + 8),
+          des::load_be64(cipher_key.data() + 16)));
     }
     return *des3_ks_cache;
   }
@@ -151,24 +147,19 @@ struct SecureChannel::Impl {
     return plain;
   }
 
-  // Encrypts the MAC'd plaintext; 3DES-CBC and RC4 work in its buffer.
+  // Encrypts the MAC'd plaintext in its buffer.
   std::vector<std::uint8_t> encrypt(std::vector<std::uint8_t> plain) {
     switch (cipher) {
       case Cipher::kTripleDesCbc: {
-        const des::TripleKeySchedule& ks = cached_des3_ks();
         auto out = cbc_pad(std::move(plain), 8);
-        std::uint64_t chain = load64(iv_enc);
-        des::encrypt_cbc_3des(out.data(), out.data(), out.size(), ks, chain);
-        iv_enc.assign(8, 0);
-        des::store_be64(chain, iv_enc.data());  // CBC residue chaining
+        std::uint64_t chain = des::load_be64(iv_enc.data());
+        des::encrypt_cbc_3des(out.data(), out.data(), out.size(), cached_des3_ks(), chain);
+        des::store_be64(chain, iv_enc.data());
         return out;
       }
       case Cipher::kAes128Cbc: {
-        const aes::KeySchedule& ks = cached_aes_ks();
-        std::array<std::uint8_t, 16> aiv{};
-        std::copy(iv_enc.begin(), iv_enc.begin() + 16, aiv.begin());
-        const auto out = aes::encrypt_cbc(cbc_pad(std::move(plain), 16), ks, aiv);
-        iv_enc.assign(out.end() - 16, out.end());
+        auto out = cbc_pad(std::move(plain), 16);
+        aes::encrypt_cbc(out.data(), out.data(), out.size(), cached_aes_ks(), iv_enc);
         return out;
       }
       case Cipher::kRc4: {
@@ -183,25 +174,16 @@ struct SecureChannel::Impl {
     switch (cipher) {
       case Cipher::kTripleDesCbc: {
         if (ct.size() % 8 != 0) throw std::runtime_error("ssl: bad record length");
-        const des::TripleKeySchedule& ks = cached_des3_ks();
         std::vector<std::uint8_t> out(ct.size());
-        std::uint64_t chain = load64(iv_dec);
-        des::decrypt_cbc_3des(ct.data(), out.data(), ct.size(), ks, chain);
-        iv_dec.assign(8, 0);
+        std::uint64_t chain = des::load_be64(iv_dec.data());
+        des::decrypt_cbc_3des(ct.data(), out.data(), ct.size(), cached_des3_ks(), chain);
         des::store_be64(chain, iv_dec.data());
         return cbc_unpad(std::move(out));
       }
       case Cipher::kAes128Cbc: {
         if (ct.size() % 16 != 0) throw std::runtime_error("ssl: bad record length");
-        // An empty record would otherwise reach the residue update below
-        // with ct.end() - 16 out of range; reject it with the same error
-        // cbc_unpad raises for a decrypted-to-nothing record.
-        if (ct.empty()) throw std::runtime_error("ssl: empty CBC plaintext");
-        const aes::KeySchedule& ks = cached_aes_ks();
-        std::array<std::uint8_t, 16> aiv{};
-        std::copy(iv_dec.begin(), iv_dec.begin() + 16, aiv.begin());
-        auto out = aes::decrypt_cbc(ct, ks, aiv);
-        iv_dec.assign(ct.end() - 16, ct.end());
+        std::vector<std::uint8_t> out(ct.size());
+        aes::decrypt_cbc(ct.data(), out.data(), ct.size(), cached_aes_ks(), iv_dec);
         return cbc_unpad(std::move(out));
       }
       case Cipher::kRc4: return cached_rc4().dec.process(ct);
@@ -222,8 +204,8 @@ SecureChannel::SecureChannel(Cipher cipher, std::vector<std::uint8_t> cipher_key
   impl_->cipher = cipher;
   impl_->cipher_key = std::move(cipher_key);
   impl_->mac_key = std::move(mac_key);
-  impl_->iv_enc = iv;
-  impl_->iv_dec = std::move(iv);
+  std::copy(iv.begin(), iv.end(), impl_->iv_enc.begin());
+  impl_->iv_dec = impl_->iv_enc;
 }
 
 std::vector<std::uint8_t> SecureChannel::seal(const std::vector<std::uint8_t>& payload) {

@@ -49,8 +49,9 @@ TEST(Aes, TTableMatchesReference) {
 }
 
 TEST(Aes, InverseTablesMatchReference) {
-  // decrypt_block (InvSubBytes gather + InvMixColumns tables) against the
-  // byte-oriented reference inverse cipher, for every key size.
+  // decrypt_block (Td tables and the InvMixColumns-transformed schedule of
+  // the equivalent inverse cipher) against the byte-oriented reference
+  // inverse cipher, for every key size.
   Rng rng(76);
   for (std::size_t klen : {16u, 24u, 32u}) {
     const auto ks = aes::key_schedule(rng.bytes(klen));
@@ -104,16 +105,128 @@ TEST(AesModes, EcbRoundTrip) {
   EXPECT_EQ(aes::decrypt_ecb(aes::encrypt_ecb(data, ks), ks), data);
 }
 
+using Block = std::array<std::uint8_t, 16>;
+
+Block random_block(Rng& rng) {
+  Block b{};
+  const auto v = rng.bytes(16);
+  std::copy(v.begin(), v.end(), b.begin());
+  return b;
+}
+
 TEST(AesModes, CbcRoundTrip) {
   Rng rng(74);
   const auto ks = aes::key_schedule(rng.bytes(32));
-  std::array<std::uint8_t, 16> iv{};
-  const auto ivb = rng.bytes(16);
-  std::copy(ivb.begin(), ivb.end(), iv.begin());
+  const Block iv = random_block(rng);
   const auto data = rng.bytes(160);
-  const auto ct = aes::encrypt_cbc(data, ks, iv);
-  EXPECT_EQ(aes::decrypt_cbc(ct, ks, iv), data);
+  std::vector<std::uint8_t> ct(data.size()), back(data.size());
+  Block chain = iv;
+  aes::encrypt_cbc(data.data(), ct.data(), data.size(), ks, chain);
+  chain = iv;
+  aes::decrypt_cbc(ct.data(), back.data(), ct.size(), ks, chain);
+  EXPECT_EQ(back, data);
   EXPECT_NE(ct, data);
+}
+
+// CBC over the byte-oriented reference blocks, one block at a time; the
+// residue is the last ciphertext block.
+std::vector<std::uint8_t> ref_cbc(const std::vector<std::uint8_t>& in, const Block& iv,
+                                  bool decrypt, const aes::KeySchedule& ks) {
+  std::vector<std::uint8_t> out(in.size());
+  Block chain = iv;
+  for (std::size_t i = 0; i < in.size(); i += 16) {
+    std::uint8_t x[16];
+    if (decrypt) {
+      aes_ref::decrypt_block(in.data() + i, x, ks);
+      for (int b = 0; b < 16; ++b) out[i + b] = x[b] ^ chain[b];
+      std::copy(in.begin() + i, in.begin() + i + 16, chain.begin());
+    } else {
+      for (int b = 0; b < 16; ++b) x[b] = in[i + b] ^ chain[b];
+      aes_ref::encrypt_block(x, out.data() + i, ks);
+      std::copy(out.begin() + i, out.begin() + i + 16, chain.begin());
+    }
+  }
+  return out;
+}
+
+Block last_block_or(const std::vector<std::uint8_t>& ct, const Block& iv) {
+  Block b = iv;
+  if (!ct.empty()) std::copy(ct.end() - 16, ct.end(), b.begin());
+  return b;
+}
+
+// Every length from 0 to 12 blocks and one record-sized buffer (1,040 B),
+// for each key size, out of place and in place, against CBC built from the
+// reference blocks.
+TEST(AesCbc, MatchesReferenceBothDirections) {
+  Rng rng(77);
+  std::vector<std::size_t> lens;
+  for (std::size_t b = 0; b <= 12; ++b) lens.push_back(16 * b);
+  lens.push_back(1040);
+  for (std::size_t klen : {16u, 24u, 32u}) {
+    const auto ks = aes::key_schedule(rng.bytes(klen));
+    for (const std::size_t n : lens) {
+      const auto data = rng.bytes(n);
+      const Block iv = random_block(rng);
+      const auto want_ct = ref_cbc(data, iv, false, ks);
+      const auto want_pt = ref_cbc(data, iv, true, ks);
+
+      std::vector<std::uint8_t> out(n, 0x5a);
+      Block chain = iv;
+      aes::encrypt_cbc(data.data(), out.data(), n, ks, chain);
+      EXPECT_EQ(out, want_ct) << "encrypt klen=" << klen << " n=" << n;
+      EXPECT_EQ(chain, last_block_or(want_ct, iv)) << "encrypt klen=" << klen << " n=" << n;
+      chain = iv;
+      aes::decrypt_cbc(data.data(), out.data(), n, ks, chain);
+      EXPECT_EQ(out, want_pt) << "decrypt klen=" << klen << " n=" << n;
+      EXPECT_EQ(chain, last_block_or(data, iv)) << "decrypt klen=" << klen << " n=" << n;
+
+      auto buf = data;
+      chain = iv;
+      aes::encrypt_cbc(buf.data(), buf.data(), n, ks, chain);
+      EXPECT_EQ(buf, want_ct) << "in-place encrypt klen=" << klen << " n=" << n;
+      EXPECT_EQ(chain, last_block_or(want_ct, iv)) << "in-place encrypt n=" << n;
+      buf = data;
+      chain = iv;
+      aes::decrypt_cbc(buf.data(), buf.data(), n, ks, chain);
+      EXPECT_EQ(buf, want_pt) << "in-place decrypt klen=" << klen << " n=" << n;
+      EXPECT_EQ(chain, last_block_or(data, iv)) << "in-place decrypt n=" << n;
+    }
+  }
+}
+
+TEST(AesCbc, ChainedCallsEqualOneCall) {
+  Rng rng(78);
+  const std::size_t n = 1040;
+  for (std::size_t klen : {16u, 24u, 32u}) {
+    const auto ks = aes::key_schedule(rng.bytes(klen));
+    const auto data = rng.bytes(n);
+    const Block iv = random_block(rng);
+    for (const bool decrypt : {false, true}) {
+      const auto run = decrypt ? aes::decrypt_cbc : aes::encrypt_cbc;
+      std::vector<std::uint8_t> whole(n);
+      Block whole_chain = iv;
+      run(data.data(), whole.data(), n, ks, whole_chain);
+      for (const std::size_t split : {0, 16, 32, 48, 64, 512, 1024, 1040}) {
+        std::vector<std::uint8_t> parts(n);
+        Block chain = iv;
+        run(data.data(), parts.data(), split, ks, chain);
+        run(data.data() + split, parts.data() + split, n - split, ks, chain);
+        EXPECT_EQ(parts, whole) << "klen=" << klen << " decrypt=" << decrypt
+                                << " split=" << split;
+        EXPECT_EQ(chain, whole_chain) << "klen=" << klen << " decrypt=" << decrypt
+                                      << " split=" << split;
+      }
+    }
+  }
+}
+
+TEST(AesCbc, RejectsBadLength) {
+  const auto ks = aes::key_schedule(std::vector<std::uint8_t>(16, 0));
+  std::uint8_t buf[32] = {};
+  Block chain{};
+  EXPECT_THROW(aes::encrypt_cbc(buf, buf, 20, ks, chain), std::invalid_argument);
+  EXPECT_THROW(aes::decrypt_cbc(buf, buf, 31, ks, chain), std::invalid_argument);
 }
 
 TEST(AesModes, RejectsBadLength) {

@@ -9,7 +9,10 @@
 
 #include "crypto/crc32.h"
 #include "crypto/ct.h"
+#include "crypto/des.h"
+#include "crypto/hmac.h"
 #include "crypto/sha1.h"
+#include "des_ref.h"
 #include "ssl/esp.h"
 #include "ssl/ssl.h"
 #include "ssl/wep.h"
@@ -107,13 +110,13 @@ TEST(Wep, BadKeyLengthRejected) {
 
 class EspTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  static esp::Sa make_sa() {
     Rng rng(517);
-    sa_.spi = 0x1001;
-    sa_.enc_key = rng.bytes(24);
-    sa_.auth_key = rng.bytes(20);
+    const auto enc_key = rng.bytes(24);
+    const auto auth_key = rng.bytes(20);
+    return esp::Sa(0x1001, enc_key, auth_key);
   }
-  esp::Sa sa_;
+  esp::Sa sa_ = make_sa();
   Rng rng_{518};
 };
 
@@ -129,6 +132,54 @@ TEST_F(EspTest, SealOpenRoundTripVariousSizes) {
     EXPECT_EQ(esp::open(receiver, packet, &seq), payload) << "len=" << len;
     EXPECT_EQ(seq, sa_.seq);
   }
+}
+
+// Each packet against one built from the bitwise 3DES reference and a fresh
+// hmac_sha1 over spi || seq || iv || ciphertext, the IV drawn from a copy of
+// the sealing Rng.  This pins the SA's key schedule and MAC key state and
+// the in-place seal byte for byte.
+TEST_F(EspTest, SealMatchesReference) {
+  Rng keys(517);
+  const auto enc_key = keys.bytes(24);
+  const auto auth_key = keys.bytes(20);
+  const auto ks = des::triple_key_schedule(des::load_be64(enc_key.data()),
+                                           des::load_be64(enc_key.data() + 8),
+                                           des::load_be64(enc_key.data() + 16));
+  for (std::size_t len : {0u, 1u, 7u, 8u, 15u, 16u, 23u, 24u, 31u, 32u, 39u,
+                          100u, 1400u}) {
+    const auto payload = rng_.bytes(len);
+    Rng iv_rng = rng_;
+    std::uint64_t chain = iv_rng.next_u64();
+    const auto packet = esp::seal(sa_, payload, rng_);
+
+    std::vector<std::uint8_t> want(16);
+    for (int i = 0; i < 4; ++i) {
+      want[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(sa_.spi >> (24 - 8 * i));
+      want[static_cast<std::size_t>(4 + i)] = static_cast<std::uint8_t>(sa_.seq >> (24 - 8 * i));
+    }
+    des::store_be64(chain, want.data() + 8);
+    auto plain = payload;
+    const std::size_t pad = (8 - (len + 1) % 8) % 8;
+    plain.insert(plain.end(), pad, 0);
+    plain.push_back(static_cast<std::uint8_t>(pad));
+    for (std::size_t i = 0; i < plain.size(); i += 8) {
+      chain = des_ref::encrypt_block(
+          des_ref::decrypt_block(
+              des_ref::encrypt_block(des::load_be64(plain.data() + i) ^ chain, ks.k1),
+              ks.k2),
+          ks.k3);
+      want.resize(want.size() + 8);
+      des::store_be64(chain, want.data() + want.size() - 8);
+    }
+    const auto icv = hmac_sha1(auth_key, want);
+    want.insert(want.end(), icv.begin(), icv.begin() + 12);
+    EXPECT_EQ(packet, want) << "len=" << len;
+  }
+}
+
+TEST(Esp, SaRejectsBadKeyLength) {
+  EXPECT_THROW(esp::Sa(1, std::vector<std::uint8_t>(16), std::vector<std::uint8_t>(20)),
+               std::invalid_argument);
 }
 
 TEST_F(EspTest, SequenceNumbersIncrease) {

@@ -189,20 +189,26 @@ TEST(SslRecordOracle, TripleDesRecordsMatchReferenceCbc) {
   expect_records_match_reference(Cipher::kTripleDesCbc, 441);
 }
 
-// Every payload length 0..80 gives a padded 3DES record of 3..13 blocks,
-// so the record layer's CBC decryption meets every 4-block tail; each
-// record is opened right after it is sealed, the order Session::pump uses.
-TEST(SslRecordOracle, TripleDesSealOpenAtEveryLength) {
+// Every payload length 0..80 on each CBC cipher: a padded 3DES record of
+// 3..13 blocks, so the record layer's CBC decryption meets every 4-block
+// tail, and an AES record of 2..7 blocks.  Each record is opened right
+// after it is sealed, the order Session::pump uses.
+TEST(SslRecordOracle, CbcSealOpenAtEveryLength) {
   Rng rng(445);
-  const auto key = rng.bytes(24);
-  const auto mac_key = rng.bytes(20);
-  const auto iv = rng.bytes(8);
-  ssl::SecureChannel channel(Cipher::kTripleDesCbc, key, mac_key, iv);
-  for (std::size_t len = 0; len <= 80; ++len) {
-    const auto payload = rng.bytes(len);
-    const auto sealed = channel.seal(payload);
-    EXPECT_EQ(sealed.size(), (len + 20) / 8 * 8 + 8) << "len=" << len;
-    EXPECT_EQ(channel.open(sealed), payload) << "len=" << len;
+  for (const Cipher cipher : {Cipher::kTripleDesCbc, Cipher::kAes128Cbc}) {
+    const auto profile = ssl::cipher_profile(cipher);
+    const std::size_t block = profile.iv_len;
+    const auto key = rng.bytes(profile.key_len);
+    const auto mac_key = rng.bytes(20);
+    const auto iv = rng.bytes(block);
+    ssl::SecureChannel channel(cipher, key, mac_key, iv);
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const auto payload = rng.bytes(len);
+      const auto sealed = channel.seal(payload);
+      EXPECT_EQ(sealed.size(), (len + 20) / block * block + block)
+          << ssl::to_string(cipher) << " len=" << len;
+      EXPECT_EQ(channel.open(sealed), payload) << ssl::to_string(cipher) << " len=" << len;
+    }
   }
 }
 
