@@ -14,6 +14,7 @@
 #include "explore/estimator.h"
 #include "explore/space.h"
 #include "macromodel/models.h"
+#include "mp/barrett.h"
 #include "mp/modexp.h"
 #include "mp/montgomery.h"
 #include "mp/mpn.h"
@@ -354,6 +355,57 @@ void BM_MontMul(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_MontMul, std::uint16_t)->ArgsProduct({{8, 16, 32}, {0, 1}});
 BENCHMARK_TEMPLATE(BM_MontMul, std::uint32_t)->ArgsProduct({{8, 16, 32}, {0, 1}});
+
+// Division and Barrett reduction (mp layer) at a 512-bit modulus: the
+// 2k-by-k-limb divide every division-based modular multiply makes (k = 32
+// limbs at radix 16, 16 at radix 32), and Barrett modular multiplies,
+// latency-chained as in BM_MontMul.  Items are quotient limbs for the
+// divide and modulus limbs for the multiply.
+template <typename L>
+std::vector<L> modulus_512(Rng& rng) {
+  constexpr std::size_t k = 512 / mpn::LimbTraits<L>::bits;
+  auto m = random_limbs<L>(rng, k);
+  m[k - 1] = static_cast<L>(m[k - 1] | (L{1} << (mpn::LimbTraits<L>::bits - 1)));
+  return m;
+}
+
+template <typename L>
+void BM_Divrem(benchmark::State& state) {
+  Rng rng(13);
+  const auto d = modulus_512<L>(rng);
+  const std::size_t k = d.size();
+  const auto u = random_limbs<L>(rng, 2 * k);
+  std::vector<L> q(k + 1), r(k);
+  for (auto _ : state) {
+    mpn::divrem(q.data(), r.data(), u.data(), 2 * k, d.data(), k);
+    benchmark::DoNotOptimize(r.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * (k + 1)));
+}
+BENCHMARK_TEMPLATE(BM_Divrem, std::uint16_t);
+BENCHMARK_TEMPLATE(BM_Divrem, std::uint32_t);
+
+template <typename L>
+void BM_BarrettMulmod(benchmark::State& state) {
+  Rng rng(14);
+  const auto m = modulus_512<L>(rng);
+  const std::size_t k = m.size();
+  const Barrett<L> ctx(m);
+  auto a = random_limbs<L>(rng, k);
+  auto b = random_limbs<L>(rng, k);
+  a[k - 1] = static_cast<L>(a[k - 1] >> 1);  // below the modulus
+  b[k - 1] = static_cast<L>(b[k - 1] >> 1);
+  std::vector<L> r(k);
+  for (auto _ : state) {
+    ctx.mulmod(r, a, b);
+    a.swap(r);
+    benchmark::DoNotOptimize(a.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * k));
+}
+BENCHMARK_TEMPLATE(BM_BarrettMulmod, std::uint16_t);
+BENCHMARK_TEMPLATE(BM_BarrettMulmod, std::uint32_t);
 
 // Macro-model rows (explore layer).  A hand-built linear model set stands in
 // for ISS characterization, so these rows time only the estimator.

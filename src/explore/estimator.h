@@ -33,6 +33,14 @@ class MacroModelHook : public CostHook {
     events_ += count;
   }
 
+  /// A mixed run, priced in stream order: the total is again bit-identical.
+  void on_events(const PrimEvent* events, std::size_t count, unsigned limb_bits) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      total_ += models_->cycles(events[i].prim, events[i].n, events[i].m, limb_bits);
+    }
+    events_ += count;
+  }
+
   double total_cycles() const { return total_; }
   std::size_t events() const { return events_; }
   void reset() {

@@ -2,8 +2,17 @@
 // multiplication algorithms.  Precomputes mu = floor(B^(2k) / m) once per
 // modulus and then reduces 2k-limb products with three truncated
 // multiplications and at most two final subtractions (HAC Algorithm 14.42).
+//
+// B = 2^(limb bits) is the modelled radix; the host computes on packed
+// 64-bit words, where q1 = floor(x / B^(k-1)), q3 = floor(q1 * mu / B^(k+1))
+// and the residues mod B^(k+1) are bit shifts and masks.  q3 and the value
+// before the corrections are the limb loop's, and so is the number of
+// correction subtractions, with every SubN event (tests/barrett_ref.h keeps
+// the limb loop as an oracle).  Scratch stays on the stack for moduli of up
+// to 4096 bits.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -31,6 +40,12 @@ class Barrett {
     mpn::divrem(mu_.data(), rem.data(), b2k.data(), b2k.size(), m_.data(), k);
     note_divrem(hook_, b2k.size(), k, static_cast<unsigned>(kBits));
     mu_.resize(mpn::normalize(mu_.data(), mu_.size()));
+    // The packed operands: m zero-padded to the k + 1 limbs every residue
+    // mod B^(k+1) spans, and mu.
+    m_words_.assign(mpn::detail::words_for<L>(k + 1), 0);
+    mpn::detail::pack_words(m_words_.data(), m_.data(), k);
+    mu_words_.resize(mpn::detail::words_for<L>(mu_.size()));
+    mpn::detail::pack_words(mu_words_.data(), mu_.data(), mu_.size());
   }
 
   std::size_t limbs() const { return m_.size(); }
@@ -42,56 +57,29 @@ class Barrett {
   /// r = x mod m where x has at most 2k limbs.  r gets k limbs.
   void reduce(std::vector<L>& r, const std::vector<L>& x) const {
     const std::size_t k = m_.size();
-    std::vector<L> xx(2 * k, 0);
-    for (std::size_t i = 0; i < x.size() && i < 2 * k; ++i) xx[i] = x[i];
-
-    // q1 = floor(x / B^(k-1)) — k+1 limbs.
-    std::vector<L> q1(xx.begin() + static_cast<std::ptrdiff_t>(k - 1), xx.end());
-    // q2 = q1 * mu.
-    std::vector<L> q2(q1.size() + mu_.size(), 0);
-    mpn::mul(q2.data(), q1.data(), q1.size(), mu_.data(), mu_.size());
-    note_n(Prim::kAddMul1, q1.size(), mu_.size());
-    // q3 = floor(q2 / B^(k+1)).
-    std::vector<L> q3;
-    if (q2.size() > k + 1) {
-      q3.assign(q2.begin() + static_cast<std::ptrdiff_t>(k + 1), q2.end());
-    }
-    q3.resize(k + 1, 0);
-
-    // r1 = x mod B^(k+1); r2 = (q3 * m) mod B^(k+1).
-    std::vector<L> r1(xx.begin(), xx.begin() + static_cast<std::ptrdiff_t>(k + 1));
-    std::vector<L> prod(q3.size() + k, 0);
-    mpn::mul(prod.data(), q3.data(), q3.size(), m_.data(), k);
-    note_n(Prim::kAddMul1, q3.size(), k);
-    std::vector<L> r2(prod.begin(), prod.begin() + static_cast<std::ptrdiff_t>(k + 1));
-
-    // r = r1 - r2 (mod B^(k+1)); the true remainder is < 3m so the wrap, if
-    // any, is corrected by the subtraction loop below.
-    std::vector<L> rr(k + 1);
-    mpn::sub_n(rr.data(), r1.data(), r2.data(), k + 1);
-    note(Prim::kSubN, k + 1);
-
-    // At most two subtractions of m.
-    std::vector<L> mk(k + 1, 0);
-    for (std::size_t i = 0; i < k; ++i) mk[i] = m_[i];
-    int guard = 0;
-    while (mpn::cmp2(rr.data(), rr.size(), mk.data(), mk.size()) >= 0) {
-      mpn::sub_n(rr.data(), rr.data(), mk.data(), k + 1);
-      note(Prim::kSubN, k + 1);
-      if (++guard > 3) throw std::logic_error("Barrett: correction diverged");
-    }
-    note(Prim::kCmp, k);
-    r.assign(rr.begin(), rr.begin() + static_cast<std::ptrdiff_t>(k));
+    const std::size_t xn = std::min(x.size(), 2 * k);
+    const std::size_t xw = mpn::detail::words_for<L>(2 * k);
+    mpn::detail::Scratch<std::uint64_t, 2 * mpn::detail::kPackedWords> s(xw);
+    std::uint64_t* xs = s.data();
+    for (std::size_t i = 0; i < xw; ++i) xs[i] = 0;
+    mpn::detail::pack_words(xs, x.data(), xn);
+    reduce_words(r, xs, xw);
   }
 
   /// r = (a * b) mod m for k-limb a, b.
   void mulmod(std::vector<L>& r, const std::vector<L>& a,
               const std::vector<L>& b) const {
     const std::size_t k = m_.size();
-    std::vector<L> prod(2 * k, 0);
-    mpn::mul(prod.data(), a.data(), k, b.data(), k);
+    const std::size_t kw = mpn::detail::words_for<L>(k);
+    mpn::detail::Scratch<std::uint64_t, 4 * mpn::detail::kPackedWords> s(4 * kw);
+    std::uint64_t* aw = s.data();
+    std::uint64_t* bw = aw + kw;
+    std::uint64_t* x = bw + kw;
+    mpn::detail::pack_words(aw, a.data(), k);
+    mpn::detail::pack_words(bw, b.data(), k);
+    mpn::detail::mul_words(x, aw, kw, bw, kw);
     note_n(Prim::kAddMul1, k, k);
-    reduce(r, prod);
+    reduce_words(r, x, 2 * kw);
   }
 
  private:
@@ -103,8 +91,52 @@ class Barrett {
     if (hook_) hook_->on_prims(p, n, 0, static_cast<unsigned>(kBits), count);
   }
 
+  // r = x mod m for x < B^(2k) packed in x[0..xw), xw >= words of k + 1
+  // limbs.  Events: the two truncated products, the subtraction mod
+  // B^(k+1), one SubN per correction and the final Cmp, all at the limb
+  // sizes the limb loop runs them (k + 1 limbs).
+  void reduce_words(std::vector<L>& r, const std::uint64_t* x, std::size_t xw) const {
+    using mpn::detail::kPackedWords;
+    const std::size_t k = m_.size();
+    const std::size_t rw = m_words_.size();  // words of k + 1 limbs
+    const std::size_t muw = mu_words_.size();
+    mpn::detail::Scratch<std::uint64_t, 6 * kPackedWords> s(4 * rw + muw);
+    std::uint64_t* q1 = s.data();
+    std::uint64_t* q2 = q1 + rw;
+    std::uint64_t* q3 = q2 + rw + muw;
+    std::uint64_t* rr = q3 + rw;
+
+    // q1 = floor(x / B^(k-1)) (below B^(k+1)); q2 = q1 * mu.
+    mpn::detail::shift_down_words(q1, rw, x, xw, static_cast<std::size_t>(kBits) * (k - 1));
+    mpn::detail::mul_words(q2, q1, rw, mu_words_.data(), muw);
+    note_n(Prim::kAddMul1, k + 1, mu_.size());
+    // q3 = floor(q2 / B^(k+1)), below B^(k+1) since q3 <= x / m.
+    mpn::detail::shift_down_words(q3, rw, q2, rw + muw, static_cast<std::size_t>(kBits) * (k + 1));
+    // rr = (x - q3 * m) mod B^(k+1): the low words of both, then the mask.
+    mpn::detail::mul_words_low(rr, rw, q3, rw, m_words_.data(), mpn::detail::words_for<L>(k));
+    note_n(Prim::kAddMul1, k + 1, k);
+    mpn::detail::sub_n_words(rr, x, rr, rw);
+    const unsigned top_bits = static_cast<unsigned>(kBits * (k + 1) % 64);
+    if (top_bits != 0) rr[rw - 1] &= (std::uint64_t{1} << top_bits) - 1;
+    note(Prim::kSubN, k + 1);
+
+    // The true remainder x - q3 * m is below 3m < B^(k+1), so rr is it, and
+    // at most two subtractions of m bring it below m.
+    int guard = 0;
+    while (mpn::detail::cmp_words(rr, m_words_.data(), rw) >= 0) {
+      mpn::detail::sub_n_words(rr, rr, m_words_.data(), rw);
+      note(Prim::kSubN, k + 1);
+      if (++guard > 3) throw std::logic_error("Barrett: correction diverged");
+    }
+    note(Prim::kCmp, k);
+    r.resize(k);
+    mpn::detail::unpack_words(r.data(), k, rr);
+  }
+
   std::vector<L> m_;
   std::vector<L> mu_;
+  std::vector<std::uint64_t> m_words_;   // m, zero-padded to k + 1 limbs
+  std::vector<std::uint64_t> mu_words_;  // mu
   CostHook* hook_ = nullptr;
 };
 

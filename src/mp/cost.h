@@ -31,6 +31,13 @@ enum class Prim {
 
 const char* prim_name(Prim p);
 
+/// One event of a run handed to CostHook::on_events.
+struct PrimEvent {
+  Prim prim;
+  std::size_t n;
+  std::size_t m;
+};
+
 /// Receives one event per primitive call made by an instrumented algorithm.
 class CostHook {
  public:
@@ -47,6 +54,42 @@ class CostHook {
                         std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) on_prim(p, n, m, limb_bits);
   }
+
+  /// A run of `count` mixed events at one radix, in stream order.  The
+  /// default delivers them one by one, so a hook that only overrides on_prim
+  /// sees the same stream; a hook may override this to take the run in one
+  /// virtual call.
+  virtual void on_events(const PrimEvent* events, std::size_t count, unsigned limb_bits) {
+    for (std::size_t i = 0; i < count; ++i) {
+      on_prim(events[i].prim, events[i].n, events[i].m, limb_bits);
+    }
+  }
+};
+
+/// Collects a run of mixed events for a non-null hook and hands it over
+/// through on_events, kCapacity events at a time.  Call flush() when the run
+/// ends, before anything else reaches the hook, so the stream keeps its
+/// order.
+class EventBatch {
+ public:
+  EventBatch(CostHook* hook, unsigned limb_bits) : hook_(hook), limb_bits_(limb_bits) {}
+
+  void add(Prim p, std::size_t n, std::size_t m = 0) {
+    events_[size_++] = PrimEvent{p, n, m};
+    if (size_ == kCapacity) flush();
+  }
+
+  void flush() {
+    if (size_ != 0) hook_->on_events(events_, size_, limb_bits_);
+    size_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 128;
+  CostHook* hook_;
+  unsigned limb_bits_;
+  std::size_t size_ = 0;
+  PrimEvent events_[kCapacity];  // left uninitialized: only [0, size_) is read
 };
 
 /// Convenience: emits one event if the hook is non-null.
@@ -57,16 +100,19 @@ inline void note_prim(CostHook* hook, Prim p, std::size_t n, std::size_t m,
 
 /// Emits the primitive-event decomposition of a Knuth-D division of a
 /// un-limb dividend by a dn-limb divisor: one normalization shift pass each
-/// way plus one submul_1 sweep per quotient limb.
+/// way plus one qhat step and one submul_1 sweep per quotient limb, as one
+/// run.
 inline void note_divrem(CostHook* hook, std::size_t un, std::size_t dn,
                         unsigned limb_bits) {
   if (!hook || un < dn) return;
-  hook->on_prim(Prim::kLshift, un, 0, limb_bits);
+  EventBatch batch(hook, limb_bits);
+  batch.add(Prim::kLshift, un);
   for (std::size_t i = 0; i + dn <= un; ++i) {
-    hook->on_prim(Prim::kDiv2by1, 1, 0, limb_bits);
-    hook->on_prim(Prim::kSubMul1, dn, 0, limb_bits);
+    batch.add(Prim::kDiv2by1, 1);
+    batch.add(Prim::kSubMul1, dn);
   }
-  hook->on_prim(Prim::kRshift, dn, 0, limb_bits);
+  batch.add(Prim::kRshift, dn);
+  batch.flush();
 }
 
 /// Emits the primitive-event decomposition of an n x n limb product as

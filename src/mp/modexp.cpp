@@ -2,6 +2,7 @@
 
 #include "mp/crt.h"
 
+#include <optional>
 #include <sstream>
 
 namespace wsp {
@@ -180,6 +181,10 @@ Mpz ModexpEngine::powm_impl(const Mpz& base, const Mpz& exp, const Mpz& modulus)
   }
 
   // --- modular multiply for the configured algorithm ----------------------
+  // The division-based algorithms divide by one modulus throughout, so it
+  // is packed and normalised once.
+  std::optional<mpn::detail::WordDivisor> divisor;
+  if (!is_mont && !barrett) divisor.emplace(mod_l.data(), k);
   const bool use_karatsuba = cfg_.mul == MulAlgo::kKaratsubaDiv;
   auto modmul = [&](std::vector<L>& r, const std::vector<L>& a,
                     const std::vector<L>& b) {
@@ -191,19 +196,27 @@ Mpz ModexpEngine::powm_impl(const Mpz& base, const Mpz& exp, const Mpz& modulus)
       barrett->mulmod(r, a, b);
       return;
     }
-    // Multiplication followed by division-based reduction.
-    std::vector<L> prod(2 * k, 0);
+    // Multiplication followed by division-based reduction, on packed words
+    // in stack scratch: the schoolbook product, then its remainder.  The
+    // Karatsuba candidate takes the same host product; its events come from
+    // the sizes alone.
+    const std::size_t kw = mpn::detail::words_for<L>(k);
+    mpn::detail::Scratch<std::uint64_t, 4 * mpn::detail::kPackedWords + 1> s(4 * kw + 1);
+    std::uint64_t* x = s.data();
+    std::uint64_t* y = x + kw;
+    std::uint64_t* prod = y + kw;  // 2 * kw words, plus one for the division
+    mpn::detail::pack_words(x, a.data(), k);
+    mpn::detail::pack_words(y, b.data(), k);
+    mpn::detail::mul_words(prod, x, kw, y, kw);
     if (use_karatsuba && k >= mpn::kKaratsubaThreshold && (k % 2) == 0) {
-      mpn::mul_karatsuba(prod.data(), a.data(), b.data(), k);
       note_mul_square_events(hook_, k, mpn::kKaratsubaThreshold, kBits);
     } else {
-      mpn::mul_basecase(prod.data(), a.data(), k, b.data(), k);
       note_mul_basecase(hook_, k, k, kBits);
     }
-    std::vector<L> quot(2 * k - k + 1, 0), rem(k, 0);
-    mpn::divrem(quot.data(), rem.data(), prod.data(), 2 * k, mod_l.data(), k);
+    divisor->divrem(nullptr, prod, 2 * kw);
     note_divrem(hook_, 2 * k, k, kBits);
-    r = std::move(rem);
+    r.resize(k);
+    mpn::detail::unpack_words(r.data(), k, prod);
   };
 
   // --- domain entry --------------------------------------------------------

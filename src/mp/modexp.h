@@ -17,8 +17,9 @@
 //                 R^2 / n0', Barrett mu), or context + power table cached.
 //
 // Every configuration produces identical numeric results (tested against
-// Mpz::powm); they differ only in the primitive-operation stream, which the
-// CostHook observes for macro-model-based performance estimation.
+// the square-and-multiply oracle in tests/mpz_ref.h); they differ only in
+// the primitive-operation stream, which the CostHook observes for
+// macro-model-based performance estimation.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +83,7 @@ class ModexpEngine {
   /// base^exp mod modulus, ignoring the CRT axis (used for public-key ops
   /// and as the per-prime step of the CRT paths).  Montgomery variants
   /// require an odd modulus.  Throws std::domain_error for a zero modulus
-  /// or a negative exponent, as Mpz::powm does.
+  /// or a negative exponent.
   Mpz powm(const Mpz& base, const Mpz& exp, const Mpz& modulus);
 
   /// base^d mod (p*q) using the configured CRT mode.  With CrtMode::kNone

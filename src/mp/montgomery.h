@@ -36,24 +36,7 @@ using U128 = unsigned __int128;
 /// Longest modulus, in 64-bit words (4096 bits), on the word path.  A
 /// product keeps a, b and its (2 * nw + 1)-word accumulator on the stack;
 /// longer moduli keep the limb loops.
-inline constexpr std::size_t kMaxWords = 64;
-
-inline int cmp_words(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  for (std::size_t i = n; i-- > 0;) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  return 0;
-}
-
-inline void sub_words(std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::uint64_t borrow = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t d = a[i] - b[i];
-    const std::uint64_t out = (a[i] < b[i]) | (d < borrow);
-    a[i] = d - borrow;
-    borrow = out;
-  }
-}
+inline constexpr std::size_t kMaxWords = mpn::detail::kPackedWords;
 
 /// -n0^{-1} mod 2^64 for odd n0 (Newton: each step doubles the good bits).
 inline std::uint64_t neg_inverse_word(std::uint64_t n0) {
@@ -139,9 +122,9 @@ class Mont {
   using W = typename mpn::LimbTraits<L>::Wide;
   static constexpr int kBits = mpn::LimbTraits<L>::bits;
 
-  /// Builds the context: computes n0' = -n^{-1} mod B and R^2 mod n.  With
-  /// a hook, R^2 comes from the 2*n*kBits limb doublings whose Lshift /
-  /// SubN / Cmp events price the setup; without one, from a single division.
+  /// Builds the context: computes n0' = -n^{-1} mod B and R^2 mod n, the
+  /// latter from one division.  With a hook, it also emits the Lshift /
+  /// SubN / Cmp events of the 2*n*kBits limb doublings that price the setup.
   /// Throws std::invalid_argument for an even or zero modulus.
   explicit Mont(std::vector<L> modulus, CostHook* hook = nullptr)
       : n_(std::move(modulus)), hook_(hook) {
@@ -166,9 +149,7 @@ class Mont {
         n0w_ = mont_detail::neg_inverse_word(words_[0]);
       }
     }
-    // With a hook, the doublings the cost model prices; without one, the
-    // same value from one division.
-    r2_ = hook_ == nullptr ? r2_divide() : r2_limbs();
+    r2_ = r2_divide();
   }
 
   std::size_t limbs() const { return n_.size(); }
@@ -212,32 +193,32 @@ class Mont {
     if (hook_) hook_->on_prims(p, n, 0, static_cast<unsigned>(kBits), count);
   }
 
-  // R^2 mod n by 2*n*kBits doublings of 1 (context setup; counted by the
-  // caching axis of the design space, not the per-multiplication cost).
-  std::vector<L> r2_limbs() const {
-    const std::size_t nn = n_.size();
-    std::vector<L> acc(nn, 0);
-    acc[0] = 1;
-    reduce_once(acc);
-    for (std::size_t i = 0; i < 2 * nn * static_cast<std::size_t>(kBits); ++i) {
-      // acc = 2*acc mod n
-      const L carry = mpn::lshift(acc.data(), acc.data(), nn, 1);
-      note(Prim::kLshift, nn);
-      if (carry || mpn::cmp(acc.data(), n_.data(), nn) >= 0) {
-        mpn::sub_n(acc.data(), acc.data(), n_.data(), nn);
-        note(Prim::kSubN, nn);
-      }
-      note(Prim::kCmp, nn);
-    }
-    return acc;
-  }
-
-  // R^2 mod n as the remainder of 2^(2*nn*kBits) by n.
+  // R^2 mod n as the remainder of 2^(2N) by n, N = nn * kBits.  With a
+  // hook, also the events of the 2N limb doublings of 1 that the cost model
+  // prices the setup by (context setup; counted by the caching axis of the
+  // design space, not the per-multiplication cost): each doubling is one
+  // Lshift, a SubN when the doubled value reaches n, and one Cmp.  Doubling
+  // i takes acc = 2^(i-1) mod n to 2^i mod n, and floor(2^i / n) =
+  // floor(2^(2N) / n) >> (2N - i) gains a low bit of 1 exactly when it
+  // subtracts, so bit 2N - i of the quotient is that doubling's SubN.
   std::vector<L> r2_divide() const {
     const std::size_t nn = n_.size();
     std::vector<L> u(2 * nn + 1, 0), q(nn + 2), r(nn);
     u[2 * nn] = 1;
     mpn::divrem(q.data(), r.data(), u.data(), u.size(), n_.data(), nn);
+    if (hook_ != nullptr) {
+      const std::size_t doublings = 2 * nn * static_cast<std::size_t>(kBits);
+      EventBatch setup(hook_, static_cast<unsigned>(kBits));
+      for (std::size_t bit = doublings; bit-- > 0;) {
+        const std::size_t limb = bit / kBits;
+        setup.add(Prim::kLshift, nn);
+        if (limb < q.size() && ((q[limb] >> (bit % kBits)) & 1) != 0) {
+          setup.add(Prim::kSubN, nn);
+        }
+        setup.add(Prim::kCmp, nn);
+      }
+      setup.flush();
+    }
     return r;
   }
 
@@ -279,29 +260,26 @@ class Mont {
       v = t + nw;
       note_n(Prim::kAddMul1, nn, nn);
       if (hook_) {
+        // The reduction sweep: one addmul_1 and one carry propagation per
+        // limb, handed over as one run.
+        EventBatch sweep(hook_, static_cast<unsigned>(kBits));
         for (std::size_t i = 0; i < nn; ++i) {
-          note(Prim::kAddMul1, nn);
-          note(Prim::kAdd1, nn - i);
+          sweep.add(Prim::kAddMul1, nn);
+          sweep.add(Prim::kAdd1, nn - i);
         }
+        sweep.flush();
       }
     } else {
       // Two addmul_1 sweeps per limb of b.
       note_n(Prim::kAddMul1, nn, 2 * nn);
     }
-    if (v[nw] || mont_detail::cmp_words(v, words_.data(), nw) >= 0) {
-      mont_detail::sub_words(v, words_.data(), nw);
+    if (v[nw] || mpn::detail::cmp_words(v, words_.data(), nw) >= 0) {
+      mpn::detail::sub_n_words(v, v, words_.data(), nw);
       note(Prim::kSubN, nn);
     }
     note(Prim::kCmp, nn);
     rp.resize(nn);
     std::memcpy(rp.data(), v, nn * sizeof(L));
-  }
-
-  // acc (n limbs) reduced mod n in place (acc may be >= n but < 2^(n*kBits)).
-  void reduce_once(std::vector<L>& acc) const {
-    if (mpn::cmp(acc.data(), n_.data(), n_.size()) >= 0) {
-      mpn::sub_n(acc.data(), acc.data(), n_.data(), n_.size());
-    }
   }
 
   // SOS: t = a*b, then n Montgomery reduction sweeps, then conditional sub.

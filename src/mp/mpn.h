@@ -133,9 +133,65 @@ using U128 = unsigned __int128;
 template <typename L>
 inline constexpr std::size_t kPerWord = sizeof(std::uint64_t) / sizeof(L);
 
-/// Largest operand, in 64-bit words, that mul_basecase packs on the stack
-/// (2048 bits); longer operands take the limb loop.
-inline constexpr std::size_t kPackedWords = 32;
+/// Words that hold n limbs.
+template <typename L>
+constexpr std::size_t words_for(std::size_t n) {
+  return (n + kPerWord<L> - 1) / kPerWord<L>;
+}
+
+/// Longest operand, in 64-bit words (4096 bits), whose word-path scratch
+/// lives on the stack; longer operands take heap scratch.
+inline constexpr std::size_t kPackedWords = 64;
+
+/// n elements of scratch: on the stack up to N, on the heap beyond.
+template <typename T, std::size_t N>
+class Scratch {
+ public:
+  explicit Scratch(std::size_t n) {
+    if (n > N) {
+      heap_.resize(n);
+      p_ = heap_.data();
+    }
+  }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+  T* data() { return p_; }
+  const T* data() const { return p_; }
+
+ private:
+  T stack_[N];  // left uninitialized: callers write before they read
+  std::vector<T> heap_;
+  T* p_ = stack_;
+};
+
+/// w[0..words_for(n)) = the n limbs of p, zero above them.
+template <typename L>
+void pack_words(std::uint64_t* w, const L* p, std::size_t n) {
+  const std::size_t nw = words_for<L>(n);
+  if (nw == 0) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    w[nw - 1] = 0;  // zero the limbs above n in the top word
+    std::memcpy(w, p, n * sizeof(L));
+  } else {
+    for (std::size_t i = 0; i < nw; ++i) w[i] = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      w[i / kPerWord<L>] |= static_cast<std::uint64_t>(p[i])
+                            << (LimbTraits<L>::bits * (i % kPerWord<L>));
+    }
+  }
+}
+
+/// p[0..n) = the low n limbs of w.
+template <typename L>
+void unpack_words(L* p, std::size_t n, const std::uint64_t* w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n != 0) std::memcpy(p, w, n * sizeof(L));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      p[i] = static_cast<L>(w[i / kPerWord<L>] >> (LimbTraits<L>::bits * (i % kPerWord<L>)));
+    }
+  }
+}
 
 /// z[0..xn+yn) = x[0..xn) * y[0..yn), 64x64->128 schoolbook on host words.
 inline void mul_words(std::uint64_t* z, const std::uint64_t* x, std::size_t xn,
@@ -153,14 +209,161 @@ inline void mul_words(std::uint64_t* z, const std::uint64_t* x, std::size_t xn,
   }
 }
 
+/// z[0..zn) = (x[0..xn) * y[0..yn)) mod 2^(64 zn): the low words only.
+inline void mul_words_low(std::uint64_t* z, std::size_t zn, const std::uint64_t* x,
+                          std::size_t xn, const std::uint64_t* y, std::size_t yn) {
+  for (std::size_t i = 0; i < zn; ++i) z[i] = 0;
+  for (std::size_t j = 0; j < yn && j < zn; ++j) {
+    const std::uint64_t yj = y[j];
+    const std::size_t end = xn < zn - j ? xn : zn - j;
+    std::uint64_t c = 0;
+    for (std::size_t i = 0; i < end; ++i) {
+      const U128 t = static_cast<U128>(x[i]) * yj + z[i + j] + c;
+      z[i + j] = static_cast<std::uint64_t>(t);
+      c = static_cast<std::uint64_t>(t >> 64);
+    }
+    if (xn + j < zn) z[xn + j] = c;
+  }
+}
+
+/// r[0..n) -= a[0..n) * b; returns the borrow-out word.
+inline std::uint64_t submul_1_words(std::uint64_t* r, const std::uint64_t* a,
+                                    std::size_t n, std::uint64_t b) {
+  std::uint64_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const U128 p = static_cast<U128>(a[i]) * b + c;
+    const std::uint64_t lo = static_cast<std::uint64_t>(p);
+    c = static_cast<std::uint64_t>(p >> 64) + (r[i] < lo ? 1 : 0);
+    r[i] -= lo;
+  }
+  return c;
+}
+
+/// r[0..n) = a[0..n) + b[0..n); returns the carry.  r may equal a or b.
+inline std::uint64_t add_n_words(std::uint64_t* r, const std::uint64_t* a,
+                                 const std::uint64_t* b, std::size_t n) {
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t s = a[i] + b[i];
+    const std::uint64_t out = (s < a[i]) | (s + carry < s);
+    r[i] = s + carry;
+    carry = out;
+  }
+  return carry;
+}
+
+/// r[0..n) = a[0..n) - b[0..n); returns the borrow.  r may equal a or b.
+inline std::uint64_t sub_n_words(std::uint64_t* r, const std::uint64_t* a,
+                                 const std::uint64_t* b, std::size_t n) {
+  std::uint64_t borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t d = a[i] - b[i];
+    const std::uint64_t out = (a[i] < b[i]) | (d < borrow);
+    r[i] = d - borrow;
+    borrow = out;
+  }
+  return borrow;
+}
+
+inline int cmp_words(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+  for (std::size_t i = n; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+/// r[0..n) = a[0..n) << s for 0 < s < 64; returns the bits shifted out of
+/// the top.  r may equal a.
+inline std::uint64_t lshift_words(std::uint64_t* r, const std::uint64_t* a, std::size_t n,
+                                  unsigned s) {
+  const std::uint64_t out = a[n - 1] >> (64 - s);
+  for (std::size_t i = n - 1; i > 0; --i) r[i] = (a[i] << s) | (a[i - 1] >> (64 - s));
+  r[0] = a[0] << s;
+  return out;
+}
+
+/// dst[0..n) = the words of src[0..sn) >> bits, reading zero above sn.
+inline void shift_down_words(std::uint64_t* dst, std::size_t n, const std::uint64_t* src,
+                             std::size_t sn, std::size_t bits) {
+  const std::size_t off = bits / 64;
+  const unsigned s = static_cast<unsigned>(bits % 64);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = i + off;
+    const std::uint64_t lo = k < sn ? src[k] : 0;
+    const std::uint64_t hi = k + 1 < sn ? src[k + 1] : 0;
+    dst[i] = s == 0 ? lo : (lo >> s) | (hi << (64 - s));
+  }
+}
+
+/// floor((2^128 - 1) / d) - 2^64 for a normalised d (top bit set): the
+/// reciprocal div_2by1 divides by.
+inline std::uint64_t reciprocal_word(std::uint64_t d) {
+  return static_cast<std::uint64_t>(~U128{0} / d);  // the quotient is 2^64 + v
+}
+
+/// The quotient of <u1, u0> by a normalised d, for u1 < d and
+/// v = reciprocal_word(d); the remainder goes to r.  Two multiplications and
+/// no hardware divide (Moeller and Granlund, "Improved division by invariant
+/// integers", IEEE TC 2011, Algorithm 4).
+inline std::uint64_t div_2by1(std::uint64_t u1, std::uint64_t u0, std::uint64_t d,
+                              std::uint64_t v, std::uint64_t& r) {
+  const U128 p = static_cast<U128>(v) * u1 + ((static_cast<U128>(u1) << 64) | u0);
+  std::uint64_t q = static_cast<std::uint64_t>(p >> 64) + 1;
+  std::uint64_t rem = u0 - q * d;
+  if (rem > static_cast<std::uint64_t>(p)) {
+    --q;
+    rem += d;
+  }
+  if (rem >= d) {
+    ++q;
+    rem -= d;
+  }
+  r = rem;
+  return q;
+}
+
+/// A divisor packed into 64-bit words and normalised once (shifted left
+/// until its top bit is set, with the reciprocal of its top word), for
+/// Knuth Algorithm D on words.  Holds its words on the stack up to
+/// kPackedWords.
+class WordDivisor {
+ public:
+  /// From dn limbs with d[dn - 1] != 0.
+  template <typename L>
+  WordDivisor(const L* d, std::size_t dn) : dw_(words_for<L>(dn)), d_(dw_) {
+    std::uint64_t* w = d_.data();
+    pack_words(w, d, dn);
+    shift_ = static_cast<unsigned>(std::countl_zero(w[dw_ - 1]));
+    if (shift_ != 0) lshift_words(w, w, dw_, shift_);
+    v_ = reciprocal_word(w[dw_ - 1]);
+  }
+
+  /// Divisor length in words.
+  std::size_t words() const { return dw_; }
+
+  /// Divides u[0..uw) (uw >= words()) by the divisor.  u needs room for
+  /// uw + 1 words and is overwritten: on return u[0..words()) holds the
+  /// remainder.  q receives the uw - words() + 1 quotient words unless it
+  /// is null.
+  void divrem(std::uint64_t* q, std::uint64_t* u, std::size_t uw) const;
+
+ private:
+  std::size_t dw_;
+  Scratch<std::uint64_t, kPackedWords> d_;
+  unsigned shift_ = 0;
+  std::uint64_t v_ = 0;
+};
+
 }  // namespace detail
 
 // On a little-endian host, where 4 radix-16 or 2 radix-32 limbs in memory
-// are one 64-bit word, the kernels below step a word at a time and finish
-// the tail limb by limb; elsewhere they run the limb loop alone.  They
-// compute the integer the limb loop computes, so the result limbs and the
-// carry/borrow limb are the same (tests/mpn_ref.h keeps the limb loops as
-// oracles).  Cost events stay per modelled limb: the callers emit them.
+// are one 64-bit word, addmul_1 and submul_1 step a word at a time and
+// finish the tail limb by limb; elsewhere they run the limb loop alone.
+// mul_basecase and divrem pack their operands into 64-bit words on any
+// host.  Every kernel computes the integer the limb loop computes, so the
+// result limbs and the carry/borrow limb are the same (tests/mpn_ref.h
+// keeps the limb loops as oracles).  Cost events stay per modelled limb:
+// the callers emit them.
 
 /// rp[0..n) += a[0..n) * b; returns the carry-out limb.
 /// This is the hot inner loop of every multiplication-based public-key
@@ -223,35 +426,25 @@ L submul_1(L* rp, const L* a, std::size_t n, L b) {
   return borrow;
 }
 
-/// rp[0..an+bn) = a[0..an) * b[0..bn), schoolbook.  rp must not alias a/b.
-/// On a little-endian host, operands of up to detail::kPackedWords words are
-/// packed into 64-bit words and multiplied 64x64->128; longer ones take the
-/// limb loop.
+/// rp[0..an+bn) = a[0..an) * b[0..bn), schoolbook on the operands packed
+/// into 64-bit words, multiplied 64x64->128.  rp must not alias a/b.
 template <typename L>
 void mul_basecase(L* rp, const L* a, std::size_t an, const L* b, std::size_t bn) {
-  if constexpr (std::endian::native == std::endian::little) {
-    constexpr std::size_t kPer = detail::kPerWord<L>;
-    const std::size_t aw = (an + kPer - 1) / kPer;
-    const std::size_t bw = (bn + kPer - 1) / kPer;
-    if (an > 0 && bn > 0 && aw <= detail::kPackedWords && bw <= detail::kPackedWords) {
-      // Left uninitialized: only words [0, aw), [0, bw) and [0, aw + bw)
-      // are read, and each is written first.
-      std::uint64_t x[detail::kPackedWords], y[detail::kPackedWords];
-      std::uint64_t z[2 * detail::kPackedWords];
-      x[aw - 1] = 0;  // zero the limbs above an in the top word
-      y[bw - 1] = 0;
-      std::memcpy(x, a, an * sizeof(L));
-      std::memcpy(y, b, bn * sizeof(L));
-      detail::mul_words(z, x, aw, y, bw);
-      // The product fits in an + bn limbs; the words above are zero.
-      std::memcpy(rp, z, (an + bn) * sizeof(L));
-      return;
-    }
+  if (an == 0 || bn == 0) {
+    for (std::size_t i = 0; i < an + bn; ++i) rp[i] = 0;
+    return;
   }
-  for (std::size_t i = 0; i < an + bn; ++i) rp[i] = 0;
-  for (std::size_t j = 0; j < bn; ++j) {
-    rp[an + j] = addmul_1(rp + j, a, an, b[j]);
-  }
+  const std::size_t aw = detail::words_for<L>(an);
+  const std::size_t bw = detail::words_for<L>(bn);
+  detail::Scratch<std::uint64_t, 4 * detail::kPackedWords> s(2 * (aw + bw));
+  std::uint64_t* x = s.data();
+  std::uint64_t* y = x + aw;
+  std::uint64_t* z = y + bw;
+  detail::pack_words(x, a, an);
+  detail::pack_words(y, b, bn);
+  detail::mul_words(z, x, aw, y, bw);
+  // The product fits in an + bn limbs; the words above are zero.
+  detail::unpack_words(rp, an + bn, z);
 }
 
 /// Karatsuba threshold in limbs.  Below this, schoolbook wins.
@@ -303,11 +496,13 @@ L rshift(L* rp, const L* a, std::size_t n, unsigned count) {
   return low;
 }
 
-/// Knuth Algorithm D long division.
+/// Knuth Algorithm D long division on packed 64-bit words
+/// (detail::WordDivisor).
 /// Computes q = u / d and r = u mod d where u has un limbs and d has dn
 /// normalized limbs (d[dn-1] != 0), un >= dn >= 1.
-/// q receives un - dn + 1 limbs, r receives dn limbs.
-/// None of the output buffers may alias the inputs.
+/// q receives un - dn + 1 limbs (skipped when q is null), r receives dn
+/// limbs.  Scratch stays on the stack for dividends of up to
+/// 2 * detail::kPackedWords + 1 words (a 4096-bit modulus squared).
 template <typename L>
 void divrem(L* q, L* r, const L* u, std::size_t un, const L* d, std::size_t dn);
 
@@ -376,70 +571,18 @@ void mul_karatsuba(L* rp, const L* a, const L* b, std::size_t n) {
 
 template <typename L>
 void divrem(L* q, L* r, const L* u, std::size_t un, const L* d, std::size_t dn) {
-  using W = typename LimbTraits<L>::Wide;
-  constexpr int kBits = LimbTraits<L>::bits;
-  constexpr W kBase = static_cast<W>(1) << kBits;
-
-  if (dn == 1) {
-    // Short division.
-    W rem = 0;
-    for (std::size_t i = un; i-- > 0;) {
-      const W cur = (rem << kBits) | u[i];
-      q[i] = static_cast<L>(cur / d[0]);
-      rem = cur % d[0];
-    }
-    r[0] = static_cast<L>(rem);
-    return;
-  }
-
-  // Normalize so the top divisor limb has its high bit set.
-  const unsigned shift = clz(d[dn - 1]);
-  std::vector<L> dn_v(dn), un_v(un + 1);
-  if (shift) {
-    lshift(dn_v.data(), d, dn, shift);
-    un_v[un] = lshift(un_v.data(), u, un, shift);
-  } else {
-    for (std::size_t i = 0; i < dn; ++i) dn_v[i] = d[i];
-    for (std::size_t i = 0; i < un; ++i) un_v[i] = u[i];
-    un_v[un] = 0;
-  }
-  const L dtop = dn_v[dn - 1];
-  const L dsec = dn_v[dn - 2];
-
-  for (std::size_t j = un - dn + 1; j-- > 0;) {
-    // Estimate qhat from the top two limbs of the current remainder window.
-    const W num = (static_cast<W>(un_v[j + dn]) << kBits) | un_v[j + dn - 1];
-    W qhat = num / dtop;
-    W rhat = num % dtop;
-    if (qhat >= kBase) {
-      qhat = kBase - 1;
-      rhat = num - qhat * dtop;
-    }
-    while (rhat < kBase &&
-           qhat * static_cast<W>(dsec) >
-               ((rhat << kBits) | un_v[j + dn - 2])) {
-      --qhat;
-      rhat += dtop;
-    }
-    // Multiply-subtract.
-    L borrow = submul_1(un_v.data() + j, dn_v.data(), dn, static_cast<L>(qhat));
-    const L top_before = un_v[j + dn];
-    un_v[j + dn] = static_cast<L>(top_before - borrow);
-    if (top_before < borrow) {
-      // qhat was one too large; add back.
-      --qhat;
-      const L carry = add_n(un_v.data() + j, un_v.data() + j, dn_v.data(), dn);
-      un_v[j + dn] = static_cast<L>(un_v[j + dn] + carry);
-    }
-    q[j] = static_cast<L>(qhat);
-  }
-
-  // Denormalize remainder.
-  if (shift) {
-    rshift(r, un_v.data(), dn, shift);
-  } else {
-    for (std::size_t i = 0; i < dn; ++i) r[i] = un_v[i];
-  }
+  const detail::WordDivisor div(d, dn);
+  const std::size_t uw = detail::words_for<L>(un);
+  const std::size_t qw = uw - div.words() + 1;
+  // u with its normalisation word, then q: on the stack for uw up to
+  // 2 * kPackedWords + 1.
+  detail::Scratch<std::uint64_t, 4 * detail::kPackedWords + 3> s(uw + 1 + qw);
+  std::uint64_t* uwords = s.data();
+  std::uint64_t* qwords = uwords + uw + 1;
+  detail::pack_words(uwords, u, un);
+  div.divrem(q != nullptr ? qwords : nullptr, uwords, uw);
+  if (q != nullptr) detail::unpack_words(q, un - dn + 1, qwords);
+  detail::unpack_words(r, dn, uwords);
 }
 
 /// Little-endian byte import: bytes[0] is the least significant byte.

@@ -310,18 +310,4 @@ Mpz Mpz::invmod(const Mpz& a, const Mpz& m) {
   return x.mod(m);
 }
 
-Mpz Mpz::powm(const Mpz& base, const Mpz& exp, const Mpz& mod) {
-  if (mod.is_zero()) throw std::domain_error("Mpz::powm: zero modulus");
-  if (exp.is_negative()) throw std::domain_error("Mpz::powm: negative exponent");
-  Mpz result(1);
-  result = result.mod(mod);
-  Mpz b = base.mod(mod);
-  const std::size_t nbits = exp.bit_length();
-  for (std::size_t i = nbits; i-- > 0;) {
-    result = (result * result).mod(mod);
-    if (exp.bit(i)) result = (result * b).mod(mod);
-  }
-  return result;
-}
-
 }  // namespace wsp

@@ -1,7 +1,7 @@
 // Arbitrary-precision signed integers ("complex mathematical operations"
 // layer of the paper's software architecture).  Built on the mpn kernels
-// with 32-bit limbs; acts as the correctness reference for every optimized
-// modular-exponentiation configuration in src/mp/modexp.h.
+// with 32-bit limbs; the key material and the operands of the modular
+// exponentiation engine in src/mp/modexp.h.
 #pragma once
 
 #include <cstdint>
@@ -85,11 +85,6 @@ class Mpz {
 
   /// Modular inverse of a mod m; throws std::domain_error if not invertible.
   static Mpz invmod(const Mpz& a, const Mpz& m);
-
-  /// Reference modular exponentiation (binary square-and-multiply with
-  /// division-based reduction).  Used as ground truth by every optimized
-  /// configuration.
-  static Mpz powm(const Mpz& base, const Mpz& exp, const Mpz& mod);
 
  private:
   void trim();

@@ -115,7 +115,7 @@ std::size_t Session::pump(std::size_t max_records) {
     try {
       // Equality is the transfer check; repair must never silently
       // accept bytes that differ from what the client sent.
-      delivered = keys_->client_write.open(wire) == payload;
+      delivered = keys_->client_write.open(std::move(wire)) == payload;
     } catch (const std::runtime_error&) {
       delivered = false;  // MAC / padding / framing rejection
     }
@@ -185,7 +185,7 @@ std::size_t Session::repair_transfer(const std::vector<std::uint8_t>& payload,
     moved += wire.size();
     bool delivered = false;
     try {
-      delivered = keys_->client_write.open(wire) == payload;
+      delivered = keys_->client_write.open(std::move(wire)) == payload;
     } catch (const std::runtime_error&) {
       delivered = false;
     }

@@ -170,23 +170,25 @@ struct SecureChannel::Impl {
     throw std::logic_error("ssl: bad cipher");
   }
 
-  std::vector<std::uint8_t> decrypt(const std::vector<std::uint8_t>& ct) {
+  // Decrypts the record in its buffer.
+  std::vector<std::uint8_t> decrypt(std::vector<std::uint8_t> data) {
     switch (cipher) {
       case Cipher::kTripleDesCbc: {
-        if (ct.size() % 8 != 0) throw std::runtime_error("ssl: bad record length");
-        std::vector<std::uint8_t> out(ct.size());
+        if (data.size() % 8 != 0) throw std::runtime_error("ssl: bad record length");
         std::uint64_t chain = des::load_be64(iv_dec.data());
-        des::decrypt_cbc_3des(ct.data(), out.data(), ct.size(), cached_des3_ks(), chain);
+        des::decrypt_cbc_3des(data.data(), data.data(), data.size(), cached_des3_ks(), chain);
         des::store_be64(chain, iv_dec.data());
-        return cbc_unpad(std::move(out));
+        return cbc_unpad(std::move(data));
       }
       case Cipher::kAes128Cbc: {
-        if (ct.size() % 16 != 0) throw std::runtime_error("ssl: bad record length");
-        std::vector<std::uint8_t> out(ct.size());
-        aes::decrypt_cbc(ct.data(), out.data(), ct.size(), cached_aes_ks(), iv_dec);
-        return cbc_unpad(std::move(out));
+        if (data.size() % 16 != 0) throw std::runtime_error("ssl: bad record length");
+        aes::decrypt_cbc(data.data(), data.data(), data.size(), cached_aes_ks(), iv_dec);
+        return cbc_unpad(std::move(data));
       }
-      case Cipher::kRc4: return cached_rc4().dec.process(ct);
+      case Cipher::kRc4: {
+        cached_rc4().dec.process(data.data(), data.size());
+        return data;
+      }
     }
     throw std::logic_error("ssl: bad cipher");
   }
@@ -215,12 +217,12 @@ std::vector<std::uint8_t> SecureChannel::seal(const std::vector<std::uint8_t>& p
   return impl_->encrypt(std::move(plain));
 }
 
-std::vector<std::uint8_t> SecureChannel::open(const std::vector<std::uint8_t>& record) {
+std::vector<std::uint8_t> SecureChannel::open(std::vector<std::uint8_t> record) {
   WSP_TRACE_SPAN("ssl.record", "open");
   std::vector<std::uint8_t> plain;
   {
     WSP_TRACE_SPAN("ssl.record", "open/decrypt");
-    plain = impl_->decrypt(record);
+    plain = impl_->decrypt(std::move(record));
   }
   return impl_->verify_mac(std::move(plain));
 }

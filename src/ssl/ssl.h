@@ -42,7 +42,9 @@ class SecureChannel {
   std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& payload);
 
   /// Decrypts and authenticates; throws std::runtime_error on tampering.
-  std::vector<std::uint8_t> open(const std::vector<std::uint8_t>& record);
+  /// Decrypts in the record's buffer: a caller that keeps its record passes
+  /// a copy, one that is done with it moves it in.
+  std::vector<std::uint8_t> open(std::vector<std::uint8_t> record);
 
  private:
   struct Impl;

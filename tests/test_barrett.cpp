@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "barrett_ref.h"
 #include "mp/barrett.h"
 #include "mp/mpz.h"
 #include "support/random.h"
@@ -80,6 +83,81 @@ TYPED_TEST(BarrettTest, ReduceOfSmallValueIsIdentity) {
   std::vector<L> r(k);
   ctx.reduce(r, to_limbs<L>(x, 2 * k));
   EXPECT_EQ(from_limbs<L>(r), x);
+}
+
+// Counts SubN events and folds every event, one by one, into an FNV-1a
+// digest.
+class SubNCounter : public CostHook {
+ public:
+  void on_prim(Prim p, std::size_t n, std::size_t m, unsigned limb_bits) override {
+    if (p == Prim::kSubN) ++subn;
+    for (const std::uint64_t v : {static_cast<std::uint64_t>(p), std::uint64_t{n},
+                                  std::uint64_t{m}, std::uint64_t{limb_bits}}) {
+      digest = (digest ^ v) * 0x100000001b3ull;
+    }
+  }
+  std::size_t subn = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+};
+
+// Reduces x with the packed-word context and the limb loop, checks that
+// both return the same limbs and the same events, and returns the number
+// of correction subtractions (SubN events beyond the one of r1 - r2).
+template <typename L>
+std::size_t corrections_match(const Mpz& m, const Mpz& x) {
+  constexpr int kBits = mpn::LimbTraits<L>::bits;
+  const std::size_t k = (m.bit_length() + kBits - 1) / kBits;
+  SubNCounter fast_hook, ref_hook;
+  Barrett<L> fast(to_limbs<L>(m, k), &fast_hook);
+  barrett_ref::Barrett<L> ref(to_limbs<L>(m, k), &ref_hook);
+  EXPECT_EQ(fast.mu(), ref.mu()) << m.to_hex();
+  fast_hook = SubNCounter{};
+  ref_hook = SubNCounter{};
+  std::vector<L> got(k), want(k);
+  const auto xl = to_limbs<L>(x, 2 * k);
+  fast.reduce(got, xl);
+  ref.reduce(want, xl);
+  EXPECT_EQ(got, want) << m.to_hex() << " " << x.to_hex();
+  EXPECT_EQ(fast_hook.subn, ref_hook.subn) << m.to_hex() << " " << x.to_hex();
+  EXPECT_EQ(fast_hook.digest, ref_hook.digest) << m.to_hex() << " " << x.to_hex();
+  return ref_hook.subn - 1;
+}
+
+// Per-reduce SubN counts against the limb loop, with 0, 1 and 2
+// corrections each seen.  Random moduli and operands give 0 or 1.  Two
+// need q3 two below x / m: x a multiple of a modulus just above B^(k-1)
+// with x near B^(2k), where both truncations lose almost a whole unit.
+TYPED_TEST(BarrettTest, CorrectionCountsMatchLimbLoop) {
+  using L = TypeParam;
+  constexpr int kBits = mpn::LimbTraits<L>::bits;
+  Rng rng(43);
+  std::array<std::size_t, 3> seen{};
+  const auto count = [&](const Mpz& m, const Mpz& x) {
+    const std::size_t c = corrections_match<L>(m, x);
+    ASSERT_LT(c, seen.size());
+    ++seen[c];
+  };
+  for (std::size_t k : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 16u, 17u, 33u}) {
+    const std::size_t bytes = k * sizeof(L);
+    for (int i = 0; i < 40; ++i) {
+      Mpz m = Mpz::from_bytes_be(rng.bytes(bytes));
+      if (m.bit_length() <= (k - 1) * kBits) m = m + Mpz(1).lshift((k - 1) * kBits);
+      count(m, Mpz::from_bytes_be(rng.bytes(2 * bytes)));
+      count(m, m * m - Mpz(1));
+    }
+  }
+  for (std::size_t k : {2u, 3u}) {
+    const Mpz low = Mpz(1).lshift((k - 1) * kBits);
+    const Mpz top = Mpz(1).lshift(2 * k * kBits);
+    for (int i = 0; i < 400; ++i) {
+      const Mpz m = low + Mpz::from_u64(1 + rng.below(std::uint64_t{1} << (kBits - 1)));
+      const Mpz q = (top - Mpz(1)) / m - Mpz::from_u64(rng.below(1000));
+      count(m, q * m);
+    }
+  }
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_GT(seen[1], 0u);
+  EXPECT_GT(seen[2], 0u);
 }
 
 }  // namespace

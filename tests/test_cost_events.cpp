@@ -54,8 +54,9 @@ class PerEventModelHook : public CostHook {
   const macromodel::MacroModelSet& models_;
 };
 
-// Forwards to MacroModelHook and counts the batches it is handed, so the
-// bitwise comparison below is known to exercise the batched path.
+// Forwards to MacroModelHook and counts the batches and the mixed runs it is
+// handed, so the bitwise comparison below is known to exercise both batched
+// paths.
 class BatchCountingHook : public explore::MacroModelHook {
  public:
   using MacroModelHook::MacroModelHook;
@@ -64,7 +65,12 @@ class BatchCountingHook : public explore::MacroModelHook {
     ++batches;
     MacroModelHook::on_prims(p, n, m, limb_bits, count);
   }
+  void on_events(const PrimEvent* events, std::size_t count, unsigned limb_bits) override {
+    ++runs;
+    MacroModelHook::on_events(events, count, limb_bits);
+  }
   std::size_t batches = 0;
+  std::size_t runs = 0;
 };
 
 const explore::RsaWorkload& workload() {
@@ -144,6 +150,7 @@ TEST(CostEvents, BatchedMacroModelTotalsEqualPerEventTotals) {
         << cfg.name() << ": " << batched.total_cycles() << " vs " << single.total;
     EXPECT_EQ(batched.events(), single.events) << cfg.name();
     EXPECT_GT(batched.batches, 0u) << cfg.name();
+    EXPECT_GT(batched.runs, 0u) << cfg.name();
   }
 }
 

@@ -273,6 +273,155 @@ TYPED_TEST(MpnReference, MulBasecasePastThePackedBufferMatchesLimbLoop) {
   }
 }
 
+// The limbs of a number given as 64-bit words, least significant first.
+template <typename L>
+std::vector<L> limbs_of_words(const std::vector<std::uint64_t>& w) {
+  std::vector<std::uint8_t> le(8 * w.size());
+  for (std::size_t i = 0; i < le.size(); ++i) {
+    le[i] = static_cast<std::uint8_t>(w[i / 8] >> (8 * (i % 8)));
+  }
+  std::vector<L> out = mpn::from_bytes_le<L>(le.data(), le.size());
+  out.resize(mpn::normalize(out.data(), out.size()));
+  return out;
+}
+
+// Divides u by d with the packed-word division and with the limb loop and
+// checks that both leave the same quotient and remainder limbs and that
+// neither writes past them (each output carries a guard limb), and that
+// the remainder-only call agrees.
+template <typename L>
+void check_divrem(const std::vector<L>& u, const std::vector<L>& d, const char* what) {
+  const std::size_t un = u.size();
+  const std::size_t dn = d.size();
+  ASSERT_GE(un, dn);
+  ASSERT_NE(d[dn - 1], 0);
+  const L guard = static_cast<L>(0xa5a5a5a5u);
+  std::vector<L> got_q(un - dn + 2, guard), got_r(dn + 1, guard);
+  std::vector<L> want_q = got_q, want_r = got_r, rem_only = got_r;
+  mpn::divrem(got_q.data(), got_r.data(), u.data(), un, d.data(), dn);
+  mpn_ref::divrem(want_q.data(), want_r.data(), u.data(), un, d.data(), dn);
+  mpn::divrem<L>(nullptr, rem_only.data(), u.data(), un, d.data(), dn);
+  ASSERT_EQ(got_q, want_q) << what << " un=" << un << " dn=" << dn;
+  ASSERT_EQ(got_r, want_r) << what << " un=" << un << " dn=" << dn;
+  ASSERT_EQ(rem_only, want_r) << what << " un=" << un << " dn=" << dn;
+}
+
+// Word-path divisors and dividends that hit the qhat clamp and the
+// add-back, built on the normalised words and shifted right by s, so that
+// the division's own normalisation shifts them back.  dw >= 2 words; D has
+// its top bit set and its low s bits clear.
+//
+// Add-back: D = T * B^m + B^m - 2^s (T its top two words, m = dw - 2 >= 1)
+// and U = q * T * B^m.  The window's top three words are q * T, so qhat
+// after the second-word test is q, but U / D < q: the multiply-subtract
+// borrows and the divisor is added back.  The quotient is q - 1.
+//
+// Clamp: U = (D - 2^s) * B + W.  The last window's top word equals D's top
+// word, so qhat starts at B - 1.  With D's second word large, rhat
+// overflows and the second-word test is skipped; with it small (s = 0),
+// the test runs.
+struct CraftedDivision {
+  std::vector<std::uint64_t> u, d;
+  std::uint64_t expect_q0 = 0;  // the quotient word for add-back cases, else 0
+};
+
+std::vector<CraftedDivision> crafted_divisions(Rng& rng, std::size_t dw) {
+  std::vector<CraftedDivision> out;
+  const auto shifted = [](std::vector<std::uint64_t> w, unsigned s) {
+    if (s != 0) {
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        const std::uint64_t hi = i + 1 < w.size() ? w[i + 1] : 0;
+        w[i] = (w[i] >> s) | (hi << (64 - s));
+      }
+    }
+    return w;
+  };
+  for (unsigned s : {0u, 1u, 17u, 63u}) {
+    if (dw >= 3) {
+      // Add-back.
+      const std::size_t m = dw - 2;
+      const std::uint64_t t0 = rng.next_u64() & ~std::uint64_t{1};  // T + 1 does not carry
+      const std::uint64_t t1 = rng.next_u64() | (std::uint64_t{1} << 63);
+      const std::uint64_t q = (rng.next_u64() >> 1) | 2;
+      std::vector<std::uint64_t> dd(dw, 0), uu(dw + 1, 0);
+      // B^m - 2^s: all ones above bit s in the low m words.
+      for (std::size_t i = 0; i < m; ++i) dd[i] = ~std::uint64_t{0};
+      dd[0] = ~std::uint64_t{0} << s;
+      dd[m] = t0;
+      dd[m + 1] = t1;
+      // q * T at words m..m+2.
+      const unsigned __int128 lo = static_cast<unsigned __int128>(q) * t0;
+      const unsigned __int128 hi = static_cast<unsigned __int128>(q) * t1 +
+                                   static_cast<std::uint64_t>(lo >> 64);
+      uu[m] = static_cast<std::uint64_t>(lo);
+      uu[m + 1] = static_cast<std::uint64_t>(hi);
+      uu[m + 2] = static_cast<std::uint64_t>(hi >> 64);
+      out.push_back({shifted(uu, s), shifted(dd, s), q - 1});
+    }
+    // Clamp, with rhat overflowing (large second word) and, at s = 0,
+    // without (second word 2).
+    for (const bool small_second : {false, true}) {
+      if (small_second && s != 0) continue;
+      std::vector<std::uint64_t> dd(dw);
+      for (auto& w : dd) w = rng.next_u64();
+      dd[dw - 1] |= std::uint64_t{1} << 63;
+      if (small_second) {
+        dd[dw - 2] = 2;
+        dd[0] |= 1;
+      } else {
+        dd[dw - 2] |= std::uint64_t{1} << 63;
+        dd[0] &= ~std::uint64_t{0} << s;
+      }
+      std::vector<std::uint64_t> uu(dw + 1);
+      uu[0] = rng.next_u64() & (~std::uint64_t{0} << s);  // W
+      std::uint64_t borrow = std::uint64_t{1} << s;        // D - 2^s
+      for (std::size_t i = 0; i < dw; ++i) {
+        uu[i + 1] = dd[i] - borrow;
+        borrow = dd[i] < borrow ? 1 : 0;
+      }
+      out.push_back({shifted(uu, s), shifted(dd, s), 0});
+    }
+  }
+  return out;
+}
+
+// The packed-word Knuth D against the limb loop: divisors of 1..70 limbs
+// and dividends of dn..2dn+2 limbs, random and all-ones operands, divisors
+// with a top limb of 1 (the largest normalising shift), and the crafted
+// word-path clamp and add-back cases.
+TYPED_TEST(MpnReference, DivremMatchesLimbLoop) {
+  using L = TypeParam;
+  Rng rng(305);
+  for (std::size_t dn = 1; dn <= kMaxLimbs; ++dn) {
+    for (std::size_t un = dn; un <= 2 * dn + 2; ++un) {
+      std::vector<L> u = random_limbs<L>(rng, un);
+      std::vector<L> d = random_limbs<L>(rng, dn);
+      if (d[dn - 1] == 0) d[dn - 1] = 1;
+      check_divrem<L>(u, d, "random");
+      std::vector<L> ones(un, static_cast<L>(~L{0}));
+      d[dn - 1] = 1;
+      check_divrem<L>(ones, d, "ones / top limb 1");
+      check_divrem<L>(u, std::vector<L>(dn, static_cast<L>(~L{0})), "random / ones");
+    }
+  }
+  for (std::size_t dw = 2; dw <= 12; ++dw) {
+    for (const CraftedDivision& c : crafted_divisions(rng, dw)) {
+      const std::vector<L> u = limbs_of_words<L>(c.u);
+      const std::vector<L> d = limbs_of_words<L>(c.d);
+      check_divrem<L>(u, d, c.expect_q0 != 0 ? "add-back" : "clamp");
+      if (c.expect_q0 != 0) {
+        // The crafted add-back's quotient is q - 1: qhat overshot.
+        std::vector<L> q(u.size() - d.size() + 1), r(d.size());
+        mpn_ref::divrem(q.data(), r.data(), u.data(), u.size(), d.data(), d.size());
+        std::vector<std::uint64_t> qw(mpn::detail::words_for<L>(q.size()) + 1, 0);
+        mpn::detail::pack_words(qw.data(), q.data(), q.size());
+        EXPECT_EQ(qw[0], c.expect_q0) << "dw=" << dw;
+        for (std::size_t i = 1; i < qw.size(); ++i) EXPECT_EQ(qw[i], 0u) << "dw=" << dw;
+      }
+    }
+  }
+}
+
 TEST(Mpn, DivremAddBackPath) {
   // Crafted so the initial qhat estimate overshoots by one
   // (u = 2^94, d = 2^63 + 2^32 - 1): exercises Knuth-D's add-back
